@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import io
 import json
@@ -264,12 +265,7 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str) -> net.NetworkArch
         raise ConfigError(f"{path}: {err}") from err
 
 
-_TRAIN_KEYS = (
-    "n_interior", "m_boundary", "outer_steps", "inner_steps", "optimizer",
-    "lr_u", "lr_v", "adam_beta1", "adam_beta2", "adam_eps", "resample_every",
-    "clip_b_theta", "grad_clip_norm", "h1_ball_radius", "h1_quad_points",
-    "normalize_v", "boundary_alpha_half", "v_restart_every", "eval_every", "seed",
-)
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
 
 
 def _build_train_config(cfg, path: str, seed_override: int | None) -> train_mod.TrainConfig:
@@ -294,7 +290,9 @@ def _cmd_solve(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: st
     u_arch = _build_arch(cfg.get("u_arch", {"widths": [problem.dim, 16, 16, 1]}), problem, "u_arch")
     v_arch = _build_arch(cfg.get("v_arch", {"widths": [problem.dim, 16, 16, 1]}), problem, "v_arch")
     tcfg = _build_train_config(cfg.get("train", {}), "train", seed_override)
-    write_checkpoints = bool(cfg.get("write_checkpoints", False))
+    write_checkpoints = cfg.get("write_checkpoints", False)
+    if not isinstance(write_checkpoints, bool):
+        raise ConfigError(f"config.write_checkpoints: expected true or false, got {write_checkpoints!r}")
 
     def on_eval(step: int, u: net.NetworkParams, v: net.NetworkParams, row) -> None:
         if write_checkpoints:
@@ -378,8 +376,6 @@ def _cmd_convergence_study(cfg: dict, out_dir: str, quiet: bool, seed_override, 
 
     def run_point(job):
         n, s = job
-        import dataclasses
-
         tcfg = dataclasses.replace(base, n_interior=n, m_boundary=n, seed=s)
         result = train_mod.minimax_train(problem, u_arch, v_arch, tcfg, u_ref=None)
         est = loss_mod.h1_error(

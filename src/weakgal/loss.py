@@ -9,8 +9,9 @@ The bilinear objective for trial network u and test network v is
 with the boundary weight ``alpha`` optionally halved (``boundary_alpha_half``)
 to match the alternative convention for the penalty term.  The objective is
 linear in the test network's output, which the gradient computation exploits:
-both parameter gradients come from one dual evaluation per network plus
-per-sample seed vectors fed to the networks' parameter backprop.
+both parameter gradients come from one taped forward pass per network plus
+per-sample seed vectors fed to the reverse sweep over that tape.  One function
+assembles the integrand and the seeds for the value and the gradients alike.
 
 Sums use numpy's pairwise float64 accumulation, so values are reproducible
 bit-for-bit for a fixed batch.  Any non-finite intermediate raises
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "as_evaluator",
     "empirical_loss",
     "loss_gradients",
+    "GradientCache",
     "continuous_loss_estimate",
     "h1_error",
     "estimate_h1_norm",
@@ -129,18 +131,89 @@ def _check_finite(arr: np.ndarray, component: str) -> None:
         raise NonFiniteLossError(component, int(np.argmin(flat)))
 
 
-def _effective_alpha(problem: EllipticProblem, boundary_alpha_half: bool) -> float:
-    return 0.5 * problem.alpha if boundary_alpha_half else problem.alpha
+class _BatchTerms:
+    """Checked coefficient values and quadrature weights of one batch."""
+
+    def __init__(self, problem: EllipticProblem, batch: EmpiricalBatch, boundary_alpha_half: bool):
+        self.X, self.Y = X, Y = batch.interior, batch.boundary
+        if X.shape[0] == 0 or Y.shape[0] == 0:
+            raise ValueError("batch must contain interior and boundary points")
+        self.A, self.B, self.c, self.f = coeffs = (
+            problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
+        )
+        for name, arr in zip("abcf", coeffs):
+            _check_finite(arr, f"interior coefficient {name}")
+        self.g = problem.g_values(Y, batch.normals)
+        _check_finite(self.g, "boundary g")
+        self.alpha = 0.5 * problem.alpha if boundary_alpha_half else problem.alpha
+        self.w_int = problem.domain.volume / X.shape[0]
+        self.w_bdy = problem.domain.surface / (problem.beta * Y.shape[0])
 
 
-def _interior_pieces(problem: EllipticProblem, X: np.ndarray):
-    A = problem.a_values(X)
-    B = problem.b_values(X)
-    c = problem.c_values(X)
-    f = problem.f_values(X)
-    for name, arr in (("a", A), ("b", B), ("c", c), ("f", f)):
-        _check_finite(arr, f"interior coefficient {name}")
-    return A, B, c, f
+class _Eval(NamedTuple):
+    """One network on a batch: interior values and gradients, boundary values,
+    and the (interior, boundary) tapes when its weight gradient is wanted."""
+
+    vals: np.ndarray
+    grads: np.ndarray
+    bdy: np.ndarray
+    tapes: tuple[net.Tape, net.Tape] | None = None
+
+
+def _evaluate(name: str, obj, terms: _BatchTerms, keep: bool = False) -> _Eval:
+    """Checked values of ``u`` or ``v`` on the batch; networks are taped,
+    value-only at the boundary, and keep their tapes with ``keep``."""
+    if isinstance(obj, NetworkParams):
+        inner = net.forward_tape(obj, terms.X, keep=keep)
+        outer = net.forward_tape(obj, terms.Y, grads=False, keep=keep)
+        ev = _Eval(inner.values, inner.grads, outer.values, (inner, outer) if keep else None)
+    else:
+        fn = as_evaluator(obj, terms.X.shape[1])
+        ev = _Eval(*fn(terms.X), fn(terms.Y)[0])
+    for where, arr in (("interior", ev.vals), ("interior grad", ev.grads), ("boundary", ev.bdy)):
+        _check_finite(arr, f"{where} {name}")
+    return ev
+
+
+def _assemble(terms: _BatchTerms, u: _Eval, v: _Eval, need_u: bool, need_v: bool):
+    """The sampled objective and, on request, each network's backprop seeds.
+
+    Seeds are (interior value, interior gradient, boundary value) seeds: the
+    partial derivatives of the objective in that network's values and
+    gradients at the sample points.
+    """
+    # the objective is linear in v: w_int sum (a_u . grad v + r_u v) + w_bdy sum (r_y v)
+    a_u = np.einsum("nij,ni->nj", terms.A, u.grads)
+    r_u = np.einsum("ni,ni->n", terms.B, u.grads) + terms.c * u.vals - terms.f
+    r_y = terms.alpha * u.bdy - terms.g
+    integrand = np.einsum("ni,ni->n", a_u, v.grads) + r_u * v.vals
+    _check_finite(integrand, "interior integrand")
+    interior = terms.w_int * float(np.sum(integrand))
+    b_integrand = r_y * v.bdy
+    _check_finite(b_integrand, "boundary integrand")
+    boundary = terms.w_bdy * float(np.sum(b_integrand))
+    total = interior + boundary
+    if not math.isfinite(total):
+        raise NonFiniteLossError("total", -1)
+    value = LossValue(total, interior, boundary, terms.X.shape[0], terms.Y.shape[0])
+    seeds_u = seeds_v = None
+    if need_u:
+        # d(integrand)/d(grad u) = A grad v + B v ; d/d(u) = c v
+        seeds_u = (
+            terms.w_int * (terms.c * v.vals),
+            terms.w_int * (np.einsum("nij,nj->ni", terms.A, v.grads) + terms.B * v.vals[:, None]),
+            terms.w_bdy * terms.alpha * v.bdy,
+        )
+    if need_v:
+        seeds_v = (terms.w_int * r_u, terms.w_int * a_u, terms.w_bdy * r_y)
+    return value, seeds_u, seeds_v
+
+
+def _backprop(ev: _Eval, seeds, component: str) -> np.ndarray:
+    inner, outer = ev.tapes
+    grad = net.backprop_tape(inner, seeds[0], seeds[1]) + net.backprop_tape(outer, seeds[2])
+    _check_finite(grad[None, :], component)
+    return grad
 
 
 def empirical_loss(
@@ -154,110 +227,27 @@ def empirical_loss(
 
     ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.
     """
-    X, Y, normals = batch.interior, batch.boundary, batch.normals
-    n, m = X.shape[0], Y.shape[0]
-    if n == 0 or m == 0:
-        raise ValueError("batch must contain interior and boundary points")
-    alpha_eff = _effective_alpha(problem, boundary_alpha_half)
-    ev_u = as_evaluator(u, problem.dim)
-    ev_v = as_evaluator(v, problem.dim)
-
-    u_vals, u_grads = ev_u(X)
-    v_vals, v_grads = ev_v(X)
-    _check_finite(u_vals, "interior u")
-    _check_finite(v_vals, "interior v")
-    A, B, c, f = _interior_pieces(problem, X)
-
-    integrand = (
-        np.einsum("nij,ni,nj->n", A, u_grads, v_grads, optimize=True)
-        + np.einsum("ni,ni->n", B, u_grads) * v_vals
-        + c * u_vals * v_vals
-        - f * v_vals
-    )
-    _check_finite(integrand, "interior integrand")
-    interior = problem.domain.volume / n * float(np.sum(integrand))
-
-    uy, _ = ev_u(Y)
-    vy, _ = ev_v(Y)
-    g = problem.g_values(Y, normals)
-    _check_finite(g, "boundary g")
-    b_integrand = alpha_eff * uy * vy - g * vy
-    _check_finite(b_integrand, "boundary integrand")
-    boundary = problem.domain.surface / (problem.beta * m) * float(np.sum(b_integrand))
-
-    total = interior + boundary
-    if not math.isfinite(total):
-        raise NonFiniteLossError("total", -1)
-    return LossValue(total=total, interior=interior, boundary=boundary, n_interior=n, m_boundary=m)
+    terms = _BatchTerms(problem, batch, boundary_alpha_half)
+    return _assemble(terms, _evaluate("u", u, terms), _evaluate("v", v, terms), False, False)[0]
 
 
-def _gradients(
-    u: NetworkParams,
-    v: NetworkParams,
-    problem: EllipticProblem,
-    batch: EmpiricalBatch,
-    boundary_alpha_half: bool,
-    need_u: bool,
-    need_v: bool,
-):
-    X, Y, normals = batch.interior, batch.boundary, batch.normals
-    n, m = X.shape[0], Y.shape[0]
-    if n == 0 or m == 0:
-        raise ValueError("batch must contain interior and boundary points")
-    alpha_eff = _effective_alpha(problem, boundary_alpha_half)
-    w_int = problem.domain.volume / n
-    w_bdy = problem.domain.surface / (problem.beta * m)
+class GradientCache:
+    """Per-batch state shared by consecutive ``loss_gradients`` calls: the
+    checked coefficients of one (problem, batch, alpha convention), rebuilt when
+    any of them is another object, and the trial network's tapes, rebuilt when
+    ``u`` is another object.  Cached params must not be changed in place."""
 
-    u_vals, u_grads = net.forward_dual_batch(u, X)
-    v_vals, v_grads = net.forward_dual_batch(v, X)
-    _check_finite(u_vals, "interior u")
-    _check_finite(u_grads, "interior grad u")
-    _check_finite(v_vals, "interior v")
-    _check_finite(v_grads, "interior grad v")
-    A, B, c, f = _interior_pieces(problem, X)
+    def __init__(self):
+        self._key = self._terms = self._u = self._u_eval = None
 
-    integrand = (
-        np.einsum("nij,ni,nj->n", A, u_grads, v_grads, optimize=True)
-        + np.einsum("ni,ni->n", B, u_grads) * v_vals
-        + c * u_vals * v_vals
-        - f * v_vals
-    )
-    _check_finite(integrand, "interior integrand")
-    interior = w_int * float(np.sum(integrand))
-
-    uy, _ = net.forward_dual_batch(u, Y)
-    vy, _ = net.forward_dual_batch(v, Y)
-    _check_finite(uy, "boundary u")
-    _check_finite(vy, "boundary v")
-    g = problem.g_values(Y, normals)
-    _check_finite(g, "boundary g")
-    b_integrand = alpha_eff * uy * vy - g * vy
-    _check_finite(b_integrand, "boundary integrand")
-    boundary = w_bdy * float(np.sum(b_integrand))
-
-    value = LossValue(
-        total=interior + boundary, interior=interior, boundary=boundary,
-        n_interior=n, m_boundary=m,
-    )
-    if not math.isfinite(value.total):
-        raise NonFiniteLossError("total", -1)
-
-    grad_u = grad_v = None
-    if need_u:
-        # d(integrand)/d(grad u) = A grad_v + B v ; d/d(u) = c v
-        seed_grad = w_int * (np.einsum("nij,nj->ni", A, v_grads, optimize=True) + B * v_vals[:, None])
-        seed_val = w_int * (c * v_vals)
-        grad_u = net.backprop_params_batch(u, X, seed_val, seed_grad)
-        grad_u += net.backprop_params_batch(u, Y, w_bdy * alpha_eff * vy, None)
-        _check_finite(grad_u[None, :], "grad_u")
-    if need_v:
-        # d/d(grad v) = A^T grad_u ; d/d(v) = B . grad_u + c u - f
-        seed_grad = w_int * np.einsum("nij,ni->nj", A, u_grads, optimize=True)
-        seed_val = w_int * (np.einsum("ni,ni->n", B, u_grads) + c * u_vals - f)
-        grad_v = net.backprop_params_batch(v, X, seed_val, seed_grad)
-        grad_v += net.backprop_params_batch(v, Y, w_bdy * (alpha_eff * uy - g), None)
-        _check_finite(grad_v[None, :], "grad_v")
-    return grad_u, grad_v, value
+    def lookup(self, u, problem, batch, boundary_alpha_half) -> tuple[_BatchTerms, _Eval]:
+        key = (problem, batch, bool(boundary_alpha_half))
+        if self._key is None or any(a is not b for a, b in zip(key, self._key)):
+            self._terms, self._u = _BatchTerms(problem, batch, boundary_alpha_half), None
+            self._key = key
+        if u is not self._u:
+            self._u_eval, self._u = _evaluate("u", u, self._terms, keep=True), u
+        return self._terms, self._u_eval
 
 
 def loss_gradients(
@@ -268,6 +258,7 @@ def loss_gradients(
     boundary_alpha_half: bool = False,
     need_u: bool = True,
     need_v: bool = True,
+    cache: GradientCache | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, LossValue]:
     """Exact gradients of the sampled objective in both networks' weights.
 
@@ -275,9 +266,18 @@ def loss_gradients(
     layout.  The objective is an explicit finite sum, so these are the exact
     derivatives of ``empirical_loss`` on the same batch.  ``need_u``/``need_v``
     skip one side's backprop (the corresponding entry is None); alternating
-    optimizers use this to avoid paying for gradients they discard.
+    optimizers use this to avoid paying for gradients they discard.  A
+    ``cache`` shared by consecutive calls evaluates the coefficients once per
+    batch and the trial network's forward pass once per ``u``.
     """
-    return _gradients(u, v, problem, batch, boundary_alpha_half, need_u, need_v)
+    if cache is None:
+        cache = GradientCache()
+    terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half)
+    ev = _evaluate("v", v, terms, keep=need_v)
+    value, seeds_u, seeds_v = _assemble(terms, eu, ev, need_u, need_v)
+    grad_u = _backprop(eu, seeds_u, "grad_u") if need_u else None
+    grad_v = _backprop(ev, seeds_v, "grad_v") if need_v else None
+    return grad_u, grad_v, value
 
 
 def continuous_loss_estimate(

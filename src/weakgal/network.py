@@ -5,9 +5,10 @@ A network here is x -> A_D(rho(A_{D-1}(... rho(A_1 x + b_1) ...) + b_{D-1})) + b
 weight is clipped to [-B_theta, B_theta].  Two evaluations matter for weak-form
 training and both are implemented directly:
 
-* ``forward_dual`` - value and spatial gradient together (forward mode in x);
-* ``backprop_params`` - gradient with respect to the weights of
-  w * f(x) + s . grad_x f(x), i.e. reverse mode through the dual evaluation.
+* ``forward_tape`` - value and spatial gradient together (forward mode in x),
+  keeping what the reverse sweep needs;
+* ``backprop_tape`` - gradient with respect to the weights of
+  w * f(x) + s . grad_x f(x), i.e. reverse mode over that tape.
 
 The module also computes the class-capacity quantities attached to an
 architecture (value/gradient Lipschitz constants in the weights, gradient sup
@@ -35,14 +36,16 @@ __all__ = [
     "NetworkArch",
     "NetworkParams",
     "DualEval",
+    "Tape",
     "NetworkBounds",
     "RecipeResult",
     "RecipeError",
     "init",
     "zeros_like_arch",
+    "forward_tape",
+    "backprop_tape",
     "forward_dual",
     "forward_dual_batch",
-    "backprop_params",
     "backprop_params_batch",
     "clip_weights",
     "count_nonzero",
@@ -68,11 +71,12 @@ def exp_or_inf(ln_value: float) -> float:
 class ActivationKind:
     """Activation plus the constants the capacity lemmas consume.
 
+    ``d1`` and ``d2`` give rho'(z) and rho''(z) as functions of the output
+    rho(z), so a forward pass that keeps the activations need not keep z.
     ``b_rho``..``l_rho_prime`` are the conventional values used by the bound
     formulas (tanh and logistic both satisfy the <= 1 normalization, so all
-    four are stored as 1.0).  The ``exact_*`` fields record the true suprema
-    for reference.  ``smooth`` gates the Lipschitz lab: bounds assuming a
-    bounded activation make no sense for relu-type activations.
+    four are stored as 1.0).  ``smooth`` gates the Lipschitz lab: bounds
+    assuming a bounded activation make no sense for relu-type activations.
     """
 
     name: str
@@ -83,24 +87,10 @@ class ActivationKind:
     l_rho: float
     b_rho_prime: float
     l_rho_prime: float
-    exact_b_rho: float
-    exact_l_rho: float
-    exact_b_rho_prime: float
-    exact_l_rho_prime: float
     smooth: bool = True
 
     def __repr__(self):
         return f"ActivationKind({self.name!r})"
-
-
-def _tanh_d1(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def _tanh_d2(z):
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
 
 
 def _logistic(z):
@@ -113,63 +103,41 @@ def _logistic(z):
     return out
 
 
-def _logistic_d1(z):
-    s = _logistic(z)
-    return s * (1.0 - s)
-
-
-def _logistic_d2(z):
-    s = _logistic(z)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
-
-
 TANH = ActivationKind(
     name="tanh",
     apply=np.tanh,
-    d1=_tanh_d1,
-    d2=_tanh_d2,
+    d1=lambda t: 1.0 - t * t,
+    d2=lambda t: -2.0 * t * (1.0 - t * t),
     b_rho=1.0,
     l_rho=1.0,
     b_rho_prime=1.0,
     l_rho_prime=1.0,
-    exact_b_rho=1.0,
-    exact_l_rho=1.0,
-    exact_b_rho_prime=1.0,
-    exact_l_rho_prime=4.0 / (3.0 * math.sqrt(3.0)),
 )
 
 LOGISTIC = ActivationKind(
     name="logistic",
     apply=_logistic,
-    d1=_logistic_d1,
-    d2=_logistic_d2,
+    d1=lambda s: s * (1.0 - s),
+    d2=lambda s: s * (1.0 - s) * (1.0 - 2.0 * s),
     b_rho=1.0,
     l_rho=1.0,
     b_rho_prime=1.0,
     l_rho_prime=1.0,
-    exact_b_rho=1.0,
-    exact_l_rho=0.25,
-    exact_b_rho_prime=0.25,
-    exact_l_rho_prime=1.0 / (6.0 * math.sqrt(3.0)),
 )
 
 
 def _relu_k(k: int) -> ActivationKind:
+    # the output is m^k with m = max(z, 0), so m^j = output^(j/k) where m > 0
     def apply(z):
         return np.maximum(z, 0.0) ** k
 
-    def d1(z):
-        if k == 1:
-            return (z > 0).astype(np.float64)
-        return k * np.maximum(z, 0.0) ** (k - 1)
+    def d1(y):
+        return np.where(y <= 0, 0.0, k * y ** ((k - 1) / k))
 
-    def d2(z):
-        if k <= 2:
-            out = np.zeros_like(np.asarray(z, dtype=np.float64))
-            if k == 2:
-                out[np.asarray(z) > 0] = 2.0
-            return out
-        return k * (k - 1) * np.maximum(z, 0.0) ** (k - 2)
+    def d2(y):
+        if k == 1:
+            return np.zeros_like(y)
+        return np.where(y <= 0, 0.0, k * (k - 1) * y ** ((k - 2) / k))
 
     return ActivationKind(
         name=f"relu{k}",
@@ -180,10 +148,6 @@ def _relu_k(k: int) -> ActivationKind:
         l_rho=math.inf if k > 1 else 1.0,
         b_rho_prime=math.inf if k > 1 else 1.0,
         l_rho_prime=math.inf,
-        exact_b_rho=math.inf,
-        exact_l_rho=math.inf if k > 1 else 1.0,
-        exact_b_rho_prime=math.inf if k > 1 else 1.0,
-        exact_l_rho_prime=math.inf,
         smooth=False,
     )
 
@@ -330,30 +294,125 @@ def zeros_like_arch(arch: NetworkArch) -> NetworkParams:
 # evaluation
 
 
-def forward_dual_batch(params: NetworkParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and spatial gradients at a batch of points.
+def _identity_tangents(n: int, d: int) -> np.ndarray:
+    """Tangents of the inputs themselves, stacked as (d, n, d)."""
+    return np.broadcast_to(np.eye(d)[:, None, :], (d, n, d))
 
-    points (n, dim) -> (values (n,), grads (n, dim)).  Forward mode: each
-    hidden state carries its Jacobian with respect to x alongside the value.
+
+@dataclass(frozen=True)
+class Tape:
+    """One forward pass over a batch, keeping what the reverse sweep needs.
+
+    Per hidden layer the tape keeps the activation output rho(z) (n, q) and,
+    unless it is value-only (``grads is None``), the pre-activation tangents
+    P = J_in A^T (d, n, q), stacked over the input dimensions.  The sweep
+    derives rho'(z) and rho''(z) from the output and rebuilds the layer's
+    output tangents as P * rho'(z), so neither z nor those are stored.
+    """
+
+    params: NetworkParams
+    ins: list[np.ndarray]  # each layer's input: the points (n, dim), then the outputs
+    values: np.ndarray  # (n,)
+    grads: np.ndarray | None  # (n, dim); None on a value-only tape
+    tangents: list[np.ndarray]  # empty on a value-only tape
+
+
+def forward_tape(params: NetworkParams, points: np.ndarray, grads: bool = True, keep: bool = True) -> Tape:
+    """Values (and, with ``grads``, spatial gradients) at a batch of points.
+
+    Forward mode: each hidden state carries its tangents with respect to the
+    inputs alongside the value.  ``grads=False`` gives a value-only tape.
+    ``keep=False`` drops each layer's record once the next layer is done; the
+    result then holds values and gradients only and cannot be swept.
     """
     act = params.arch.activation
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.arch.dim:
         raise ValueError(f"points must be (n, {params.arch.dim}), got {X.shape}")
     n, d = X.shape
-    f = X
-    J = np.broadcast_to(np.eye(d), (n, d, d))
+    *hidden, (A_top, b_top) = params.layers
+    ins, tangents = [X], []
+    f, T = X, _identity_tangents(n, d)  # T: tangents of f
+    for A, b in hidden:
+        f = act.apply(f @ A.T + b)
+        if keep:
+            ins.append(f)
+        if grads:
+            P = T @ A.T
+            T = P * act.d1(f)
+            if keep:
+                tangents.append(P)
+    values = (f @ A_top.T + b_top)[:, 0]
+    g = (T @ A_top[0]).T if grads else None
+    return Tape(params=params, ins=ins, values=values, grads=g, tangents=tangents)
+
+
+def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | None = None) -> np.ndarray:
+    """Gradient in the weights of sum_k [w_k f(x_k) + s_k . grad f(x_k)].
+
+    Reverse sweep over a kept tape; the spatial-gradient path runs through
+    rho' and so needs rho''.  ``seed_grads`` needs a tape with tangents.
+    Returns a flat vector in params_to_flat layout.  Linear in (w, s).
+    """
+    params = tape.params
+    act = params.arch.activation
+    ins = tape.ins
+    n, d = ins[0].shape
     depth = params.arch.depth
-    for k in range(depth - 1):
-        A, b = params.layers[k]
-        z = f @ A.T + b
-        Jz = np.einsum("qi,nip->nqp", A, J, optimize=True)
-        f = act.apply(z)
-        J = act.d1(z)[:, :, None] * Jz
-    A, b = params.layers[depth - 1]
-    values = (f @ A.T + b)[:, 0]
-    grads = np.einsum("qi,nip->nqp", A, J, optimize=True)[:, 0, :]
-    return values, grads
+    if len(ins) != depth:
+        raise ValueError("tape was not kept; run forward_tape with keep=True")
+    w = np.asarray(seed_values, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"seed_values must be ({n},), got {w.shape}")
+    S = None  # seed gradients, stacked like the tangents: (d, n)
+    if seed_grads is not None:
+        if tape.grads is None:
+            raise ValueError("a value-only tape takes no seed_grads")
+        s = np.asarray(seed_grads, dtype=np.float64)
+        if s.shape != (n, d):
+            raise ValueError(f"seed_grads must be ({n}, {d}), got {s.shape}")
+        S = np.ascontiguousarray(s.T)
+
+    def tangent_in(k):  # tangents of layer k's input, (d, n, q) flattened to (d*n, q)
+        T = _identity_tangents(n, d) if k == 0 else tape.tangents[k - 1] * act.d1(ins[k])
+        return T.reshape(d * n, -1)
+
+    out: list[np.ndarray] = [None] * (2 * depth)  # type: ignore[list-item]
+    a = params.layers[-1][0][0]
+    dA = w @ ins[-1]
+    if S is not None:
+        dA = dA + S.reshape(-1) @ tangent_in(depth - 1)
+    out[-2], out[-1] = dA[None, :], np.array([w.sum()])
+    # adjoints of the previous layer's value (n, q) and tangent (d, n, q)
+    u = np.outer(w, a)
+    V = None if S is None else S[:, :, None] * a
+
+    for k in range(depth - 2, -1, -1):
+        A = params.layers[k][0]
+        f = ins[k + 1]
+        s1 = act.d1(f)
+        zeta = u * s1
+        if V is not None:
+            zeta += act.d2(f) * (V * tape.tangents[k]).sum(axis=0)
+            W = V * s1
+        dA = zeta.T @ ins[k]
+        if V is not None:
+            dA += W.reshape(d * n, -1).T @ tangent_in(k)
+        out[2 * k], out[2 * k + 1] = dA, zeta.sum(axis=0)
+        if k > 0:
+            u = zeta @ A
+            if V is not None:
+                V = W @ A
+    return np.concatenate([g.reshape(-1) for g in out])
+
+
+def forward_dual_batch(params: NetworkParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and spatial gradients at a batch of points.
+
+    points (n, dim) -> (values (n,), grads (n, dim)); an unkept forward_tape.
+    """
+    tape = forward_tape(params, points, keep=False)
+    return tape.values, tape.grads
 
 
 def forward_dual(params: NetworkParams, x) -> DualEval:
@@ -371,76 +430,11 @@ def backprop_params_batch(
 ) -> np.ndarray:
     """Gradient in the weights of sum_k [w_k f(x_k) + s_k . grad f(x_k)].
 
-    Reverse mode through the forward-dual evaluation; needs the activation's
-    second derivative because the spatial gradient path runs through rho'.
-    Returns a flat vector in params_to_flat layout.  Linear in (w, s).
+    A forward_tape followed by backprop_tape; ``seed_grads=None`` takes the
+    value-only path.  Returns a flat vector in params_to_flat layout.
     """
-    act = params.arch.activation
-    X = np.asarray(points, dtype=np.float64)
-    n, d = X.shape
-    w = np.asarray(seed_values, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"seed_values must be ({n},), got {w.shape}")
-    if seed_grads is None:
-        s = np.zeros((n, d))
-    else:
-        s = np.asarray(seed_grads, dtype=np.float64)
-        if s.shape != (n, d):
-            raise ValueError(f"seed_grads must be ({n}, {d}), got {s.shape}")
-
-    depth = params.arch.depth
-    # forward pass, storing what the backward sweep needs
-    f_list = [X]  # f_{k-1} inputs per layer
-    J_list = [np.broadcast_to(np.eye(d), (n, d, d))]
-    z_list, P_list = [], []
-    f, J = f_list[0], J_list[0]
-    for k in range(depth - 1):
-        A, b = params.layers[k]
-        z = f @ A.T + b
-        P = np.einsum("qi,nip->nqp", A, J, optimize=True)
-        f = act.apply(z)
-        J = act.d1(z)[:, :, None] * P
-        z_list.append(z)
-        P_list.append(P)
-        f_list.append(f)
-        J_list.append(J)
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * depth  # type: ignore[list-item]
-    A_top, _ = params.layers[depth - 1]
-    f_prev, J_prev = f_list[depth - 1], J_list[depth - 1]
-    dA = (w @ f_prev + np.einsum("np,nip->i", s, J_prev, optimize=True))[None, :]
-    db = np.array([w.sum()])
-    grads[depth - 1] = (dA, db)
-    # adjoints of the previous layer's value and Jacobian
-    u = w[:, None] * A_top[0][None, :]
-    V = A_top[0][None, :, None] * s[:, None, :]
-
-    for k in range(depth - 2, -1, -1):
-        A, _ = params.layers[k]
-        z, P = z_list[k], P_list[k]
-        s1, s2 = act.d1(z), act.d2(z)
-        zeta = u * s1 + s2 * np.einsum("nqp,nqp->nq", V, P, optimize=True)
-        W = V * s1[:, :, None]
-        dA = zeta.T @ f_list[k] + np.einsum("nqp,nip->qi", W, J_list[k], optimize=True)
-        db = zeta.sum(axis=0)
-        grads[k] = (dA, db)
-        if k > 0:
-            u = zeta @ A
-            V = np.einsum("qi,nqp->nip", A, W, optimize=True)
-
-    parts = []
-    for dA, db in grads:
-        parts.append(dA.reshape(-1))
-        parts.append(db)
-    return np.concatenate(parts)
-
-
-def backprop_params(params: NetworkParams, x, seed_value: float, seed_grad) -> np.ndarray:
-    """Single-point convenience wrapper around backprop_params_batch."""
-    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    w = np.array([float(seed_value)])
-    s = None if seed_grad is None else np.asarray(seed_grad, dtype=np.float64).reshape(1, -1)
-    return backprop_params_batch(params, X, w, s)
+    tape = forward_tape(params, points, grads=seed_grads is not None)
+    return backprop_tape(tape, seed_values, seed_grads)
 
 
 def clip_weights(params: NetworkParams, bound: float | None = None) -> NetworkParams:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -82,6 +82,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for fld in fields(self):  # annotations are strings under postponed evaluation
+            value = getattr(self, fld.name)
+            if fld.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{fld.name} must be an integer, got {value!r}")
+            if fld.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{fld.name} must be true or false, got {value!r}")
         if self.n_interior < 1 or self.m_boundary < 1:
             raise ValueError("batch sizes must be >= 1")
         if self.outer_steps < 0 or self.inner_steps < 1:
@@ -233,6 +239,7 @@ def minimax_train(
 
     history: list[HistoryRow] = []
     batch = None
+    cache = loss_mod.GradientCache()  # coefficients once per batch, u's tapes once per u
     t0 = time.perf_counter()
     grad_u_norm = grad_v_norm = math.nan
     last_loss = None
@@ -253,14 +260,14 @@ def minimax_train(
                 scale = 1.0 / max(1.0, _h1_on_quad(v, quad, volume))
             for _ in range(config.inner_steps):
                 _, gv, _ = loss_mod.loss_gradients(
-                    u, v, problem, batch, config.boundary_alpha_half, need_u=False, need_v=True
+                    u, v, problem, batch, config.boundary_alpha_half, need_u=False, cache=cache
                 )
                 gv, grad_v_norm = _clip_grad(scale * gv, config.grad_clip_norm)
                 v = net.flat_to_params(v_arch, opt_v.step(net.params_to_flat(v), gv, +1.0))
                 v = net.clip_weights(v, clip_v)
 
             gu, _, value = loss_mod.loss_gradients(
-                u, v, problem, batch, config.boundary_alpha_half, need_u=True, need_v=False
+                u, v, problem, batch, config.boundary_alpha_half, need_v=False, cache=cache
             )
             last_loss = value
             gu, grad_u_norm = _clip_grad(scale * gu, config.grad_clip_norm)
@@ -358,11 +365,11 @@ def approx_error_probe(
         if X is None or (config.resample_every > 0 and step % config.resample_every == 0):
             X = sample_interior(domain, config.n_interior, ss_batches.spawn(1)[0])
             t_vals, t_grads = target(X)
-        vals, grads = net.forward_dual_batch(params, X)
+        tape = net.forward_tape(params, X)
         w = volume / X.shape[0]
-        seed_val = 2.0 * w * (vals - t_vals)
-        seed_grad = 2.0 * w * (grads - t_grads)
-        g = net.backprop_params_batch(params, X, seed_val, seed_grad)
+        seed_val = 2.0 * w * (tape.values - t_vals)
+        seed_grad = 2.0 * w * (tape.grads - t_grads)
+        g = net.backprop_tape(tape, seed_val, seed_grad)
         if not np.all(np.isfinite(g)):
             raise TrainingAborted(step, "fit gradient", -1)
         g, _ = _clip_grad(g, config.grad_clip_norm)

@@ -245,6 +245,7 @@ def test_criterion_5_class_constant_sups():
     _elapsed_line(5, "class constant sups", t0, 120.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_statistical_error_direction():
     t0 = time.perf_counter()
     configs = [
@@ -269,6 +270,7 @@ def test_criterion_6_statistical_error_direction():
     _elapsed_line(6, "statistical error direction", t0, 300.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_solver_regressions():
     t0 = time.perf_counter()
 
@@ -308,6 +310,7 @@ def test_criterion_7_solver_regressions():
     _elapsed_line(7, "solver regressions", t0, 900.0)
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence_study_property():
     t0 = time.perf_counter()
     u_star = expr.parse("sin(pi*x1)", 1)

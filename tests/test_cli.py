@@ -101,6 +101,22 @@ class TestConfigValidation:
         assert cli.run(cfg, out_dir=str(tmp_path / "out")) == 2
         assert "train" in capsys.readouterr().err
 
+    def test_float_for_integer_train_field_exits_2(self, tmp_path, capsys):
+        for key, value in (("outer_steps", 1.5), ("n_interior", 8.0)):
+            doc = solve_config()
+            doc["train"][key] = value
+            out = tmp_path / key
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
+            assert key in capsys.readouterr().err
+            assert not (out / "history.csv").exists()
+
+    def test_non_bool_write_checkpoints_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solve_config(write_checkpoints="false"))
+        out = tmp_path / "out"
+        assert cli.run(cfg, out_dir=str(out), quiet=True) == 2
+        assert "write_checkpoints" in capsys.readouterr().err
+        assert not any(name.startswith("u_") for name in os.listdir(out))
+
     def test_penalty_needs_two_betas(self, tmp_path, capsys):
         doc = {
             "command": "penalty-study",

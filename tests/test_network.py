@@ -224,19 +224,23 @@ def test_activation_metadata():
         activation_by_name("gelu")
     x = np.linspace(-3, 3, 31)
     np.testing.assert_allclose(TANH.apply(x), np.tanh(x))
-    np.testing.assert_allclose(TANH.d1(x), 1 - np.tanh(x) ** 2)
+    np.testing.assert_allclose(TANH.d1(TANH.apply(x)), 1 - np.tanh(x) ** 2)
     np.testing.assert_allclose(LOGISTIC.apply(x), 1 / (1 + np.exp(-x)), rtol=1e-12)
     np.testing.assert_allclose(r3.apply(x), np.maximum(x, 0.0) ** 3)
 
 
 def test_activation_derivatives_match_fd():
+    # d1 and d2 take the activation's output rho(z), not z
     h = 1e-6
     x = np.linspace(-2.5, 2.5, 21)
     for act in (TANH, LOGISTIC):
+        def rho1(z):
+            return act.d1(act.apply(z))
+
         fd1 = (act.apply(x + h) - act.apply(x - h)) / (2 * h)
-        fd2 = (act.d1(x + h) - act.d1(x - h)) / (2 * h)
-        np.testing.assert_allclose(act.d1(x), fd1, rtol=1e-8, atol=1e-8)
-        np.testing.assert_allclose(act.d2(x), fd2, rtol=1e-8, atol=1e-8)
+        fd2 = (rho1(x + h) - rho1(x - h)) / (2 * h)
+        np.testing.assert_allclose(rho1(x), fd1, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(act.d2(act.apply(x)), fd2, rtol=1e-8, atol=1e-8)
 
 
 def test_arch_recipe_worked_examples():
@@ -295,3 +299,86 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(params_to_flat(p), params_to_flat(q))
     X = np.random.default_rng(0).uniform(size=(4, 2))
     np.testing.assert_array_equal(forward_dual_batch(p, X)[0], forward_dual_batch(q, X)[0])
+
+
+def _reference_dual_backprop(p, X, w, s):
+    """The per-point-Jacobian (n, q, d) forward and reverse loops that the
+    taped sweep replaced, kept as the reference for it."""
+    act = p.arch.activation
+    n, d = X.shape
+    depth = p.arch.depth
+    f_list, J_list, z_list, P_list = [X], [np.broadcast_to(np.eye(d), (n, d, d))], [], []
+    for k in range(depth - 1):
+        A, b = p.layers[k]
+        z = f_list[-1] @ A.T + b
+        P = np.einsum("qi,nip->nqp", A, J_list[-1])
+        f = act.apply(z)
+        z_list.append(z)
+        P_list.append(P)
+        f_list.append(f)
+        J_list.append(act.d1(f)[:, :, None] * P)
+    A_top, b_top = p.layers[-1]
+    values = (f_list[-1] @ A_top.T + b_top)[:, 0]
+    grads = np.einsum("qi,nip->nqp", A_top, J_list[-1])[:, 0, :]
+    out = [None] * depth
+    out[-1] = ((w @ f_list[-1] + np.einsum("np,nip->i", s, J_list[-1]))[None, :], np.array([w.sum()]))
+    u = w[:, None] * A_top[0][None, :]
+    V = A_top[0][None, :, None] * s[:, None, :]
+    for k in range(depth - 2, -1, -1):
+        A, _ = p.layers[k]
+        f = f_list[k + 1]
+        s1, s2 = act.d1(f), act.d2(f)
+        zeta = u * s1 + s2 * np.einsum("nqp,nqp->nq", V, P_list[k])
+        W = V * s1[:, :, None]
+        out[k] = (zeta.T @ f_list[k] + np.einsum("nqp,nip->qi", W, J_list[k]), zeta.sum(axis=0))
+        u = zeta @ A
+        V = np.einsum("qi,nqp->nip", A, W)
+    flat = np.concatenate([x.reshape(-1) for layer in out for x in layer])
+    return values, grads, flat
+
+
+@pytest.mark.parametrize("activation", [TANH, LOGISTIC, activation_by_name("relu2")])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(), (5, 4, 3)])
+def test_taped_sweep_matches_reference(activation, dim, hidden):
+    rng = np.random.default_rng([dim, len(hidden)])
+    arch = NetworkArch(widths=(dim,) + hidden + (1,), activation=activation, b_theta=3.0)
+    p = init(arch, 11, scheme="uniform", uniform_half_width=1.5)
+    X = rng.uniform(-1.0, 1.0, size=(7, dim))
+    w = rng.normal(size=7)
+    s = rng.normal(size=(7, dim))
+    ref_vals, ref_grads, ref_flat = _reference_dual_backprop(p, X, w, s)
+    _, _, ref_value_only = _reference_dual_backprop(p, X, w, np.zeros((7, dim)))
+
+    tape = net.forward_tape(p, X)
+    np.testing.assert_allclose(tape.values, ref_vals, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tape.grads, ref_grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.backprop_tape(tape, w, s), ref_flat, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.backprop_tape(tape, w), ref_value_only, rtol=1e-12, atol=1e-12)
+    value_tape = net.forward_tape(p, X, grads=False)
+    assert value_tape.grads is None
+    np.testing.assert_array_equal(value_tape.values, tape.values)
+    np.testing.assert_allclose(net.backprop_tape(value_tape, w), ref_value_only, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(backprop_params_batch(p, X, w, s), net.backprop_tape(tape, w, s))
+
+
+def test_tape_misuse_is_rejected():
+    arch = NetworkArch(widths=(2, 4, 1), activation=TANH, b_theta=3.0)
+    p = init(arch, 0)
+    X = np.random.default_rng(0).uniform(size=(3, 2))
+    with pytest.raises(ValueError, match="not kept"):
+        net.backprop_tape(net.forward_tape(p, X, keep=False), np.ones(3))
+    with pytest.raises(ValueError, match="value-only"):
+        net.backprop_tape(net.forward_tape(p, X, grads=False), np.ones(3), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="seed_values"):
+        net.backprop_tape(net.forward_tape(p, X), np.ones(4))
+
+
+def test_relu_derivatives_from_output():
+    z = np.array([-1.5, -0.2, 0.0, 0.3, 1.7])
+    m = np.maximum(z, 0.0)
+    for k in (1, 2, 3):
+        act = activation_by_name(f"relu{k}")
+        y = act.apply(z)
+        np.testing.assert_allclose(act.d1(y), k * m ** (k - 1) * (z > 0), rtol=1e-14)
+        np.testing.assert_allclose(act.d2(y), k * (k - 1) * m ** max(k - 2, 0) * (z > 0), rtol=1e-14)

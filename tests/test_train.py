@@ -48,6 +48,12 @@ class TestConfigValidation:
             {"h1_quad_points": 1},
             {"h1_ball_radius": 0.0},
             {"h1_ball_radius": -2.0},
+            {"outer_steps": 1.5},
+            {"n_interior": 8.0},
+            {"eval_every": "10"},
+            {"seed": True},
+            {"normalize_v": "false"},
+            {"boundary_alpha_half": 1},
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -252,6 +258,58 @@ class TestMinimaxTrain:
         np.testing.assert_array_equal(flat(restarted[0].v), flat(restarted[1].v))
         assert not np.array_equal(flat(plain.v), flat(restarted[0].v))
         np.testing.assert_array_equal(flat(plain.u), flat(restarted[0].u))
+
+    def test_cached_gradients_match_uncached_reference(self, monkeypatch):
+        # fixed batch, v restarts and variable coefficients: the trainer's
+        # gradient cache must follow every u update and change nothing else
+        parse = expr.parse
+        a = ((parse("1+x1^2", 2), parse("0.25*x1*x2", 2)), (parse("0.25*x1*x2", 2), parse("1+x2", 2)))
+        b = (parse("cos(x2)", 2), parse("-x1", 2))
+        prob = pde.manufactured_problem(
+            parse("sin(pi*x1)*x2", 2), a, b, parse("1+x1*x2", 2), 1.0, 0.5,
+            pde.unit_hypercube(2), "robin",
+        )
+        arch = net.NetworkArch(widths=(2, 6, 5, 1), activation=net.TANH, b_theta=10.0)
+        cfg = train.TrainConfig(
+            n_interior=24, m_boundary=24, outer_steps=6, inner_steps=2, lr_u=1e-2,
+            lr_v=1e-2, resample_every=0, v_restart_every=2, eval_every=2, seed=3,
+        )
+        cached = train.minimax_train(prob, arch, arch, cfg)
+
+        original = loss_mod.loss_gradients
+        caches = []
+
+        def uncached(*args, cache=None, **kwargs):
+            caches.append(cache)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(loss_mod, "loss_gradients", uncached)
+        reference = train.minimax_train(prob, arch, arch, cfg)
+        assert len(caches) == 6 * 3 and all(c is not None for c in caches)
+        np.testing.assert_allclose(flat(cached.u), flat(reference.u), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(flat(cached.v), flat(reference.v), rtol=0, atol=1e-10)
+        for r0, r1 in zip(cached.history, reference.history):
+            assert r0.loss_total == pytest.approx(r1.loss_total, rel=0, abs=1e-10)
+            assert r0.grad_u_norm == pytest.approx(r1.grad_u_norm, rel=0, abs=1e-10)
+            assert r0.grad_v_norm == pytest.approx(r1.grad_v_norm, rel=0, abs=1e-10)
+
+    def test_coefficients_evaluated_once_per_batch(self, monkeypatch):
+        _, prob = robin_problem_1d()
+        sizes = []
+        original = pde.EllipticProblem.a_values
+
+        def counted(self, points):
+            sizes.append(points.shape[0])
+            return original(self, points)
+
+        monkeypatch.setattr(pde.EllipticProblem, "a_values", counted)
+        cfg = train.TrainConfig(
+            n_interior=37, m_boundary=16, outer_steps=6, inner_steps=3,
+            resample_every=2, eval_every=6, seed=2,
+        )
+        train.minimax_train(prob, small_arch(), small_arch(), cfg)
+        # three batches; the other calls are the coercivity probe's
+        assert sizes.count(37) == 3
 
     def test_coercivity_warning_and_flag(self):
         dom = pde.unit_hypercube(1)
