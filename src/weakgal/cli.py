@@ -114,6 +114,8 @@ def _as_number(value, path: str, minimum=None, strict_min=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: must be finite, got {x}")
     if minimum is not None:
         if strict_min and not x > minimum:
             raise ConfigError(f"{path}: must be > {minimum}, got {x}")
@@ -534,6 +536,8 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             raise ConfigError("top level: expected an object")
         _require_keys(cfg, "config", ("command", "problem"), _TOP_KEYS[2:] + ("output_dir",))
         command = _as_str(cfg["command"], "config.command", COMMANDS)
+        if seed_override is not None:
+            _as_int(seed_override, "--seed-override", 0)
         target = out_dir or cfg.get("output_dir")
         if not target:
             raise ConfigError("no output directory: set output_dir in the config or pass --out")

@@ -222,13 +222,20 @@ def empirical_loss(
     problem: EllipticProblem,
     batch: EmpiricalBatch,
     boundary_alpha_half: bool = False,
+    cache: GradientCache | None = None,
 ) -> LossValue:
     """Evaluate the sampled weak-form objective on one batch.
 
-    ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.
+    ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.  A
+    ``cache`` shared with other calls on the same batch (see ``loss_gradients``)
+    evaluates the coefficients once per batch and ``u`` once per object.
     """
-    terms = _BatchTerms(problem, batch, boundary_alpha_half)
-    return _assemble(terms, _evaluate("u", u, terms), _evaluate("v", v, terms), False, False)[0]
+    if cache is None:
+        terms = _BatchTerms(problem, batch, boundary_alpha_half)
+        eu = _evaluate("u", u, terms)
+    else:
+        terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half)
+    return _assemble(terms, eu, _evaluate("v", v, terms), False, False)[0]
 
 
 class GradientCache:

@@ -209,7 +209,11 @@ class NetworkArch:
 
 @dataclass
 class NetworkParams:
-    """Weights for a NetworkArch: layers[k] = (A, b) with A (n_{k+1}, n_k)."""
+    """Weights for a NetworkArch: layers[k] = (A, b) with A (n_{k+1}, n_k).
+
+    A stack of S networks of one architecture (an ensemble) carries a leading
+    axis on every array: A (S, n_{k+1}, n_k) and b (S, n_{k+1}).
+    """
 
     arch: NetworkArch
     layers: list[tuple[np.ndarray, np.ndarray]]
@@ -217,10 +221,18 @@ class NetworkParams:
     def __post_init__(self):
         if len(self.layers) != self.arch.depth:
             raise ValueError("layer count does not match architecture depth")
+        lead = self.ensemble
+        if len(lead) > 1:
+            raise ValueError(f"at most one leading ensemble axis, got shape {lead}")
         for k, (A, b) in enumerate(self.layers):
             want = (self.arch.widths[k + 1], self.arch.widths[k])
-            if A.shape != want or b.shape != (want[0],):
-                raise ValueError(f"layer {k} has shape {A.shape}/{b.shape}, want {want}")
+            if A.shape != lead + want or b.shape != lead + want[:1]:
+                raise ValueError(f"layer {k} has shape {A.shape}/{b.shape}, want {lead + want}")
+
+    @property
+    def ensemble(self) -> tuple[int, ...]:
+        """Leading shape of the weights: (S,) for a stack of S networks, () for one."""
+        return self.layers[0][0].shape[:-2]
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.arch, [(A.copy(), b.copy()) for A, b in self.layers])
@@ -241,16 +253,20 @@ def params_to_flat(params: NetworkParams) -> np.ndarray:
 
 
 def flat_to_params(arch: NetworkArch, flat: np.ndarray) -> NetworkParams:
+    """Weights from a flat vector (P,), or a stack of S networks from rows (S, P)."""
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (arch.n_params(),):
-        raise ValueError(f"flat vector has {flat.shape}, arch needs ({arch.n_params()},)")
+    if flat.ndim not in (1, 2) or flat.shape[-1] != arch.n_params():
+        raise ValueError(
+            f"flat vector has {flat.shape}, arch needs ({arch.n_params()},) or (S, {arch.n_params()})"
+        )
+    lead = flat.shape[:-1]
     layers = []
     pos = 0
     for k in range(arch.depth):
         n_out, n_in = arch.widths[k + 1], arch.widths[k]
-        A = flat[pos : pos + n_out * n_in].reshape(n_out, n_in).copy()
+        A = flat[..., pos : pos + n_out * n_in].reshape(lead + (n_out, n_in)).copy()
         pos += n_out * n_in
-        b = flat[pos : pos + n_out].copy()
+        b = flat[..., pos : pos + n_out].copy()
         pos += n_out
         layers.append((A, b))
     return NetworkParams(arch, layers)
@@ -294,9 +310,10 @@ def zeros_like_arch(arch: NetworkArch) -> NetworkParams:
 # evaluation
 
 
-def _identity_tangents(n: int, d: int) -> np.ndarray:
-    """Tangents of the inputs themselves, stacked as (d, n, d)."""
-    return np.broadcast_to(np.eye(d)[:, None, :], (d, n, d))
+def _identity_tangents(shape: tuple[int, ...]) -> np.ndarray:
+    """Tangents of points of ``shape`` (..., n, d) themselves, stacked as (d, ..., n, d)."""
+    d = shape[-1]
+    return np.broadcast_to(np.eye(d).reshape((d,) + (1,) * (len(shape) - 1) + (d,)), (d,) + shape)
 
 
 @dataclass(frozen=True)
@@ -308,6 +325,9 @@ class Tape:
     P = J_in A^T (d, n, q), stacked over the input dimensions.  The sweep
     derives rho'(z) and rho''(z) from the output and rebuilds the layer's
     output tangents as P * rho'(z), so neither z nor those are stored.
+
+    A tape of a stack of S networks carries the ensemble axis after the
+    tangent axis: outputs (S, n, q), tangents (d, S, n, q).
     """
 
     params: NetworkParams
@@ -324,26 +344,34 @@ def forward_tape(params: NetworkParams, points: np.ndarray, grads: bool = True, 
     inputs alongside the value.  ``grads=False`` gives a value-only tape.
     ``keep=False`` drops each layer's record once the next layer is done; the
     result then holds values and gradients only and cannot be swept.
+
+    A stack of S networks evaluates each network at its own points: points
+    (S, n, dim) give values (S, n) and grads (S, n, dim).
     """
     act = params.arch.activation
+    lead = params.ensemble
     X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.arch.dim:
-        raise ValueError(f"points must be (n, {params.arch.dim}), got {X.shape}")
-    n, d = X.shape
+    if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != params.arch.dim:
+        raise ValueError(f"points must be {lead + ('n', params.arch.dim)}, got {X.shape}")
     *hidden, (A_top, b_top) = params.layers
     ins, tangents = [X], []
-    f, T = X, _identity_tangents(n, d)  # T: tangents of f
+    f, T = X, _identity_tangents(X.shape)  # T: tangents of f
     for A, b in hidden:
-        f = act.apply(f @ A.T + b)
+        At = A.swapaxes(-1, -2)
+        f = act.apply(f @ At + b[..., None, :])
         if keep:
             ins.append(f)
         if grads:
-            P = T @ A.T
+            P = T @ At
             T = P * act.d1(f)
             if keep:
                 tangents.append(P)
-    values = (f @ A_top.T + b_top)[:, 0]
-    g = (T @ A_top[0]).T if grads else None
+    At = A_top.swapaxes(-1, -2)
+    values = (f @ At + b_top[..., None, :])[..., 0]
+    g = None
+    if grads:
+        g = (T @ At)[..., 0]  # (d, ..., n)
+        g = g.transpose(*range(1, g.ndim), 0)
     return Tape(params=params, ins=ins, values=values, grads=g, tangents=tangents)
 
 
@@ -355,6 +383,8 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
     Returns a flat vector in params_to_flat layout.  Linear in (w, s).
     """
     params = tape.params
+    if params.ensemble:
+        raise ValueError("backprop_tape sweeps the tape of a single network, not a stack")
     act = params.arch.activation
     ins = tape.ins
     n, d = ins[0].shape
@@ -374,7 +404,7 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
         S = np.ascontiguousarray(s.T)
 
     def tangent_in(k):  # tangents of layer k's input, (d, n, q) flattened to (d*n, q)
-        T = _identity_tangents(n, d) if k == 0 else tape.tangents[k - 1] * act.d1(ins[k])
+        T = _identity_tangents((n, d)) if k == 0 else tape.tangents[k - 1] * act.d1(ins[k])
         return T.reshape(d * n, -1)
 
     out: list[np.ndarray] = [None] * (2 * depth)  # type: ignore[list-item]
@@ -410,6 +440,7 @@ def forward_dual_batch(params: NetworkParams, points: np.ndarray) -> tuple[np.nd
     """Values and spatial gradients at a batch of points.
 
     points (n, dim) -> (values (n,), grads (n, dim)); an unkept forward_tape.
+    A stack of S networks takes points (S, n, dim) and gives (S, n), (S, n, dim).
     """
     tape = forward_tape(params, points, keep=False)
     return tape.values, tape.grads

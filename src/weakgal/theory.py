@@ -276,9 +276,25 @@ def statistical_error_bound(
 # empirical probes
 
 
+def _random_flat(arch: NetworkArch, rng: np.random.Generator) -> np.ndarray:
+    """Weights drawn entrywise uniform in the class box [-B_theta, B_theta]."""
+    return rng.uniform(-arch.b_theta, arch.b_theta, size=arch.n_params())
+
+
 def _random_params(arch: NetworkArch, rng: np.random.Generator) -> net.NetworkParams:
-    flat = rng.uniform(-arch.b_theta, arch.b_theta, size=arch.n_params())
-    return net.flat_to_params(arch, flat)
+    return net.flat_to_params(arch, _random_flat(arch, rng))
+
+
+# Probes are drawn one by one, in a fixed RNG order, and evaluated as stacks of
+# networks.  A stack holds at most about this many weights, so memory stays
+# bounded for wide architectures and large probe counts.
+_PROBE_BLOCK_WEIGHTS = 1 << 18
+
+
+def _probe_blocks(n_probes: int, arch: NetworkArch) -> list[range]:
+    """Consecutive ranges of probe indices, one stacked forward each."""
+    step = max(1, _PROBE_BLOCK_WEIGHTS // arch.n_params())
+    return [range(i, min(i + step, n_probes)) for i in range(0, n_probes, step)]
 
 
 def empirical_class_sups(
@@ -309,22 +325,22 @@ def empirical_class_sups(
     g = problem.g_values(Y, normals)
 
     best = np.zeros(6)
-    for i in range(n_probes):
-        pu = _random_params(arch, rng)
-        pv = _random_params(arch, rng)
-        pts = np.vstack([X[i], Y[i]])
-        u_vals, u_grads = net.forward_dual_batch(pu, pts)
-        v_vals, v_grads = net.forward_dual_batch(pv, pts)
-        ug, vg = u_grads[0], v_grads[0]
+    for idx in _probe_blocks(n_probes, arch):
+        flats = np.array([(_random_flat(arch, rng), _random_flat(arch, rng)) for _ in idx])
+        pts = np.stack([X[idx], Y[idx]], axis=1)  # each probe's interior and boundary point
+        u_vals, u_grads = net.forward_dual_batch(net.flat_to_params(arch, flats[:, 0]), pts)
+        v_vals, v_grads = net.forward_dual_batch(net.flat_to_params(arch, flats[:, 1]), pts)
+        # interior gradients as rows (S, 1, d) and columns (S, d, 1)
+        ug, ug_col, vg_col = u_grads[:, :1], u_grads[:, 0, :, None], v_grads[:, 0, :, None]
         vals = (
-            abs(float(ug @ A[i] @ vg)),
-            abs(float((B[i] @ ug) * v_vals[0])),
-            abs(c[i] * u_vals[0] * v_vals[0]),
-            abs(f[i] * v_vals[0]),
-            abs(0.5 * problem.alpha * u_vals[1] * v_vals[1]),
-            abs(g[i] * v_vals[1]),
+            ((ug @ A[idx]) @ vg_col)[:, 0, 0],
+            (B[idx, None] @ ug_col)[:, 0, 0] * v_vals[:, 0],
+            c[idx] * u_vals[:, 0] * v_vals[:, 0],
+            f[idx] * v_vals[:, 0],
+            0.5 * problem.alpha * u_vals[:, 1] * v_vals[:, 1],
+            g[idx] * v_vals[:, 1],
         )
-        np.maximum(best, vals, out=best)
+        np.maximum(best, np.abs(vals).max(axis=1), out=best)
 
     names = (
         "class_sup_diffusion",
@@ -352,23 +368,23 @@ def lipschitz_probe(arch: NetworkArch, n_probes: int = 1000, seed=0) -> list[Bou
         raise ValueError("Lipschitz probing requires a bounded smooth activation")
     bounds = net.network_bounds(arch, arch.n_params())
     rng = np.random.default_rng(seed)
-    p = arch.n_params()
-    max_val_ratio = 0.0
-    max_grad_ratio = 0.0
-    max_grad_sup = 0.0
-    for _ in range(n_probes):
-        flat1 = rng.uniform(-arch.b_theta, arch.b_theta, size=p)
-        flat2 = rng.uniform(-arch.b_theta, arch.b_theta, size=p)
-        x = rng.random(arch.dim)
-        p1 = net.flat_to_params(arch, flat1)
-        p2 = net.flat_to_params(arch, flat2)
-        d1 = net.forward_dual(p1, x)
-        d2 = net.forward_dual(p2, x)
-        dist = float(np.linalg.norm(flat1 - flat2))
-        if dist > 0:
-            max_val_ratio = max(max_val_ratio, abs(d1.value - d2.value) / dist)
-            max_grad_ratio = max(max_grad_ratio, float(np.abs(d1.grad - d2.grad).max()) / dist)
-        max_grad_sup = max(max_grad_sup, float(np.abs(d1.grad).max()), float(np.abs(d2.grad).max()))
+    best = np.zeros(3)  # value ratio, gradient sup, gradient ratio
+    for idx in _probe_blocks(n_probes, arch):
+        draws = [(_random_flat(arch, rng), _random_flat(arch, rng), rng.random(arch.dim)) for _ in idx]
+        flat1, flat2, x = (np.array(col) for col in zip(*draws))
+        v1, g1 = net.forward_dual_batch(net.flat_to_params(arch, flat1), x[:, None, :])
+        v2, g2 = net.forward_dual_batch(net.flat_to_params(arch, flat2), x[:, None, :])
+        diff = flat1 - flat2
+        # row by row, the dot product that np.linalg.norm takes
+        dist = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        moved = dist > 0
+        vals = (
+            np.abs(v1 - v2)[moved, 0] / dist[moved],
+            np.maximum(np.abs(g1).max(axis=(1, 2)), np.abs(g2).max(axis=(1, 2))),
+            np.abs(g1 - g2)[moved].max(axis=(1, 2)) / dist[moved],
+        )
+        np.maximum(best, [v.max(initial=0.0) for v in vals], out=best)
+    max_val_ratio, max_grad_sup, max_grad_ratio = (float(v) for v in best)
     details = {"n_probes": n_probes, "arch_widths": arch.widths, "b_theta": arch.b_theta}
     return [
         _make_report("value_weight_lipschitz", bounds.ln_l_value, max_val_ratio, details),
@@ -408,10 +424,11 @@ def empirical_sta_error(
     Per trial: a fresh N-point batch is compared against a ``big_factor`` times
     larger reference batch; random network probes (the first probe is the zero
     network) are refined by a few signed-gradient ascent steps, staying inside
-    the weight box.  Probe networks derive from seeds independent of N, so
-    sweeps over N reuse the same probe parameters.  The reported bound is the
-    statistical error bound with C_user = 1 instantiated conservatively with
-    the elementwise-larger of the two architectures' (depth, weights, B_theta).
+    the weight box.  Each batch's coefficients are evaluated once per trial.
+    Probe networks derive from seeds independent of N, so sweeps over N reuse
+    the same probe parameters.  The reported bound is the statistical error
+    bound with C_user = 1 instantiated conservatively with the
+    elementwise-larger of the two architectures' (depth, weights, B_theta).
     """
     if trials < 1 or probe_budget < 1:
         raise ValueError("trials and probe_budget must be >= 1")
@@ -422,11 +439,12 @@ def empirical_sta_error(
             problem.domain, big_factor * n_samples, big_factor * n_samples, [seed, 3000 + t]
         )
         probe_rng = np.random.default_rng([seed, 1000 + t])
+        small_cache, big_cache = loss_mod.GradientCache(), loss_mod.GradientCache()
 
         def discrepancy(pu, pv):
-            small = loss_mod.empirical_loss(pu, pv, problem, batch, boundary_alpha_half)
-            large = loss_mod.empirical_loss(pu, pv, problem, big, boundary_alpha_half)
-            return abs(small.total - large.total), small.total - large.total
+            small = loss_mod.empirical_loss(pu, pv, problem, batch, boundary_alpha_half, cache=small_cache)
+            large = loss_mod.empirical_loss(pu, pv, problem, big, boundary_alpha_half, cache=big_cache)
+            return abs(small.total - large.total)
 
         best_val = -1.0
         best_pair = None
@@ -437,14 +455,21 @@ def empirical_sta_error(
             else:
                 pu = _random_params(u_arch, probe_rng)
                 pv = _random_params(v_arch, probe_rng)
-            val, _ = discrepancy(pu, pv)
+            val = discrepancy(pu, pv)
             if val > best_val:
                 best_val, best_pair = val, (pu, pv)
 
+        # each iterate's discrepancy is read from the gradient calls at it;
+        # the first iterate is the best probe, already counted
         pu, pv = best_pair
         for _ in range(ascent_steps):
-            gu_s, gv_s, small = loss_mod.loss_gradients(pu, pv, problem, batch, boundary_alpha_half)
-            gu_b, gv_b, large = loss_mod.loss_gradients(pu, pv, problem, big, boundary_alpha_half)
+            gu_s, gv_s, small = loss_mod.loss_gradients(
+                pu, pv, problem, batch, boundary_alpha_half, cache=small_cache
+            )
+            gu_b, gv_b, large = loss_mod.loss_gradients(
+                pu, pv, problem, big, boundary_alpha_half, cache=big_cache
+            )
+            best_val = max(best_val, abs(small.total - large.total))
             sign = 1.0 if small.total >= large.total else -1.0
             du = sign * (gu_s - gu_b)
             dv = sign * (gv_s - gv_b)
@@ -452,8 +477,8 @@ def empirical_sta_error(
             scale_v = ascent_step_frac * v_arch.b_theta / max(float(np.linalg.norm(dv)), 1e-12)
             pu = net.clip_weights(net.flat_to_params(u_arch, net.params_to_flat(pu) + scale_u * du))
             pv = net.clip_weights(net.flat_to_params(v_arch, net.params_to_flat(pv) + scale_v * dv))
-            val, _ = discrepancy(pu, pv)
-            best_val = max(best_val, val)
+        if ascent_steps:
+            best_val = max(best_val, discrepancy(pu, pv))
         maxima.append(best_val)
 
     mean = float(np.mean(maxima))

@@ -88,6 +88,12 @@ class TrainConfig:
                 raise ValueError(f"{fld.name} must be an integer, got {value!r}")
             if fld.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{fld.name} must be true or false, got {value!r}")
+            # h1_ball_radius = inf disables the projection; checked below
+            if fld.type.startswith("float") and value is not None and fld.name != "h1_ball_radius":
+                if not math.isfinite(value):
+                    raise ValueError(f"{fld.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_interior < 1 or self.m_boundary < 1:
             raise ValueError("batch sizes must be >= 1")
         if self.outer_steps < 0 or self.inner_steps < 1:
@@ -96,6 +102,14 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr_u < 0 or self.lr_v < 0:
             raise ValueError("learning rates must be >= 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be > 0")
+        if self.grad_clip_norm < 0:
+            raise ValueError("grad_clip_norm must be >= 0 (0 disables)")
+        if self.clip_b_theta is not None and not self.clip_b_theta > 0:
+            raise ValueError("clip_b_theta must be > 0 (or null for each architecture's own bound)")
         if self.resample_every < 0 or self.v_restart_every < 0:
             raise ValueError("period fields must be >= 0")
         if self.eval_every < 1:

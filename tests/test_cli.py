@@ -117,6 +117,56 @@ class TestConfigValidation:
         assert "write_checkpoints" in capsys.readouterr().err
         assert not any(name.startswith("u_") for name in os.listdir(out))
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        doc = solve_config()
+        doc["train"]["seed"] = -1
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "command": "theory-check",
+            "problem": solve_config()["problem"],
+            "theory": {"probes": 2, "rademacher_sets": 1, "sta_trials": 1, "sta_n": 4, "sta_probes": 1},
+        })
+        assert cli.run(cfg, out_dir=str(tmp_path / "out"), seed_override=-1, quiet=True) == 2
+        assert "--seed-override" in capsys.readouterr().err
+
+    def test_non_finite_or_out_of_range_number_exits_2(self, tmp_path, capsys):
+        cases = (
+            ("problem", "alpha", math.nan),
+            ("problem", "beta", math.inf),
+            ("train", "lr_u", math.nan),
+            ("train", "lr_v", -math.inf),
+            ("train", "clip_b_theta", math.nan),
+            ("train", "clip_b_theta", 0.0),
+            ("train", "grad_clip_norm", math.nan),
+            ("train", "grad_clip_norm", -1.0),
+            ("train", "adam_eps", -1.0),
+            ("train", "adam_eps", 0.0),
+            ("train", "adam_beta1", 2.0),
+            ("train", "adam_beta2", 1.0),
+            ("train", "adam_beta2", -0.1),
+            ("train", "h1_ball_radius", math.nan),
+        )
+        for section, key, value in cases:
+            doc = solve_config()
+            doc[section][key] = value
+            out = tmp_path / f"{key}_{value}"
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, (key, value)
+            assert key in capsys.readouterr().err
+            assert not (out / "history.csv").exists()
+
+    def test_pinned_knobs_and_infinite_ball_stay_valid(self, tmp_path):
+        doc = solve_config()
+        doc["train"].update(
+            outer_steps=2, eval_every=2, adam_beta1=0.0, adam_beta2=0.9, adam_eps=3e-3,
+            h1_ball_radius=math.inf, grad_clip_norm=0.0, clip_b_theta=None,
+        )
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 0
+
     def test_penalty_needs_two_betas(self, tmp_path, capsys):
         doc = {
             "command": "penalty-study",

@@ -183,6 +183,26 @@ def test_gradients_with_alpha_half_match_fd():
     assert gu[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+def test_cached_empirical_loss_matches_uncached(monkeypatch):
+    prob = manufactured_problem(
+        parse("sin(pi*x1)*cos(pi*x2)", 2), identity_matrix(2),
+        (parse("0.3", 2), parse("-0.2", 2)), parse("1 + x1", 2),
+        1.0, 0.5, unit_hypercube(2), "robin",
+    )
+    arch = NetworkArch(widths=(2, 5, 4, 1), activation=TANH, b_theta=3.0)
+    batch = sample_batch(prob.domain, 16, 16, 0)
+    pairs = [(init(arch, 10 + k), init(arch, 20 + k)) for k in range(3)]
+    want = [empirical_loss(u, v, prob, batch, True) for u, v in pairs]
+    calls = []
+    original = pde.EllipticProblem.a_values
+    monkeypatch.setattr(pde.EllipticProblem, "a_values", lambda self, x: calls.append(1) or original(self, x))
+    cache = loss.GradientCache()
+    for (u, v), lv in zip(pairs, want):
+        assert empirical_loss(u, v, prob, batch, True, cache=cache) == lv
+        assert loss_gradients(u, v, prob, batch, True, cache=cache)[2] == lv
+    assert len(calls) == 1
+
+
 def test_need_flags_skip_outputs():
     prob = _neumann_problem()
     arch = NetworkArch(widths=(1, 3, 1), activation=TANH, b_theta=2.0)

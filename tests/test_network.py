@@ -382,3 +382,50 @@ def test_relu_derivatives_from_output():
         y = act.apply(z)
         np.testing.assert_allclose(act.d1(y), k * m ** (k - 1) * (z > 0), rtol=1e-14)
         np.testing.assert_allclose(act.d2(y), k * (k - 1) * m ** max(k - 2, 0) * (z > 0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("activation", [TANH, LOGISTIC, activation_by_name("relu2")])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3, 4)])
+def test_stacked_forward_matches_unstacked_calls(activation, dim, hidden):
+    rng = np.random.default_rng([dim, len(hidden), 3])
+    arch = NetworkArch(widths=(dim,) + hidden + (1,), activation=activation, b_theta=3.0)
+    S, n = 6, 5
+    flats = rng.uniform(-3.0, 3.0, size=(S, arch.n_params()))
+    X = rng.uniform(-1.0, 1.0, size=(S, n, dim))
+    stack = flat_to_params(arch, flats)
+    assert stack.ensemble == (S,)
+    values, grads = forward_dual_batch(stack, X)
+    assert values.shape == (S, n) and grads.shape == (S, n, dim)
+    value_only = net.forward_tape(stack, X, grads=False)
+    for s in range(S):
+        p = flat_to_params(arch, flats[s])
+        assert p.ensemble == ()
+        want_vals, want_grads = forward_dual_batch(p, X[s])
+        np.testing.assert_allclose(values[s], want_vals, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[s], want_grads, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(value_only.values[s], want_vals, rtol=1e-12, atol=1e-12)
+        for (A, b), (A_s, b_s) in zip(stack.layers, p.layers):
+            np.testing.assert_array_equal(A[s], A_s)
+            np.testing.assert_array_equal(b[s], b_s)
+
+
+def test_stacked_misuse_is_rejected():
+    arch = NetworkArch(widths=(2, 4, 1), activation=TANH, b_theta=3.0)
+    flats = np.random.default_rng(0).uniform(size=(3, arch.n_params()))
+    stack = flat_to_params(arch, flats)
+    X = np.random.default_rng(1).uniform(size=(3, 5, 2))
+    with pytest.raises(ValueError, match="points must be"):
+        net.forward_tape(stack, X[0])  # one point set for a stack
+    with pytest.raises(ValueError, match="points must be"):
+        net.forward_tape(stack, X[:2])  # fewer point sets than networks
+    with pytest.raises(ValueError, match="points must be"):
+        net.forward_tape(flat_to_params(arch, flats[0]), X)  # point sets for one network
+    with pytest.raises(ValueError, match="single network"):
+        net.backprop_tape(net.forward_tape(stack, X), np.ones(5))
+    with pytest.raises(ValueError, match="flat vector"):
+        flat_to_params(arch, flats[None])
+    with pytest.raises(ValueError, match="layer 1"):
+        NetworkParams(arch, [stack.layers[0], (stack.layers[1][0][0], stack.layers[1][1][0])])
+    with pytest.raises(ValueError, match="at most one"):
+        NetworkParams(arch, [(A[None], b[None]) for A, b in stack.layers])

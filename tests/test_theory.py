@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from weakgal import network as net
 from weakgal import pde, theory
 from weakgal.expr import parse
 from weakgal.network import NetworkArch, TANH, activation_by_name
@@ -263,3 +264,137 @@ def test_bound_report_ratio_convention():
     for r in empirical_class_sups(arch, prob, n_probes=200, seed=1):
         if r.theoretical > 0:
             assert r.ratio == pytest.approx(r.empirical / r.theoretical, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stacked probes against the per-probe loops they replaced
+
+
+def _reference_lipschitz_maxima(arch, n_probes, seed):
+    """lipschitz_probe's per-probe loop: one single-point forward per network."""
+    rng = np.random.default_rng(seed)
+    p = arch.n_params()
+    max_val_ratio = max_grad_ratio = max_grad_sup = 0.0
+    for _ in range(n_probes):
+        flat1 = rng.uniform(-arch.b_theta, arch.b_theta, size=p)
+        flat2 = rng.uniform(-arch.b_theta, arch.b_theta, size=p)
+        x = rng.random(arch.dim)
+        d1 = net.forward_dual(net.flat_to_params(arch, flat1), x)
+        d2 = net.forward_dual(net.flat_to_params(arch, flat2), x)
+        dist = float(np.linalg.norm(flat1 - flat2))
+        if dist > 0:
+            max_val_ratio = max(max_val_ratio, abs(d1.value - d2.value) / dist)
+            max_grad_ratio = max(max_grad_ratio, float(np.abs(d1.grad - d2.grad).max()) / dist)
+        max_grad_sup = max(max_grad_sup, float(np.abs(d1.grad).max()), float(np.abs(d2.grad).max()))
+    return {
+        "value_weight_lipschitz": max_val_ratio,
+        "gradient_sup": max_grad_sup,
+        "gradient_weight_lipschitz": max_grad_ratio,
+    }
+
+
+def _reference_class_sup_maxima(arch, problem, n_probes, seed):
+    """empirical_class_sups' per-probe loop: one two-point forward per network."""
+    rng = np.random.default_rng([seed, 1])
+    X = pde.sample_interior(problem.domain, n_probes, [seed, 2])
+    Y, normals = pde.sample_boundary(problem.domain, n_probes, [seed, 3])
+    A, B = problem.a_values(X), problem.b_values(X)
+    c, f, g = problem.c_values(X), problem.f_values(X), problem.g_values(Y, normals)
+    best = np.zeros(6)
+    for i in range(n_probes):
+        pu = net.flat_to_params(arch, rng.uniform(-arch.b_theta, arch.b_theta, size=arch.n_params()))
+        pv = net.flat_to_params(arch, rng.uniform(-arch.b_theta, arch.b_theta, size=arch.n_params()))
+        pts = np.vstack([X[i], Y[i]])
+        u_vals, u_grads = net.forward_dual_batch(pu, pts)
+        v_vals, v_grads = net.forward_dual_batch(pv, pts)
+        ug, vg = u_grads[0], v_grads[0]
+        vals = (
+            abs(float(ug @ A[i] @ vg)),
+            abs(float((B[i] @ ug) * v_vals[0])),
+            abs(c[i] * u_vals[0] * v_vals[0]),
+            abs(f[i] * v_vals[0]),
+            abs(0.5 * problem.alpha * u_vals[1] * v_vals[1]),
+            abs(g[i] * v_vals[1]),
+        )
+        np.maximum(best, vals, out=best)
+    return best
+
+
+def _advective_problem(d):
+    return manufactured_problem(
+        parse("sin(pi*x1)", d), identity_matrix(d), constant_vector(d, 0.3),
+        parse("1", d), 0.7, 1.0, unit_hypercube(d), "robin",
+    )
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    original = net.forward_dual_batch
+
+    def counted(params, points):
+        calls.append(np.shape(points))
+        return original(params, points)
+
+    monkeypatch.setattr(net, "forward_dual_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("activation", ["tanh", "logistic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3, 4)])
+def test_stacked_probes_match_per_probe_reference(monkeypatch, activation, dim, hidden):
+    arch = NetworkArch(widths=(dim,) + hidden + (1,), activation=activation_by_name(activation), b_theta=1.7)
+    problem = _advective_problem(dim)
+    n_probes = 60
+    want_lip = _reference_lipschitz_maxima(arch, n_probes, [dim, 4])
+    want_sups = _reference_class_sup_maxima(arch, problem, n_probes, 5)
+    calls = _counting_forward(monkeypatch)
+    # one stacked forward per network, then blocks of 7 probes (9 blocks)
+    for block, n_forwards in ((None, 2), (7 * arch.n_params(), 18)):
+        if block is not None:
+            monkeypatch.setattr(theory, "_PROBE_BLOCK_WEIGHTS", block)
+        calls.clear()
+        lip = lipschitz_probe(arch, n_probes=n_probes, seed=[dim, 4])
+        assert len(calls) == n_forwards
+        assert {r.lemma for r in lip} == set(want_lip)
+        for r in lip:
+            assert r.empirical == pytest.approx(want_lip[r.lemma], rel=1e-12, abs=0)
+        calls.clear()
+        sups = empirical_class_sups(arch, problem, n_probes=n_probes, seed=5)
+        assert len(calls) == n_forwards
+        assert [r.lemma for r in sups] == [
+            "class_sup_diffusion", "class_sup_advection", "class_sup_reaction",
+            "class_sup_source", "class_sup_boundary_penalty", "class_sup_boundary_data",
+        ]
+        np.testing.assert_allclose([r.empirical for r in sups], want_sups, rtol=1e-12, atol=0)
+
+
+def test_empirical_sta_error_evaluates_coefficients_once_per_batch(monkeypatch):
+    prob = _problem_2d()
+    arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=2.0)
+    sizes = []
+    original = pde.EllipticProblem.a_values
+
+    def counted(self, points):
+        sizes.append(points.shape[0])
+        return original(self, points)
+
+    monkeypatch.setattr(pde.EllipticProblem, "a_values", counted)
+    empirical_sta_error(arch, arch, prob, n_samples=8, trials=3, probe_budget=10, seed=4)
+    # one small and one 100x reference batch per trial (32 evaluations each before)
+    assert sizes == [8, 800] * 3
+
+
+def test_empirical_sta_error_pinned_maxima():
+    # trial maxima of the per-probe implementation with these seeds
+    prob = _problem_2d()
+    arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=2.0)
+    cases = (
+        (32, 3, 5, 11, (301.49695918307543, 527.1776194010525, 121.97470493144627)),
+        (16, 2, 4, 3, (173.3938766576416, 256.24057486496014)),
+        (32, 2, 4, 3, (261.5604934735384, 42.42483458124917)),
+    )
+    for n_samples, trials, budget, seed, want in cases:
+        est = empirical_sta_error(arch, arch, prob, n_samples=n_samples, trials=trials,
+                                  probe_budget=budget, seed=seed)
+        assert est.trial_maxima == pytest.approx(want, rel=1e-12, abs=0)
