@@ -4,11 +4,11 @@
 command named in the config (solve, penalty-study, convergence-study,
 theory-check, approx-probe) and writes CSV results, JSON checkpoints, and a
 run manifest into the output directory.  Configs are validated strictly:
-unknown keys anywhere are an error.  All files are written atomically (a
-``.partial`` temp file renamed into place), and every result CSV except the
-measured ``seconds`` column of the solve history is byte-reproducible given
-the same config and seed.  ``WG_THREADS`` caps the worker pool used for sweep
-points.
+unknown keys anywhere, and sections the command does not read, are errors.
+All files are written atomically (a ``.partial`` temp file renamed into
+place), and every result CSV except the measured ``seconds`` column of the
+solve history is byte-reproducible given the same config and seed.
+``WG_THREADS`` caps the worker pool used for sweep points.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from . import __version__
 from . import expr as expr_mod
 from . import loss as loss_mod
 from . import network as net
-from . import oracle, theory, train as train_mod
+from . import oracle, theory as theory_mod, train as train_mod
 from . import pde
 
 __all__ = ["ConfigError", "run", "main"]
@@ -41,9 +43,6 @@ __all__ = ["ConfigError", "run", "main"]
 
 class ConfigError(ValueError):
     """Malformed experiment config; message names the offending key path."""
-
-
-COMMANDS = ("solve", "penalty-study", "convergence-study", "theory-check", "approx-probe")
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +109,14 @@ def _require_keys(cfg: dict, path: str, required: tuple[str, ...], optional: tup
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
-def _as_number(value, path: str, minimum=None, strict_min=False) -> float:
+def _as_number(value, path: str, above=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond the float range
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     x = float(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{path}: must be finite, got {x}")
-    if minimum is not None:
-        if strict_min and not x > minimum:
-            raise ConfigError(f"{path}: must be > {minimum}, got {x}")
-        if not strict_min and not x >= minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}, got {x}")
+    if above is not None and not x > above:
+        raise ConfigError(f"{path}: must be > {above}, got {x}")
     return x
 
 
@@ -132,41 +128,35 @@ def _as_int(value, path: str, minimum=None) -> int:
     return value
 
 
-def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
+def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}: must be one of {choices}, got {value!r}")
     return value
 
 
-def _parse_expr(text, dim: int, path: str) -> expr_mod.ExprAst:
-    if not isinstance(text, str):
-        raise ConfigError(f"{path}: expected an expression string, got {text!r}")
+def _as_list(value, path: str, item, min_items: int = 0) -> list:
+    """``item(entry, path[i])`` for each entry of a list of at least ``min_items``."""
+    if not isinstance(value, list) or len(value) < min_items:
+        need = f" of {min_items} or more entries" if min_items else ""
+        raise ConfigError(f"{path}: expected a list{need}, got {value!r}")
+    return [item(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+
+
+def _parse_expr(text, path: str, dim: int) -> expr_mod.ExprAst:
     try:
-        return expr_mod.parse(text, dim)
+        return expr_mod.parse(_as_str(text, path), dim)
     except expr_mod.ExprError as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
 def _build_domain(cfg, dim: int, path: str) -> pde.Domain:
     _require_keys(cfg, path, ("kind",), ("center", "radius"))
-    kind = _as_str(cfg["kind"], f"{path}.kind", ("hypercube", "ball"))
-    if kind == "hypercube":
-        if "center" in cfg or "radius" in cfg:
-            raise ConfigError(f"{path}: hypercube takes no center/radius")
-        return pde.unit_hypercube(dim)
-    if "center" not in cfg or "radius" not in cfg:
-        raise ConfigError(f"{path}: ball needs center and radius")
-    center = cfg["center"]
-    if not isinstance(center, list) or len(center) != dim:
-        raise ConfigError(f"{path}.center: expected a list of {dim} numbers")
-    center = [_as_number(c, f"{path}.center[{i}]") for i, c in enumerate(center)]
-    radius = _as_number(cfg["radius"], f"{path}.radius", 0.0, strict_min=True)
-    try:
-        return pde.ball(center, radius)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return pde.Domain(
+        kind=_as_str(cfg["kind"], f"{path}.kind"),
+        dim=dim,
+        center=tuple(_as_list(cfg["center"], f"{path}.center", _as_number)) if "center" in cfg else None,
+        radius=_as_number(cfg["radius"], f"{path}.radius") if "radius" in cfg else None,
+    )
 
 
 def _build_problem(cfg, path: str = "problem") -> pde.EllipticProblem:
@@ -175,137 +165,121 @@ def _build_problem(cfg, path: str = "problem") -> pde.EllipticProblem:
         ("dim", "domain", "c", "alpha", "beta"),
         ("a", "b", "bc_kind", "u_exact", "f", "g"),
     )
-    dim = _as_int(cfg["dim"], f"{path}.dim", 1)
+    dim = _as_int(cfg["dim"], f"{path}.dim")
     domain = _build_domain(cfg["domain"], dim, f"{path}.domain")
-    bc_kind = _as_str(cfg.get("bc_kind", "robin"), f"{path}.bc_kind", ("robin", "neumann", "dirichlet"))
+    bc_kind = _as_str(cfg.get("bc_kind", "robin"), f"{path}.bc_kind")
     alpha = _as_number(cfg["alpha"], f"{path}.alpha")
-    beta = _as_number(cfg["beta"], f"{path}.beta", 0.0, strict_min=True)
+    beta = _as_number(cfg["beta"], f"{path}.beta")
 
+    expr = functools.partial(_parse_expr, dim=dim)
     a_cfg = cfg.get("a", "identity")
     if a_cfg == "identity":
         a = pde.identity_matrix(dim)
     else:
-        if not isinstance(a_cfg, list) or len(a_cfg) != dim or any(
-            not isinstance(row, list) or len(row) != dim for row in a_cfg
-        ):
-            raise ConfigError(f"{path}.a: expected 'identity' or a {dim}x{dim} list of expressions")
-        a = tuple(
-            tuple(_parse_expr(a_cfg[i][j], dim, f"{path}.a[{i}][{j}]") for j in range(dim))
-            for i in range(dim)
-        )
+        a = tuple(_as_list(a_cfg, f"{path}.a", lambda row, row_path: tuple(_as_list(row, row_path, expr))))
     b_cfg = cfg.get("b", "zero")
     if b_cfg == "zero":
         b = pde.constant_vector(dim, 0.0)
     else:
-        if not isinstance(b_cfg, list) or len(b_cfg) != dim:
-            raise ConfigError(f"{path}.b: expected 'zero' or a list of {dim} expressions")
-        b = tuple(_parse_expr(b_cfg[i], dim, f"{path}.b[{i}]") for i in range(dim))
-    c = _parse_expr(cfg["c"], dim, f"{path}.c")
+        b = tuple(_as_list(b_cfg, f"{path}.b", expr))
+    c = expr(cfg["c"], f"{path}.c")
 
     if "u_exact" in cfg:
         if "f" in cfg or "g" in cfg:
             raise ConfigError(f"{path}: give either u_exact (manufactured) or f/g, not both")
-        u_exact = _parse_expr(cfg["u_exact"], dim, f"{path}.u_exact")
+        u_exact = expr(cfg["u_exact"], f"{path}.u_exact")
         return pde.manufactured_problem(u_exact, a, b, c, alpha, beta, domain, bc_kind)
     if "f" not in cfg:
         raise ConfigError(f"{path}.f: required when u_exact is absent")
-    f = _parse_expr(cfg["f"], dim, f"{path}.f")
+    f = expr(cfg["f"], f"{path}.f")
     if "g" in cfg:
-        g: pde.BoundaryFunction = pde.ExprBoundary(_parse_expr(cfg["g"], dim, f"{path}.g"))
+        g: pde.BoundaryFunction = pde.ExprBoundary(expr(cfg["g"], f"{path}.g"))
     else:
         g = pde.ZERO_BOUNDARY
     if bc_kind == "dirichlet":
         alpha, g = 1.0, pde.ZERO_BOUNDARY
-    try:
-        return pde.EllipticProblem(
-            domain=domain, a=a, b=b, c=c, f=f, g=g,
-            alpha=alpha, beta=beta, bc_kind=bc_kind,
-        )
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return pde.EllipticProblem(
+        domain=domain, a=a, b=b, c=c, f=f, g=g,
+        alpha=alpha, beta=beta, bc_kind=bc_kind,
+    )
 
 
 def _build_arch(cfg, problem: pde.EllipticProblem, path: str) -> net.NetworkArch:
     _require_keys(cfg, path, (), ("widths", "activation", "b_theta", "recipe"))
+    activation = net.activation_by_name(_as_str(cfg.get("activation", "tanh"), f"{path}.activation"))
     if "recipe" in cfg:
         if "widths" in cfg or "b_theta" in cfg:
             raise ConfigError(f"{path}: give either widths/b_theta or recipe, not both")
         rcfg = cfg["recipe"]
         _require_keys(rcfg, f"{path}.recipe", ("epsilon", "mu"), ("c_user", "max_b_theta", "max_weights"))
-        try:
-            result = net.arch_recipe(
-                epsilon=_as_number(rcfg["epsilon"], f"{path}.recipe.epsilon", 0.0, strict_min=True),
-                d=problem.dim,
-                mu=_as_number(rcfg["mu"], f"{path}.recipe.mu", 0.0, strict_min=True),
-                beta=problem.beta,
-                c_user=_as_number(rcfg.get("c_user", 1.0), f"{path}.recipe.c_user", 1.0),
-                activation=net.activation_by_name(
-                    _as_str(cfg.get("activation", "tanh"), f"{path}.activation")
-                ),
-                max_b_theta=_as_number(rcfg.get("max_b_theta", 1e12), f"{path}.recipe.max_b_theta", 1.0),
-                max_weights=_as_int(rcfg.get("max_weights", 10_000_000), f"{path}.recipe.max_weights", 1),
-            )
-        except net.RecipeError as err:
-            raise ConfigError(f"{path}.recipe: {err}") from err
-        return result.arch
+        return net.arch_recipe(
+            epsilon=_as_number(rcfg["epsilon"], f"{path}.recipe.epsilon"),
+            d=problem.dim,
+            mu=_as_number(rcfg["mu"], f"{path}.recipe.mu"),
+            beta=problem.beta,
+            c_user=_as_number(rcfg.get("c_user", 1.0), f"{path}.recipe.c_user"),
+            activation=activation,
+            max_b_theta=_as_number(rcfg.get("max_b_theta", 1e12), f"{path}.recipe.max_b_theta"),
+            max_weights=_as_int(rcfg.get("max_weights", 10_000_000), f"{path}.recipe.max_weights"),
+        ).arch
     if "widths" not in cfg:
         raise ConfigError(f"{path}.widths: required without a recipe")
-    widths = cfg["widths"]
-    if not isinstance(widths, list) or len(widths) < 2:
-        raise ConfigError(f"{path}.widths: expected a list of at least 2 integers")
-    widths = tuple(_as_int(w, f"{path}.widths[{i}]", 1) for i, w in enumerate(widths))
-    if widths[0] != problem.dim:
+    arch = net.NetworkArch(
+        widths=tuple(_as_list(cfg["widths"], f"{path}.widths", _as_int)),
+        activation=activation,
+        b_theta=_as_number(cfg.get("b_theta", 10.0), f"{path}.b_theta"),
+    )
+    if arch.widths[0] != problem.dim:
         raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
-    try:
-        activation = net.activation_by_name(_as_str(cfg.get("activation", "tanh"), f"{path}.activation"))
-        return net.NetworkArch(
-            widths=widths,
-            activation=activation,
-            b_theta=_as_number(cfg.get("b_theta", 10.0), f"{path}.b_theta", 1.0),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return arch
 
 
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
-
-
-def _build_train_config(cfg, path: str, seed_override: int | None) -> train_mod.TrainConfig:
-    _require_keys(cfg, path, (), _TRAIN_KEYS)
+def _build_train_config(cfg, seed_override: int | None) -> train_mod.TrainConfig:
+    _require_keys(cfg, "train", (), tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig)))
     kwargs = dict(cfg)
     if "h1_ball_radius" in kwargs and kwargs["h1_ball_radius"] == "inf":
         kwargs["h1_ball_radius"] = math.inf
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    try:
-        return train_mod.TrainConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return train_mod.TrainConfig(**kwargs)
 
 
-# ---------------------------------------------------------------------------
-# commands
+class _Option(NamedTuple):
+    """A sweep/theory option: an integer >= ``minimum`` or, with no default, a
+    required list of ``min_items`` or more of them (numbers > a float minimum)."""
+
+    default: int | None
+    minimum: int | float
+    min_items: int = 1
 
 
-def _cmd_solve(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: str) -> dict:
-    problem = _build_problem(cfg["problem"])
-    u_arch = _build_arch(cfg.get("u_arch", {"widths": [problem.dim, 16, 16, 1]}), problem, "u_arch")
-    v_arch = _build_arch(cfg.get("v_arch", {"widths": [problem.dim, 16, 16, 1]}), problem, "v_arch")
-    tcfg = _build_train_config(cfg.get("train", {}), "train", seed_override)
-    write_checkpoints = cfg.get("write_checkpoints", False)
-    if not isinstance(write_checkpoints, bool):
-        raise ConfigError(f"config.write_checkpoints: expected true or false, got {write_checkpoints!r}")
+def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None) -> dict:
+    _require_keys(cfg, path, tuple(k for k, o in specs.items() if o.default is None), tuple(specs))
+    if "seed" in specs and seed_override is not None:
+        cfg = dict(cfg, seed=seed_override)
+    opts = {}
+    for key, (default, minimum, min_items) in specs.items():
+        def parse(value, key_path, minimum=minimum):
+            return (_as_number if isinstance(minimum, float) else _as_int)(value, key_path, minimum)
 
+        if default is None:
+            opts[key] = _as_list(cfg[key], f"{path}.{key}", parse, min_items)
+        else:
+            opts[key] = parse(cfg.get(key, default), f"{path}.{key}")
+    return opts
+
+
+def _cmd_solve(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, write_checkpoints) -> dict:
     def on_eval(step: int, u: net.NetworkParams, v: net.NetworkParams, row) -> None:
         if write_checkpoints:
             net.save_checkpoint(u, os.path.join(out_dir, f"u_{step:06d}.json"))
             net.save_checkpoint(v, os.path.join(out_dir, f"v_{step:06d}.json"))
         if not quiet:
             err = "" if math.isnan(row.h1_error) else f" h1_error={row.h1_error:.4g}"
-            print(f"[solve] step {step}/{tcfg.outer_steps} loss={row.loss_total:.6g}{err}")
+            print(f"[solve] step {step}/{train.outer_steps} loss={row.loss_total:.6g}{err}")
 
     result = train_mod.minimax_train(
-        problem, u_arch, v_arch, tcfg, u_ref=problem.u_exact, on_eval=on_eval
+        problem, u_arch, v_arch, train, u_ref=problem.u_exact, on_eval=on_eval
     )
     header = [
         "step", "loss_total", "loss_interior", "loss_boundary", "h1_u", "h1_v",
@@ -319,29 +293,20 @@ def _cmd_solve(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: st
     _write_csv(os.path.join(out_dir, "history.csv"), header, rows)
     net.save_checkpoint(result.u, os.path.join(out_dir, "u.json"))
     net.save_checkpoint(result.v, os.path.join(out_dir, "v.json"))
-    extras = {
+    return {
         "coercivity_holds": result.coercivity_holds,
         "final_loss": result.history[-1].loss_total if result.history else None,
         "final_h1_error": (
             None if not result.history or math.isnan(result.history[-1].h1_error)
             else result.history[-1].h1_error
         ),
-        "seeds": {"train": tcfg.seed},
+        "seeds": {"train": train.seed},
     }
-    return extras
 
 
-def _cmd_penalty_study(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: str) -> dict:
-    problem = _build_problem(cfg["problem"])
-    sweep = cfg.get("sweep", {})
-    _require_keys(sweep, "sweep", ("betas",), ("grid_n",))
-    betas = sweep["betas"]
-    if not isinstance(betas, list) or len(betas) < 2:
-        raise ConfigError("sweep.betas: expected a list of at least 2 numbers")
-    betas = [_as_number(b, f"sweep.betas[{i}]", 0.0, strict_min=True) for i, b in enumerate(betas)]
-    grid_n = _as_int(sweep.get("grid_n", 2048), "sweep.grid_n", 8)
-
-    study = oracle.penalty_rate_study(problem, betas, n=grid_n)
+def _cmd_penalty_study(out_dir, quiet, cfg_hash, problem, sweep) -> dict:
+    grid_n = sweep["grid_n"]
+    study = oracle.penalty_rate_study(problem, sweep["betas"], n=grid_n)
     rows = [[b, e] for b, e in zip(study.betas, study.errors)]
     _write_csv(os.path.join(out_dir, "penalty.csv"), ["beta", "h1_error"], rows)
     if not quiet:
@@ -355,30 +320,13 @@ def _cmd_penalty_study(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_
     }
 
 
-def _cmd_convergence_study(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: str) -> dict:
-    problem = _build_problem(cfg["problem"])
-    u_arch = _build_arch(cfg.get("u_arch", {"widths": [problem.dim, 16, 16, 1]}), problem, "u_arch")
-    v_arch = _build_arch(cfg.get("v_arch", {"widths": [problem.dim, 16, 16, 1]}), problem, "v_arch")
-    base = _build_train_config(cfg.get("train", {}), "train", seed_override)
-    sweep = cfg.get("sweep", {})
-    _require_keys(sweep, "sweep", ("n_values", "seeds"), ("eval_quad",))
-    n_values = sweep["n_values"]
-    seeds = sweep["seeds"]
-    if not isinstance(n_values, list) or not n_values:
-        raise ConfigError("sweep.n_values: expected a nonempty list of integers")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("sweep.seeds: expected a nonempty list of integers")
-    n_values = [_as_int(n, f"sweep.n_values[{i}]", 1) for i, n in enumerate(n_values)]
-    seeds = [_as_int(s, f"sweep.seeds[{i}]", 0) for i, s in enumerate(seeds)]
-    eval_quad = _as_int(sweep.get("eval_quad", 65536), "sweep.eval_quad", 2)
-    if problem.u_exact is None:
-        raise ConfigError("convergence-study needs a manufactured problem (u_exact)")
-
-    jobs = [(n, s) for n in n_values for s in seeds]
+def _cmd_convergence_study(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, sweep) -> dict:
+    n_values, eval_quad = sweep["n_values"], sweep["eval_quad"]
+    jobs = [(n, s) for n in n_values for s in sweep["seeds"]]
 
     def run_point(job):
         n, s = job
-        tcfg = dataclasses.replace(base, n_interior=n, m_boundary=n, seed=s)
+        tcfg = dataclasses.replace(train, n_interior=n, m_boundary=n, seed=s)
         result = train_mod.minimax_train(problem, u_arch, v_arch, tcfg, u_ref=None)
         est = loss_mod.h1_error(
             result.u, problem.u_exact, problem.domain, n_quad=eval_quad, seed=[12345, 0]
@@ -406,22 +354,13 @@ def _cmd_convergence_study(cfg: dict, out_dir: str, quiet: bool, seed_override, 
     return {"medians": medians, "improves_smallest_to_largest": bool(improves), "eval_quad": eval_quad}
 
 
-def _cmd_theory_check(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: str) -> dict:
-    problem = _build_problem(cfg["problem"])
-    arch = _build_arch(cfg.get("u_arch", {"widths": [problem.dim, 4, 1], "b_theta": 2.0}), problem, "u_arch")
-    topt = cfg.get("theory", {})
-    _require_keys(topt, "theory", (), ("probes", "rademacher_sets", "seed", "sta_trials", "sta_n", "sta_probes"))
-    probes = _as_int(topt.get("probes", 2000), "theory.probes", 1)
-    n_sets = _as_int(topt.get("rademacher_sets", 200), "theory.rademacher_sets", 1)
-    seed = seed_override if seed_override is not None else _as_int(topt.get("seed", 0), "theory.seed", 0)
-    sta_trials = _as_int(topt.get("sta_trials", 5), "theory.sta_trials", 1)
-    sta_n = _as_int(topt.get("sta_n", 64), "theory.sta_n", 2)
-    sta_probes = _as_int(topt.get("sta_probes", 10), "theory.sta_probes", 1)
+def _cmd_theory_check(out_dir, quiet, cfg_hash, problem, u_arch, theory) -> dict:
+    probes, n_sets, seed = theory["probes"], theory["rademacher_sets"], theory["seed"]
 
     reports = []
-    if arch.activation.smooth:
-        reports.extend(theory.lipschitz_probe(arch, n_probes=probes, seed=[seed, 10]))
-    reports.extend(theory.empirical_class_sups(arch, problem, n_probes=probes, seed=[seed, 11]))
+    if u_arch.activation.smooth:
+        reports.extend(theory_mod.lipschitz_probe(u_arch, n_probes=probes, seed=[seed, 10]))
+    reports.extend(theory_mod.empirical_class_sups(u_arch, problem, n_probes=probes, seed=[seed, 11]))
 
     # worst exact-vs-Massart ratio over random finite sets
     rng = np.random.default_rng([seed, 12])
@@ -430,16 +369,16 @@ def _cmd_theory_check(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_h
     for _ in range(n_sets):
         m = int(rng.integers(1, 16))
         n = int(rng.integers(1, 12))
-        vs = theory.FiniteVectorSet(rng.normal(size=(m, n)) * float(rng.uniform(0.5, 3.0)))
-        exact = theory.exact_rademacher(vs)
-        bound = theory.massart_bound(vs)
+        vs = theory_mod.FiniteVectorSet(rng.normal(size=(m, n)) * float(rng.uniform(0.5, 3.0)))
+        exact = theory_mod.exact_rademacher(vs)
+        bound = theory_mod.massart_bound(vs)
         if exact > bound + 1e-12:
             violations += 1
         ratio = exact / bound if bound > 0 else 0.0
         if worst is None or ratio > worst[0]:
             worst = (ratio, exact, bound)
     reports.append(
-        theory.BoundReport(
+        theory_mod.BoundReport(
             lemma="rademacher_massart",
             theoretical=worst[2],
             ln_theoretical=math.log(worst[2]) if worst[2] > 0 else -math.inf,
@@ -449,12 +388,12 @@ def _cmd_theory_check(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_h
         )
     )
 
-    sta = theory.empirical_sta_error(
-        arch, arch, problem, n_samples=sta_n, trials=sta_trials,
-        probe_budget=sta_probes, seed=seed,
+    sta = theory_mod.empirical_sta_error(
+        u_arch, u_arch, problem, n_samples=theory["sta_n"], trials=theory["sta_trials"],
+        probe_budget=theory["sta_probes"], seed=seed,
     )
     reports.append(
-        theory.BoundReport(
+        theory_mod.BoundReport(
             lemma="statistical_error",
             theoretical=sta.bound,
             ln_theoretical=sta.ln_bound,
@@ -491,13 +430,8 @@ def _cmd_theory_check(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_h
     return {"all_bounds_hold": bool(all_hold), "massart_violations": violations}
 
 
-def _cmd_approx_probe(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_hash: str) -> dict:
-    problem = _build_problem(cfg["problem"])
-    if problem.u_exact is None:
-        raise ConfigError("approx-probe needs a manufactured problem (u_exact)")
-    arch = _build_arch(cfg.get("u_arch", {"widths": [problem.dim, 20, 1]}), problem, "u_arch")
-    tcfg = _build_train_config(cfg.get("train", {}), "train", seed_override)
-    result = train_mod.approx_error_probe(problem.u_exact, arch, tcfg)
+def _cmd_approx_probe(out_dir, quiet, cfg_hash, problem, u_arch, train) -> dict:
+    result = train_mod.approx_error_probe(problem.u_exact, u_arch, train)
     _write_csv(
         os.path.join(out_dir, "fit_history.csv"),
         ["step", "h1_distance"],
@@ -506,21 +440,81 @@ def _cmd_approx_probe(cfg: dict, out_dir: str, quiet: bool, seed_override, cfg_h
     net.save_checkpoint(result.params, os.path.join(out_dir, "fit.json"))
     if not quiet:
         print(f"[approx-probe] best h1 distance {result.h1_distance:.6g}")
-    return {"h1_distance": result.h1_distance, "seeds": {"train": tcfg.seed}}
+    return {"h1_distance": result.h1_distance, "seeds": {"train": train.seed}}
 
 
-_RUNNERS = {
-    "solve": _cmd_solve,
-    "penalty-study": _cmd_penalty_study,
-    "convergence-study": _cmd_convergence_study,
-    "theory-check": _cmd_theory_check,
-    "approx-probe": _cmd_approx_probe,
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """What one command reads from its config, and its runner, which is called
+    as ``run(out_dir, quiet, cfg_hash, problem, **sections)``.
+
+    ``sections`` are the top-level keys it reads besides ``command``, ``problem``
+    and ``output_dir``; any other key is a config error.  ``arch`` gives the
+    hidden widths and ``b_theta`` of an absent ``u_arch``/``v_arch``;
+    ``options`` are the keys of its ``sweep`` or ``theory`` section."""
+
+    run: Callable[..., dict]
+    sections: tuple[str, ...]
+    arch: tuple[tuple[int, ...], float] = ((16, 16), 10.0)
+    needs_u_exact: bool = False
+    needs_1d: bool = False
+    options: dict[str, _Option] = dataclasses.field(default_factory=dict)
+
+
+_COMMANDS = {
+    "solve": _Command(_cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints")),
+    "penalty-study": _Command(
+        _cmd_penalty_study, ("sweep",), needs_1d=True,
+        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8)},
+    ),
+    "convergence-study": _Command(
+        _cmd_convergence_study, ("u_arch", "v_arch", "train", "sweep"), needs_u_exact=True,
+        options={"n_values": _Option(None, 1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2)},
+    ),
+    "theory-check": _Command(
+        _cmd_theory_check, ("u_arch", "theory"), arch=((4,), 2.0),
+        options={
+            "probes": _Option(2000, 1), "rademacher_sets": _Option(200, 1), "seed": _Option(0, 0),
+            "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2), "sta_probes": _Option(10, 1),
+        },
+    ),
+    "approx-probe": _Command(_cmd_approx_probe, ("u_arch", "train"), arch=((20,), 10.0), needs_u_exact=True),
 }
 
-_TOP_KEYS = (
-    "command", "output_dir", "problem", "u_arch", "v_arch", "train", "sweep",
-    "theory", "write_checkpoints",
-)
+
+def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
+    """The problem and each section ``command`` reads, built once.
+
+    The constructors check their own ranges and shapes; their ValueError (or
+    OverflowError) becomes a ConfigError naming the section, but an EvalError
+    deriving a manufactured problem stays a numerical failure."""
+    spec = _COMMANDS[command]
+    built = {}
+    for section in ("problem",) + spec.sections:
+        try:
+            if section == "problem":
+                built[section] = problem = _build_problem(cfg[section])
+            elif section in ("u_arch", "v_arch"):
+                hidden, b_theta = spec.arch
+                default = {"widths": [problem.dim, *hidden, 1], "b_theta": b_theta}
+                built[section] = _build_arch(cfg.get(section, default), problem, section)
+            elif section == "train":
+                built[section] = _build_train_config(cfg.get(section, {}), seed_override)
+            elif section == "write_checkpoints":
+                built[section] = cfg.get(section, False)
+                if not isinstance(built[section], bool):
+                    raise ConfigError(f"config.{section}: expected true or false, got {built[section]!r}")
+            else:
+                built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override)
+        except (ConfigError, expr_mod.EvalError):
+            raise
+        except (ValueError, OverflowError) as err:
+            raise ConfigError(f"{section}: {err}") from err
+    if spec.needs_u_exact and problem.u_exact is None:
+        raise ConfigError(f"problem.u_exact: {command} needs a manufactured problem")
+    if spec.needs_1d and problem.dim != 1:
+        raise ConfigError(f"problem.dim: {command} is a 1d experiment, got dim {problem.dim}")
+    return built
 
 
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None,
@@ -530,15 +524,17 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # also an integer literal too long to convert
                 raise ConfigError(f"invalid JSON: {err}") from err
         if not isinstance(cfg, dict):
             raise ConfigError("top level: expected an object")
-        _require_keys(cfg, "config", ("command", "problem"), _TOP_KEYS[2:] + ("output_dir",))
-        command = _as_str(cfg["command"], "config.command", COMMANDS)
+        command = _as_str(cfg.get("command"), "config.command")
+        if command not in _COMMANDS:
+            raise ConfigError(f"config.command: must be one of {tuple(_COMMANDS)}, got {command!r}")
+        _require_keys(cfg, "config", ("command", "problem"), ("output_dir",) + _COMMANDS[command].sections)
         if seed_override is not None:
             _as_int(seed_override, "--seed-override", 0)
-        target = out_dir or cfg.get("output_dir")
+        target = out_dir or _as_str(cfg.get("output_dir", ""), "config.output_dir")
         if not target:
             raise ConfigError("no output directory: set output_dir in the config or pass --out")
 
@@ -550,7 +546,8 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         os.makedirs(target, exist_ok=True)
         started = _utc_now()
         t0 = time.perf_counter()
-        extras = _RUNNERS[command](cfg, target, quiet, seed_override, cfg_hash)
+        sections = _build_sections(cfg, command, seed_override)
+        extras = _COMMANDS[command].run(target, quiet, cfg_hash, **sections)
         manifest = {
             "command": command,
             "config_hash": cfg_hash,
@@ -568,7 +565,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (train_mod.TrainingAborted, loss_mod.NonFiniteLossError, oracle.SolveError,
-            theory.BoundNotApplicableError, expr_mod.EvalError) as err:
+            theory_mod.BoundNotApplicableError, expr_mod.EvalError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

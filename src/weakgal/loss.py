@@ -36,9 +36,6 @@ __all__ = [
     "H1Estimate",
     "NonFiniteLossError",
     "Evaluator",
-    "network_evaluator",
-    "expr_evaluator",
-    "zero_evaluator",
     "as_evaluator",
     "empirical_loss",
     "loss_gradients",
@@ -86,41 +83,24 @@ class H1Estimate:
     se_seminorm_sq: float
 
 
-def network_evaluator(params: NetworkParams) -> Evaluator:
-    def ev(points: np.ndarray):
-        return net.forward_dual_batch(params, points)
-
-    return ev
-
-
-def expr_evaluator(ast: expr_mod.ExprAst) -> Evaluator:
-    grads = [expr_mod.diff(ast, i + 1) for i in range(ast.dim)]
-
-    def ev(points: np.ndarray):
-        vals = expr_mod.evaluate_many(ast, points)
-        g = np.empty((points.shape[0], ast.dim))
-        for i in range(ast.dim):
-            g[:, i] = expr_mod.evaluate_many(grads[i], points)
-        return vals, g
-
-    return ev
-
-
-def zero_evaluator(dim: int) -> Evaluator:
-    def ev(points: np.ndarray):
-        n = points.shape[0]
-        return np.zeros(n), np.zeros((n, dim))
-
-    return ev
-
-
 def as_evaluator(obj: Union[NetworkParams, expr_mod.ExprAst, Evaluator, None], dim: int) -> Evaluator:
+    """Evaluator of a network, an expression (gradient by symbolic
+    differentiation), the zero function (``None``), or an evaluator itself."""
     if obj is None:
-        return zero_evaluator(dim)
+        return lambda points: (np.zeros(points.shape[0]), np.zeros((points.shape[0], dim)))
     if isinstance(obj, NetworkParams):
-        return network_evaluator(obj)
+        return lambda points: net.forward_dual_batch(obj, points)
     if isinstance(obj, expr_mod.ExprAst):
-        return expr_evaluator(obj)
+        grads = [expr_mod.diff(obj, i + 1) for i in range(obj.dim)]
+
+        def ev(points: np.ndarray):
+            vals = expr_mod.evaluate_many(obj, points)
+            g = np.empty((points.shape[0], obj.dim))
+            for i in range(obj.dim):
+                g[:, i] = expr_mod.evaluate_many(grads[i], points)
+            return vals, g
+
+        return ev
     return obj
 
 

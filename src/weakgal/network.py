@@ -571,6 +571,8 @@ def arch_recipe(
         raise RecipeError(f"beta must be > 0, got {beta}")
     if c_user < 1:
         raise RecipeError(f"c_user must be >= 1, got {c_user}")
+    if not (max_b_theta >= 1 and max_weights >= 1):
+        raise RecipeError(f"max_b_theta and max_weights must be >= 1, got {max_b_theta}, {max_weights}")
 
     depth = max(1, _nudged_ceil(c_user * math.log2(d + 1)))
     base = beta * beta * epsilon

@@ -159,7 +159,6 @@ class EmpiricalBatch:
     interior: np.ndarray
     boundary: np.ndarray
     normals: np.ndarray
-    seed: int | None = None
 
     @property
     def n_interior(self) -> int:
@@ -185,7 +184,6 @@ def sample_batch(domain: Domain, n: int, m: int, seed) -> EmpiricalBatch:
         interior=sample_interior(domain, n, s_int),
         boundary=pts,
         normals=normals,
-        seed=seed if isinstance(seed, int) else None,
     )
 
 
@@ -361,7 +359,7 @@ def check_coercivity(problem: EllipticProblem, n_probes: int = 512, seed=0) -> C
     c_min = float(problem.c_values(pts).min())
     b_abs = np.abs(problem.b_values(pts))
     b_max = float(b_abs.max(axis=0).max()) if problem.dim > 0 else 0.0
-    condition = 4.0 * lam_min * c_min - problem.dim * b_max**2
+    condition = 4.0 * lam_min * c_min - problem.dim * b_max * b_max
     holds = bool(condition > 0.0 and lam_min > 0.0)
     return CoercivityReport(
         lambda_min=lam_min,
@@ -424,6 +422,8 @@ def manufactured_problem(
     d = domain.dim
     if u_exact.dim != d:
         raise ValueError("u_exact dimension must match the domain")
+    if len(a) != d or any(len(row) != d for row in a) or len(b) != d:
+        raise ValueError(f"a must be {d}x{d} and b must have length {d}")
     if bc_kind == "neumann" and alpha != 0.0:
         raise ValueError("neumann requires alpha = 0")
 

@@ -21,6 +21,7 @@ and history (wall-clock ``seconds`` excepted).
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -88,9 +89,13 @@ class TrainConfig:
                 raise ValueError(f"{fld.name} must be an integer, got {value!r}")
             if fld.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{fld.name} must be true or false, got {value!r}")
-            # h1_ball_radius = inf disables the projection; checked below
-            if fld.type.startswith("float") and value is not None and fld.name != "h1_ball_radius":
-                if not math.isfinite(value):
+            if fld.type.startswith("float") and not (value is None and fld.type == "float | None"):
+                if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                    raise ValueError(f"{fld.name} must be a number, got {value!r}")
+                # h1_ball_radius = inf disables the projection; an int beyond the
+                # float range would overflow where it meets an array
+                finite = abs(value) <= sys.float_info.max
+                if not (finite or fld.name == "h1_ball_radius" and value == math.inf):
                     raise ValueError(f"{fld.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

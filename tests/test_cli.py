@@ -1,11 +1,15 @@
 """End-to-end tests for the config-driven experiment runner."""
 
+import copy
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakgal import cli, network as net
 
@@ -39,6 +43,41 @@ def solve_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+_PROBLEM = solve_config()["problem"]
+_TINY_TRAIN = {"n_interior": 4, "m_boundary": 4, "outer_steps": 2, "eval_every": 1, "h1_quad_points": 8}
+
+# the smallest valid config of each command, carrying every section it reads
+TINY = {
+    "solve": {
+        "command": "solve", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1]},
+        "v_arch": {"widths": [1, 3, 1]}, "train": _TINY_TRAIN, "write_checkpoints": False,
+    },
+    "penalty-study": {
+        "command": "penalty-study", "problem": _PROBLEM, "sweep": {"betas": [0.1, 0.01], "grid_n": 8},
+    },
+    "convergence-study": {
+        "command": "convergence-study", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1]},
+        "v_arch": {"widths": [1, 3, 1]}, "train": _TINY_TRAIN,
+        "sweep": {"n_values": [4], "seeds": [0], "eval_quad": 8},
+    },
+    "theory-check": {
+        "command": "theory-check", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1], "b_theta": 2.0},
+        "theory": {"probes": 2, "rademacher_sets": 1, "sta_trials": 1, "sta_n": 4, "sta_probes": 1},
+    },
+    "approx-probe": {
+        "command": "approx-probe", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1]}, "train": _TINY_TRAIN,
+    },
+}
+SECTIONS = ("u_arch", "v_arch", "train", "sweep", "theory", "write_checkpoints")
+# a valid value of each section, taken from a command that reads it
+SECTION_VALUES = {
+    "u_arch": TINY["solve"]["u_arch"], "v_arch": TINY["solve"]["v_arch"], "train": _TINY_TRAIN,
+    "sweep": TINY["convergence-study"]["sweep"], "theory": TINY["theory-check"]["theory"],
+    "write_checkpoints": False,
+}
+NOT_READ = [(cmd, sec) for cmd, doc in TINY.items() for sec in SECTIONS if sec not in doc]
 
 
 def read_rows(path):
@@ -150,11 +189,17 @@ class TestConfigValidation:
             ("train", "adam_beta2", 1.0),
             ("train", "adam_beta2", -0.1),
             ("train", "h1_ball_radius", math.nan),
+            ("train", "lr_u", True),
+            ("train", "lr_u", "fast"),
+            ("train", "clip_b_theta", True),
+            ("train", "grad_clip_norm", True),
+            ("train", "lr_u", 10**400),  # an integer beyond the float range
+            ("problem", "alpha", 10**400),
         )
         for section, key, value in cases:
             doc = solve_config()
             doc[section][key] = value
-            out = tmp_path / f"{key}_{value}"
+            out = tmp_path / f"{key}_{value!s:.20}"
             assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, (key, value)
             assert key in capsys.readouterr().err
             assert not (out / "history.csv").exists()
@@ -176,6 +221,30 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, doc)
         assert cli.run(cfg, out_dir=str(tmp_path / "out")) == 2
         assert "betas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section", NOT_READ)
+    def test_section_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, section):
+        doc = dict(TINY[command], **{section: SECTION_VALUES[section]})
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
+        assert capsys.readouterr().err.count(f"config.{section}") == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_constructor_error_exits_2_naming_its_section_once(self, tmp_path, capsys):
+        plane = dict(_PROBLEM, dim=2)
+        huge_recipe = {"recipe": {"epsilon": 0.5, "mu": 0.5, "c_user": 1.5e308}}
+        cases = (
+            ("solve", {"problem": dict(_PROBLEM, bc_kind="neumann")}, "problem", "alpha"),  # alpha is 1
+            ("solve", {"u_arch": {"widths": [1, 3, 1], "b_theta": 0.5}}, "u_arch", "b_theta"),
+            ("penalty-study", {"problem": plane}, "problem", "1d"),
+            # the recipe's depth c_user * log2(3) overflows a float
+            ("approx-probe", {"problem": plane, "u_arch": huge_recipe}, "u_arch", "infinity"),
+        )
+        for i, (command, sections, named, fragment) in enumerate(cases):
+            doc = dict(TINY[command], **sections)
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / str(i)), quiet=True) == 2
+            err = capsys.readouterr().err
+            assert err.count(named) == 1 and fragment in err, err
 
     def test_ball_domain_requires_geometry(self, tmp_path, capsys):
         doc = solve_config()
@@ -443,3 +512,79 @@ class TestApproxProbe:
         cfg = write_config(tmp_path, doc)
         assert cli.run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 2
         assert "u_exact" in capsys.readouterr().err
+
+
+# key names an inserted key is drawn from: those of the tiny configs and the optional ones
+_CONFIG_KEYS = sorted(
+    {"a", "b", "f", "g", "bc_kind", "center", "radius", "activation", "recipe", "epsilon", "mu",
+     "seed", "optimizer", "lr_u", "clip_b_theta", "h1_ball_radius", "output_dir", "bogus"}
+    | set(SECTIONS) | {k for doc in TINY.values() for k in doc}
+    | {k for doc in TINY.values() for sec in doc.values() if isinstance(sec, dict) for k in sec}
+)
+_NUMBERS = st.integers(-2, 9) | st.floats()
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, st.text(max_size=6),
+    st.sampled_from(["inf", "x1", "1/x1", "sin(pi*x1)", "exp(800*x1)", "ball", "neumann",
+                     "dirichlet", "relu2", "logistic", "identity", "zero", "sgd"]),
+)
+# generated objects have random keys, so a replaced section never falls back
+# to its (long-running) defaults
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, min_size=1, max_size=2),
+    max_leaves=5,
+)
+
+
+def _slots(node, path=()):
+    """(path of a container, key or index in it) for every value in a config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path, key
+        yield from _slots(value, path + (key,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A tiny config with one value replaced, or one key inserted, at any depth."""
+    doc = copy.deepcopy(TINY[draw(st.sampled_from(sorted(TINY)))])
+    slots = list(_slots(doc))
+    if draw(st.booleans()):
+        path, key = draw(st.sampled_from(slots))
+        old = _at(doc, path)[key]
+        # values of the old one's type get past the type checks to the range checks and the run
+        if isinstance(old, bool):
+            alike = st.booleans()
+        else:
+            alike = _NUMBERS if isinstance(old, (int, float)) else _JSON
+        value = draw(alike | _JSON)
+    else:
+        objects = [()] + [p + (k,) for p, k in slots if isinstance(_at(doc, p + (k,)), dict)]
+        path, key = draw(st.sampled_from(objects)), draw(st.sampled_from(_CONFIG_KEYS))
+        value = draw(_JSON)
+    _at(doc, path)[key] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_mutated_configs())
+def test_any_one_key_edit_exits_0_2_or_3(doc):
+    """Whatever one key holds, a run exits 0, 2 or 3 and raises nothing.
+
+    Integers come from [-2, 9] and the tiny configs keep every step, probe and
+    grid count small, so each example takes milliseconds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = cli.run(path, out_dir=os.path.join(tmp, "out"), quiet=True)
+    assert code in (0, 2, 3)

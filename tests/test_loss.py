@@ -46,7 +46,7 @@ def _endpoint_batch(x_interior):
     X = np.asarray(x_interior, dtype=float).reshape(-1, 1)
     Y = np.array([[0.0], [1.0]])
     normals = np.array([[-1.0], [1.0]])
-    return EmpiricalBatch(interior=X, boundary=Y, normals=normals, seed=0)
+    return EmpiricalBatch(interior=X, boundary=Y, normals=normals)
 
 
 def test_hand_computed_interior_value():

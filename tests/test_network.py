@@ -269,6 +269,10 @@ def test_arch_recipe_caps_and_errors():
         arch_recipe(epsilon=1.5, d=1, mu=0.5, beta=1.0)
     with pytest.raises(RecipeError):
         arch_recipe(epsilon=0.5, d=1, mu=0.5, beta=1.0, c_user=0.5)
+    with pytest.raises(RecipeError, match="max_b_theta"):
+        arch_recipe(epsilon=0.5, d=1, mu=0.5, beta=1.0, max_b_theta=0.5)
+    with pytest.raises(RecipeError, match="max_weights"):
+        arch_recipe(epsilon=0.5, d=1, mu=0.5, beta=1.0, max_weights=0)
 
 
 def test_arch_recipe_budget_respected():

@@ -121,6 +121,10 @@ def test_problem_validation():
             c=parse("1", 1), f=parse("1", 1), g=ZERO_BOUNDARY,
             alpha=1.0, beta=1.0, bc_kind="neumann",  # neumann needs alpha == 0
         )
+    one = parse("1", 2)
+    for a, b in ((((one,),), (one, one)), (identity_matrix(2), (one,))):
+        with pytest.raises(ValueError, match="a must be 2x2"):
+            manufactured_problem(parse("x1", 2), a, b, one, 1.0, 1.0, unit_hypercube(2))
 
 
 def test_coefficient_evaluation_shapes():
@@ -225,15 +229,16 @@ def test_coercivity_holds_for_poisson_mass():
 
 
 def test_coercivity_fails_with_strong_advection():
-    prob = EllipticProblem(
-        domain=unit_hypercube(1), a=identity_matrix(1),
-        b=(parse("10", 1),), c=parse("0.1", 1), f=parse("1", 1),
-        g=ZERO_BOUNDARY, alpha=1.0, beta=1.0, bc_kind="robin",
-    )
-    rep = check_coercivity(prob)
-    # 4 * 1 * 0.1 - 1 * 100 < 0
-    assert not rep.holds
-    assert rep.condition < 0
+    for b in ("10", "1e300"):  # sup|b|^2 overflows a float at 1e300
+        prob = EllipticProblem(
+            domain=unit_hypercube(1), a=identity_matrix(1),
+            b=(parse(b, 1),), c=parse("0.1", 1), f=parse("1", 1),
+            g=ZERO_BOUNDARY, alpha=1.0, beta=1.0, bc_kind="robin",
+        )
+        rep = check_coercivity(prob)
+        # 4 * 1 * 0.1 - 1 * 100 < 0
+        assert not rep.holds
+        assert rep.condition < 0
 
 
 def test_coercivity_variable_diffusion():
