@@ -301,6 +301,7 @@ def _cmd_solve(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, write_c
             else result.history[-1].h1_error
         ),
         "seeds": {"train": train.seed},
+        "projection": dataclasses.asdict(result.projection),
     }
 
 
@@ -543,7 +544,10 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             effective["seed_override"] = seed_override
         cfg_hash = _config_hash(effective)
 
-        os.makedirs(target, exist_ok=True)
+        try:
+            os.makedirs(target, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as err:
+            raise ConfigError(f"output directory {target!r} is not a directory: {err.strerror}") from err
         started = _utc_now()
         t0 = time.perf_counter()
         sections = _build_sections(cfg, command, seed_override)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +51,7 @@ __all__ = [
     "clip_weights",
     "count_nonzero",
     "network_bounds",
+    "WeightMoveBound",
     "arch_recipe",
     "save_checkpoint",
     "load_checkpoint",
@@ -178,6 +180,8 @@ class NetworkArch:
             raise ValueError("need at least input and output widths")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be positive, got {self.widths}")
+        if any(w > sys.float_info.max for w in self.widths):  # init takes sqrt(6 / (n_in + n_out))
+            raise ValueError("widths must be within the float range")
         if self.widths[-1] != 1:
             raise ValueError("output width must be 1 (scalar networks)")
         if not (self.b_theta >= 1.0):
@@ -521,6 +525,68 @@ def network_bounds(arch: NetworkArch, n_nonzero: int) -> NetworkBounds:
         ln_b_grad=ln_b_grad,
         ln_l_grad=ln_l_grad,
     )
+
+
+class WeightMoveBound:
+    """Upper bounds on how far a network moves from an anchor, without a forward.
+
+    ``WeightMoveBound(anchor, x_radius)(params)`` returns ``(B_val, B_grad)``
+    with sup |f - f_a| <= B_val and sup ||grad f - grad f_a||_2 <= B_grad over
+    ||x|| <= x_radius, where f_a has the ``anchor`` weights and f the ``params``
+    of the same architecture.  A layer recursion in the spirit of spectrally
+    normalized perturbation bounds (Bartlett, Foster & Telgarsky,
+    arXiv:1706.08498), with dA = A - A_a, db = b - b_a, the pre-activation move
+    Z_k and its largest entry z_k, the hidden-state move delta_k and the
+    Jacobian move eps_k of layer k:
+
+        Z_k     <= ||A_k|| delta_{k-1} + ||dA_k|| H_{k-1} + ||db_k||
+        z_k     <= max_i (||A_k[i]|| delta_{k-1} + ||dA_k[i]|| H_{k-1} + |db_k[i]|)
+        delta_k <= l_rho Z_k
+        eps_k   <= l_rho' z_k ||A_k|| G_{k-1} + b_rho' (||A_k|| eps_{k-1} + ||dA_k|| G_a,k-1)
+
+    ||.|| is the spectral norm and ||A[i]|| a row's 2-norm.  H bounds the
+    anchor's layer inputs (x_radius, then b_rho sqrt(n_k)); G and G_a bound the
+    two networks' Jacobians (1, then b_rho' ||A_k|| G_{k-1}).  The affine output
+    layer closes the recursion as Z_D and ||A_D|| eps_{D-1} + ||dA_D|| G_a,D-1.
+    The anchor's spectral norms are computed once; a call bounds ||dA|| by its
+    Frobenius norm and ||A|| by ||A_a|| + ||dA||_F, so it costs a few vector
+    norms per layer.  Any infinite activation constant (the relu family) gives
+    (inf, inf).
+    """
+
+    def __init__(self, anchor: NetworkParams, x_radius: float):
+        if anchor.ensemble:
+            raise ValueError("WeightMoveBound takes a single anchor network, not a stack")
+        act = anchor.arch.activation
+        self.anchor = anchor
+        self.finite = all(math.isfinite(c) for c in (act.b_rho, act.l_rho, act.b_rho_prime, act.l_rho_prime))
+        self.norms = [float(np.linalg.norm(A, 2)) for A, _ in anchor.layers]
+        self.inputs = [x_radius] + [act.b_rho * math.sqrt(w) for w in anchor.arch.hidden_widths]
+        self.jacobians = [1.0]
+        for a_a in self.norms[:-1]:
+            self.jacobians.append(act.b_rho_prime * a_a * self.jacobians[-1])
+
+    def __call__(self, params: NetworkParams) -> tuple[float, float]:
+        if params.arch.widths != self.anchor.arch.widths or params.ensemble:
+            raise ValueError("WeightMoveBound compares single networks of the anchor's architecture")
+        if not self.finite:
+            return math.inf, math.inf
+        act = params.arch.activation
+        delta = eps = 0.0  # moves of the layer input and of its Jacobian in x
+        g = 1.0  # bound on the current network's Jacobian
+        layers = zip(self.anchor.layers, params.layers, self.norms, self.inputs, self.jacobians)
+        for (A_a, b_a), (A, b), a_a, h_a, g_a in layers:
+            dA, db = A - A_a, b - b_a
+            rows = np.linalg.norm(dA, axis=1)
+            d_a = float(np.linalg.norm(rows))
+            a = a_a + d_a
+            z = a * delta + d_a * h_a + float(np.linalg.norm(db))
+            grad_move = a * eps + d_a * g_a
+            z_max = float(np.max(np.linalg.norm(A, axis=1) * delta + rows * h_a + np.abs(db)))
+            eps = act.l_rho_prime * z_max * a * g + act.b_rho_prime * grad_move
+            delta = act.l_rho * z
+            g *= act.b_rho_prime * a
+        return z, grad_move
 
 
 class RecipeError(ValueError):

@@ -6,7 +6,13 @@ same sampled batch; batches are redrawn every ``resample_every`` outer steps
 from deterministic child seeds.  After every update the weights are clipped
 entrywise to the architecture's box, and after each trial-network update its
 estimated H^1 norm (on a fixed quadrature set) is softly projected back to
-``h1_ball_radius`` by rescaling the final affine layer.
+``h1_ball_radius`` by rescaling the final affine layer.  The estimate's
+quadrature forward runs on the first step, after any step where the
+projection fired, at history rows before the averaging window (which report
+it), and whenever a bound on how far the weights moved since the last
+estimate (``network.WeightMoveBound``) cannot prove the iterate is still
+inside the ball.  A skipped step is one the exact projection would have left
+unchanged, so skipping changes no result.
 
 Plain alternating descent-ascent cycles in its last iterate, so the returned
 trial network is the uniform (Polyak-Ruppert) average of the trial iterates
@@ -39,6 +45,7 @@ __all__ = [
     "TrainConfig",
     "HistoryRow",
     "TrainResult",
+    "ProjectionCounts",
     "TrainingAborted",
     "minimax_train",
     "ProbeResult",
@@ -139,6 +146,16 @@ class HistoryRow:
     seconds: float  # wall time since training started; not deterministic
 
 
+@dataclass(frozen=True)
+class ProjectionCounts:
+    """Soft projections of the trial network: quadrature forwards run, calls
+    proved unable to fire and skipped, and forwards that rescaled ``u``."""
+
+    exact: int
+    skipped: int
+    fired: int
+
+
 @dataclass
 class TrainResult:
     """``u`` is the projected final-quarter average of the trial iterates;
@@ -148,6 +165,7 @@ class TrainResult:
     v: NetworkParams
     history: list[HistoryRow]
     coercivity_holds: bool
+    projection: ProjectionCounts
 
 
 class _Optimizer:
@@ -204,6 +222,54 @@ def _soft_project(params: NetworkParams, quad: np.ndarray, volume: float, radius
     return NetworkParams(params.arch, layers), radius
 
 
+# relative slack below the radius that a proved bound must leave, covering the
+# float rounding of the exact estimates it is compared with
+_SKIP_MARGIN = 1e-9
+
+
+class _Projector:
+    """``_soft_project`` that skips the quadrature forward when it cannot fire.
+
+    The anchor is the last iterate whose exact estimate ``h1_a`` did not fire.
+    The estimate is an RMS over the quadrature points, so for any iterate
+    ``h1 <= h1_a + sqrt(volume) * hypot(B_val, B_grad)`` with the bounds of
+    ``network.WeightMoveBound`` over the points' radius.  When that sum is
+    below the radius the exact projection would return the iterate unchanged,
+    so skipping it changes nothing downstream.
+    """
+
+    def __init__(self, quad: np.ndarray, volume: float, radius: float):
+        self.quad, self.volume, self.radius = quad, volume, radius
+        self.x_radius = float(np.max(np.linalg.norm(quad, axis=1)))
+        self.anchor: tuple[net.WeightMoveBound, float] | None = None
+        self.exact = self.skipped = self.fired = 0
+
+    def iterate(self, params: NetworkParams, need_h1: bool) -> tuple[NetworkParams, float]:
+        """Project a trial iterate; the estimate is nan on a skipped call."""
+        if not need_h1 and self._cannot_fire(params):
+            self.skipped += 1
+            return params, math.nan
+        out, h1 = self.exact_project(params)
+        self.anchor = (net.WeightMoveBound(params, self.x_radius), h1) if out is params else None
+        return out, h1
+
+    def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float]:
+        out, h1 = _soft_project(params, self.quad, self.volume, self.radius)
+        self.exact += 1
+        self.fired += out is not params
+        return out, h1
+
+    def _cannot_fire(self, params: NetworkParams) -> bool:
+        if not math.isfinite(self.radius):
+            return True
+        if self.anchor is None:
+            return False
+        move_bound, h1_a = self.anchor
+        b_val, b_grad = move_bound(params)
+        reach = h1_a + math.sqrt(self.volume) * math.hypot(b_val, b_grad)
+        return reach < self.radius * (1.0 - _SKIP_MARGIN)  # False on nan
+
+
 def minimax_train(
     problem: EllipticProblem,
     u_arch: NetworkArch,
@@ -244,6 +310,7 @@ def minimax_train(
 
     quad = sample_interior(problem.domain, config.h1_quad_points, ss_quad)
     volume = problem.domain.volume
+    projector = _Projector(quad, volume, config.h1_ball_radius)
     ref_eval: Evaluator | None = None
     if u_ref is not None:
         ref_eval = loss_mod.as_evaluator(u_ref, problem.dim)
@@ -272,6 +339,7 @@ def minimax_train(
             v = net.clip_weights(net.init(v_arch, ss_restarts.spawn(1)[0]), clip_v)
             opt_v.reset()
 
+        is_row = (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1
         try:
             scale = 1.0
             if config.normalize_v:
@@ -292,19 +360,19 @@ def minimax_train(
             gu, grad_u_norm = _clip_grad(scale * gu, config.grad_clip_norm)
             u = net.flat_to_params(u_arch, opt_u.step(net.params_to_flat(u), gu, -1.0))
             u = net.clip_weights(u, clip_u)
-            u, h1_u = _soft_project(u, quad, volume, config.h1_ball_radius)
+            # a history row before the averaging window reports the iterate's h1
+            u, h1_u = projector.iterate(u, need_h1=is_row and step < avg_start)
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
 
         if step >= avg_start:
             u_avg += (net.params_to_flat(u) - u_avg) / (step - avg_start + 1)
 
-        is_last = step == config.outer_steps - 1
-        if (step + 1) % config.eval_every == 0 or is_last:
+        if is_row:
             u_out, h1_out = u, h1_u
             if step >= avg_start:
                 u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg), clip_u)
-                u_out, h1_out = _soft_project(u_out, quad, volume, config.h1_ball_radius)
+                u_out, h1_out = projector.exact_project(u_out)
             h1_v = _h1_on_quad(v, quad, volume)
             err_h1 = math.nan
             if ref_eval is not None:
@@ -328,7 +396,10 @@ def minimax_train(
             if on_eval is not None:
                 on_eval(step + 1, u_out, v, row)
 
-    return TrainResult(u=u_out, v=v, history=history, coercivity_holds=report.holds)
+    return TrainResult(
+        u=u_out, v=v, history=history, coercivity_holds=report.holds,
+        projection=ProjectionCounts(projector.exact, projector.skipped, projector.fired),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,18 @@ class TestConfigValidation:
             err = capsys.readouterr().err
             assert err.count(named) == 1 and fragment in err, err
 
+    def test_out_naming_a_regular_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        assert cli.run(write_config(tmp_path, TINY["penalty-study"]), out_dir=str(target), quiet=True) == 2
+        assert "taken" in capsys.readouterr().err
+        assert target.read_text() == "not a directory"
+
+    def test_width_beyond_float_range_exits_2(self, tmp_path, capsys):
+        doc = dict(TINY["solve"], u_arch={"widths": [1, 10**400, 1]})
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 2
+        assert "u_arch: widths must be within the float range" in capsys.readouterr().err
+
     def test_ball_domain_requires_geometry(self, tmp_path, capsys):
         doc = solve_config()
         doc["problem"]["domain"] = {"kind": "ball"}
@@ -274,6 +286,10 @@ class TestSolve:
         assert manifest["seed_override"] is None
         assert manifest["results"]["coercivity_holds"] is True
         assert manifest["results"]["final_h1_error"] == float(rows[-1][6])
+        # 20 iterates and, at step 20 inside the averaging window, the average
+        projection = manifest["results"]["projection"]
+        assert sorted(projection) == ["exact", "fired", "skipped"]
+        assert projection["exact"] + projection["skipped"] == 21
 
         params = net.load_checkpoint(str(out / "u.json"))
         assert params.arch.widths == (1, 8, 1)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakgal import network as net
 from weakgal.network import (
@@ -26,6 +27,7 @@ from weakgal.network import (
     network_bounds,
     params_to_flat,
     save_checkpoint,
+    WeightMoveBound,
 )
 
 
@@ -43,6 +45,8 @@ def test_arch_validation():
         NetworkArch(widths=(2, 3, 2), activation=TANH, b_theta=2.0)  # output must be 1
     with pytest.raises(ValueError):
         NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=0.5)  # B_theta >= 1
+    with pytest.raises(ValueError, match="float range"):
+        NetworkArch(widths=(1, 10**400, 1), activation=TANH, b_theta=2.0)
     a = NetworkArch(widths=(2, 5, 3, 1), activation=TANH, b_theta=2.0)
     assert a.depth == 3 and a.dim == 2 and a.hidden_widths == (5, 3)
     assert a.n_params() == (2 * 5 + 5) + (5 * 3 + 3) + (3 * 1 + 1)
@@ -212,6 +216,46 @@ def test_network_bounds_overflow_reports_inf():
     nb = network_bounds(arch, 1000)
     assert math.isinf(nb.l_grad)
     assert math.isfinite(nb.ln_l_grad)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    activation=st.sampled_from([TANH, LOGISTIC]),
+    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),  # depth 2-4
+    d=st.integers(1, 3),
+    weight_scale=st.floats(0.1, 3.0),
+    log_move=st.floats(-6.0, 0.0),
+    seed=st.integers(0, 2**16),
+)
+def test_weight_move_bound_covers_the_h1_estimate(activation, hidden, d, weight_scale, log_move, seed):
+    """sup |f - f_a| and sup |grad f - grad f_a| stay under the bound at sampled
+    points, so the RMS H^1 estimate moves by at most sqrt(volume) * hypot(B)."""
+    arch = NetworkArch(widths=(d, *hidden, 1), activation=activation, b_theta=10.0)
+    anchor = init(arch, seed, scheme="uniform", uniform_half_width=weight_scale)
+    rng = np.random.default_rng(seed)
+    flat_a = params_to_flat(anchor)
+    moved = flat_to_params(arch, flat_a + 10.0**log_move * rng.standard_normal(flat_a.shape))
+    X = rng.uniform(-1.0, 1.0, size=(64, d))
+    b_val, b_grad = WeightMoveBound(anchor, float(np.max(np.linalg.norm(X, axis=1))))(moved)
+
+    (va, ga), (vm, gm) = forward_dual_batch(anchor, X), forward_dual_batch(moved, X)
+    assert np.max(np.abs(vm - va)) <= b_val
+    assert np.max(np.linalg.norm(gm - ga, axis=1)) <= b_grad
+
+    def h1(vals, grads):  # the trainer's estimate on a unit-volume domain
+        return math.sqrt(np.mean(vals**2 + np.sum(grads**2, axis=1)))
+
+    assert h1(vm, gm) <= h1(va, ga) + math.hypot(b_val, b_grad)
+
+
+def test_weight_move_bound_is_zero_without_a_move_and_inf_for_relu():
+    arch = NetworkArch(widths=(2, 5, 4, 1), activation=TANH, b_theta=2.0)
+    p = init(arch, 3)
+    assert WeightMoveBound(p, 1.5)(p.copy()) == (0.0, 0.0)
+    for name in ("relu", "relu2"):
+        relu = NetworkArch(widths=(2, 5, 4, 1), activation=activation_by_name(name), b_theta=2.0)
+        q = init(relu, 3)
+        assert WeightMoveBound(q, 1.5)(q) == (math.inf, math.inf)
 
 
 def test_activation_metadata():

@@ -1,5 +1,6 @@
 """Tests for the alternating minimax trainer and the direct H^1 fitting probe."""
 
+import dataclasses
 import math
 import warnings
 
@@ -238,6 +239,57 @@ class TestMinimaxTrain:
         assert all(r.h1_u <= radius + 1e-12 for r in res.history)
         # some step must actually have hit the cap for this to test anything
         assert any(r.h1_u == pytest.approx(radius) for r in res.history)
+
+    @pytest.mark.parametrize("setup", ["fires", "skips"])
+    def test_skipped_projections_match_forced_exact_reference(self, monkeypatch, setup):
+        u_star, prob = robin_problem_1d()
+        if setup == "fires":  # the setup of test_soft_projection_caps_reported_h1
+            arch = small_arch(b_theta=50.0)
+            cfg = train.TrainConfig(
+                n_interior=32, m_boundary=32, outer_steps=30, eval_every=1,
+                optimizer="sgd", lr_u=0.3, lr_v=0.3, grad_clip_norm=0.0,
+                h1_ball_radius=0.2, seed=8,
+            )
+        else:
+            arch = small_arch()
+            cfg = train.TrainConfig(
+                n_interior=32, m_boundary=32, outer_steps=40, eval_every=5,
+                lr_u=1e-2, lr_v=1e-2, h1_ball_radius=0.5, seed=3,
+            )
+        skipping = train.minimax_train(prob, arch, arch, cfg, u_ref=u_star)
+        monkeypatch.setattr(train._Projector, "_cannot_fire", lambda self, params: False)
+        reference = train.minimax_train(prob, arch, arch, cfg, u_ref=u_star)
+
+        np.testing.assert_array_equal(flat(skipping.u), flat(reference.u))
+        np.testing.assert_array_equal(flat(skipping.v), flat(reference.v))
+        untimed = [dataclasses.astuple(r)[:-1] for r in skipping.history]
+        assert untimed == [dataclasses.astuple(r)[:-1] for r in reference.history]
+
+        got, ref = skipping.projection, reference.projection
+        rows_in_window = sum(1 for r in reference.history if r.step > (3 * cfg.outer_steps) // 4)
+        assert ref.skipped == 0 and ref.exact == cfg.outer_steps + rows_in_window
+        assert got.exact + got.skipped == ref.exact and got.fired == ref.fired
+        assert (got.fired if setup == "fires" else got.skipped) > 0
+
+    def test_infinite_ball_runs_no_projection_forward(self, monkeypatch):
+        _, prob = robin_problem_1d()
+        points = []
+        original = net.forward_dual_batch
+
+        def counting(params, X):
+            points.append(len(X))
+            return original(params, X)
+
+        monkeypatch.setattr(net, "forward_dual_batch", counting)
+        cfg = train.TrainConfig(
+            n_interior=16, m_boundary=16, outer_steps=20, eval_every=5,
+            h1_ball_radius=math.inf, h1_quad_points=64, seed=1,
+        )
+        res = train.minimax_train(prob, small_arch(), small_arch(), cfg)
+        # rows 5, 10 and 15 report the iterate's h1, row 20 the average's, and
+        # each row v's; no other step evaluates u on the quadrature set
+        assert points == [64] * 8
+        assert res.projection == train.ProjectionCounts(exact=4, skipped=17, fired=0)
 
     def test_v_restart_is_deterministic_and_changes_v(self):
         _, prob = robin_problem_1d()
