@@ -5,8 +5,11 @@ trees: parse them from text, evaluate them on batches of points, and
 differentiate them symbolically (differentiation is closed over the node set,
 which is why power exponents are restricted to integers).
 
-Evaluation never lets NaN/Inf escape silently: any non-finite intermediate
-raises ``EvalError``.
+Evaluation never lets NaN/Inf escape silently.  The parser rejects a literal
+that overflows to infinity, and each evaluation runs under one floating-point
+trap: the first op that overflows, divides by zero or makes an invalid value
+raises ``EvalError``, even if later ops would mask it.  The error names the
+numpy op and the flag (``overflow encountered in exp``), not the sample.
 """
 
 from __future__ import annotations
@@ -246,6 +249,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         for kind in ("number", "name", "op"):
             val = m.group(kind)
             if val is not None:
+                if kind == "number" and not math.isfinite(float(val)):
+                    raise ParseError(f"number {val} overflows the float range", m.start(kind))
                 tokens.append((kind, val, m.start(kind)))
                 break
         pos = m.end()
@@ -386,20 +391,16 @@ def evaluate_many(ast: ExprAst, points: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(points)):
         raise EvalError("non-finite evaluation point")
-    out = np.asarray(_eval_node(ast.root, points), dtype=np.float64)
+    # with finite points and constants, the op making the first non-finite
+    # intermediate raises a flag, even if later ops would mask the value
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            out = np.asarray(_eval_node(ast.root, points), dtype=np.float64)
+    except FloatingPointError as err:
+        raise EvalError(f"non-finite intermediate value: {err}") from None
     if out.ndim == 0:
         out = np.full(points.shape[0], float(out))
     return out
-
-
-def _ensure_finite(value):
-    # intermediate NaN/Inf raises immediately, even if later ops would mask it
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        flat = np.ravel(np.isfinite(arr))
-        bad = int(np.argmin(flat))
-        raise EvalError(f"non-finite intermediate value at sample {bad}")
-    return value
 
 
 def evaluate(ast: ExprAst, x) -> float:
@@ -408,47 +409,32 @@ def evaluate(ast: ExprAst, x) -> float:
     return float(evaluate_many(ast, x)[0])
 
 
+_OPS = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+}
+
+
 def _eval_node(node: Node, pts: np.ndarray):
     if isinstance(node, Const):
-        return _ensure_finite(node.value)
+        # diff's folding can make an infinite constant, and inf*x raises no flag
+        if not math.isfinite(node.value):
+            raise EvalError(f"non-finite constant {node.value!r}")
+        return node.value
     if isinstance(node, Var):
         return pts[:, node.index - 1]
-    if isinstance(node, Unary):
-        a = _eval_node(node.arg, pts)
-        if node.op == "neg":
-            return np.negative(a)
-        if node.op == "sin":
-            return np.sin(a)
-        if node.op == "cos":
-            return np.cos(a)
-        if node.op == "exp":
-            with np.errstate(over="ignore"):
-                return _ensure_finite(np.exp(a))
-        if node.op == "tanh":
-            return np.tanh(a)
-        raise ExprError(f"unknown unary op {node.op!r}")
-    if isinstance(node, Binary):
-        a = _eval_node(node.left, pts)
-        b = _eval_node(node.right, pts)
-        if node.op == "add":
-            return _ensure_finite(np.add(a, b))
-        if node.op == "sub":
-            return _ensure_finite(np.subtract(a, b))
-        if node.op == "mul":
-            return _ensure_finite(np.multiply(a, b))
-        if node.op == "div":
-            b_arr = np.asarray(b, dtype=np.float64)
-            if np.any(b_arr == 0.0):
-                raise EvalError("division by zero")
-            return _ensure_finite(np.divide(a, b))
-        raise ExprError(f"unknown binary op {node.op!r}")
     if isinstance(node, Pow):
-        a = np.asarray(_eval_node(node.base, pts), dtype=np.float64)
-        if node.exponent < 0 and np.any(a == 0.0):
-            raise EvalError("zero raised to a negative power")
-        with np.errstate(over="ignore", divide="ignore"):
-            return _ensure_finite(np.power(a, node.exponent))
-    raise TypeError(f"not an expression node: {node!r}")
+        return np.power(np.asarray(_eval_node(node.base, pts), dtype=np.float64), node.exponent)
+    if isinstance(node, Unary):
+        args = (_eval_node(node.arg, pts),)
+    elif isinstance(node, Binary):
+        args = (_eval_node(node.left, pts), _eval_node(node.right, pts))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    op = _OPS.get(node.op)
+    if op is None or op.nin != len(args):
+        raise ExprError(f"unknown {type(node).__name__.lower()} op {node.op!r}")
+    return op(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +515,9 @@ def _wrap(node: Node, minimum: int) -> str:
     return text
 
 
-def _print_const(value: float) -> str:
-    # repr round-trips float64 exactly, which print->parse->eval relies on
-    return repr(value)
-
-
 def _print_node(node: Node) -> str:
     if isinstance(node, Const):
-        return _print_const(node.value)
+        return repr(node.value)  # round-trips float64 exactly, as print->parse->eval needs
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Unary):

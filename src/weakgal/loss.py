@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as expr_mod
 from . import network as net
 from .network import NetworkParams
-from .pde import Domain, EllipticProblem, EmpiricalBatch, sample_batch, sample_interior
+from .pde import Domain, EllipticProblem, EmpiricalBatch, sample_interior
 
 __all__ = [
     "LossValue",
@@ -40,9 +40,7 @@ __all__ = [
     "empirical_loss",
     "loss_gradients",
     "GradientCache",
-    "continuous_loss_estimate",
     "h1_error",
-    "estimate_h1_norm",
 ]
 
 # an evaluator maps points (n, d) -> (values (n,), gradients (n, d))
@@ -267,24 +265,6 @@ def loss_gradients(
     return grad_u, grad_v, value
 
 
-def continuous_loss_estimate(
-    u,
-    v,
-    problem: EllipticProblem,
-    n_big: int,
-    seed,
-    boundary_alpha_half: bool = False,
-) -> LossValue:
-    """Objective on a fresh batch of n_big interior and n_big boundary points.
-
-    With the same seed and n_big equal to a batch's size this reproduces
-    ``empirical_loss`` on ``sample_batch(domain, n, n, seed)`` exactly; with
-    large n_big it stands in for the continuous objective.
-    """
-    batch = sample_batch(problem.domain, n_big, n_big, seed)
-    return empirical_loss(u, v, problem, batch, boundary_alpha_half)
-
-
 def h1_error(
     u,
     u_ref,
@@ -322,7 +302,3 @@ def h1_error(
         se_seminorm_sq=se_semi,
     )
 
-
-def estimate_h1_norm(u, domain: Domain, n_quad: int = 4096, seed=0) -> float:
-    """Monte Carlo H^1 norm of a single evaluator (distance to zero)."""
-    return h1_error(u, None, domain, n_quad, seed).h1

@@ -204,6 +204,16 @@ class TestConfigValidation:
             assert key in capsys.readouterr().err
             assert not (out / "history.csv").exists()
 
+    def test_expression_literal_beyond_float_range_exits_2(self, tmp_path, capsys):
+        for key, text in (("c", "1e400"), ("u_exact", "sin(pi*x1) * 2e308")):
+            doc = solve_config()
+            doc["problem"][key] = text
+            out = tmp_path / key
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, text
+            err = capsys.readouterr().err
+            assert f"problem.{key}" in err and "offset" in err, err
+            assert not (out / "history.csv").exists()
+
     def test_pinned_knobs_and_infinite_ball_stay_valid(self, tmp_path):
         doc = solve_config()
         doc["train"].update(

@@ -1,12 +1,16 @@
 """Parser, evaluator, and symbolic derivative tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakgal import expr
-from weakgal.expr import EvalError, ParseError, diff, evaluate_many, parse
+from weakgal.expr import (
+    Binary, Const, EvalError, ExprAst, ParseError, Pow, Unary, Var, diff, evaluate_many, parse,
+)
 
 
 def test_numeric_literals_and_pi():
@@ -99,6 +103,48 @@ def test_intermediate_overflow_not_masked():
         evaluate_many(e, np.array([[1000.0]]))
 
 
+def test_overflowing_literal_rejected_at_its_offset():
+    for text, offset in (("1e400", 0), ("x1 + 2*1e309", 7), ("x1^1e400", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text, 1)
+        assert err.value.offset == offset, text
+    assert parse("1e-400 + x1", 1)((2.0,)) == 2.0  # underflow to zero is finite
+
+
+def test_overflow_raises_eval_error_not_a_warning():
+    e = parse("x1*1e308*10", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError, match="overflow encountered in multiply"):
+            evaluate_many(e, np.array([[1.0]]))
+
+
+def test_error_names_the_op_and_flag():
+    cases = (("exp(x1)", 1000.0, "overflow encountered in exp"),
+             ("1/x1", 0.0, "divide by zero encountered in divide"),
+             ("x1/x1", 0.0, "invalid value encountered in divide"),
+             ("x1^-2", 0.0, "divide by zero encountered in power"))
+    for text, x, message in cases:
+        with pytest.raises(EvalError, match=message):
+            evaluate_many(parse(text, 1), np.array([[0.5], [x]]))
+
+
+def test_constant_folded_to_infinity_raises():
+    # inf * x sets no floating-point flag, so the constant itself must be caught
+    d = diff(parse("1e200*(1e200*x1)", 1), 1)
+    assert d.root == Const(math.inf)
+    with pytest.raises(EvalError):
+        evaluate_many(d, np.array([[0.5]]))
+    with pytest.raises(EvalError):
+        evaluate_many(ExprAst(Binary("mul", Const(math.nan), Var(1)), 1), np.array([[0.5]]))
+
+
+def test_unknown_op_is_an_expr_error():
+    for node in (Unary("log", Var(1)), Binary("pow", Var(1), Var(1)), Unary("add", Var(1))):
+        with pytest.raises(expr.ExprError, match="unknown"):
+            evaluate_many(ExprAst(node, 1), np.array([[0.5]]))
+
+
 def test_diff_basic_rules():
     pts = np.linspace(0.05, 0.95, 7).reshape(-1, 1)
     cases = [
@@ -185,3 +231,84 @@ def test_constant_folding_neutral_elements():
     # smart constructors drop additive/multiplicative identities
     e = diff(parse("x1 + 0*x2", 2), 1)
     assert str(e) == "1.0"
+
+
+def _scanning_eval(node, pts):
+    """The per-node scanning walk that the trapped evaluator replaced, kept as
+    its reference: every intermediate is checked for finiteness."""
+
+    def finite(value):
+        if not np.all(np.isfinite(np.asarray(value))):
+            raise EvalError("non-finite intermediate value")
+        return value
+
+    if isinstance(node, Const):
+        return finite(node.value)
+    if isinstance(node, Var):
+        return pts[:, node.index - 1]
+    if isinstance(node, Unary):
+        a = _scanning_eval(node.arg, pts)
+        ops = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "tanh": np.tanh}
+        if node.op == "exp":
+            return finite(np.exp(a))
+        return ops[node.op](a)
+    if isinstance(node, Binary):
+        a = _scanning_eval(node.left, pts)
+        b = _scanning_eval(node.right, pts)
+        if node.op == "div" and np.any(np.asarray(b, dtype=np.float64) == 0.0):
+            raise EvalError("division by zero")
+        ops = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+        return finite(ops[node.op](a, b))
+    a = np.asarray(_scanning_eval(node.base, pts), dtype=np.float64)
+    if node.exponent < 0 and np.any(a == 0.0):
+        raise EvalError("zero raised to a negative power")
+    return finite(np.power(a, node.exponent))
+
+
+def _reference_many(ast, pts):
+    with np.errstate(all="ignore"):
+        out = np.asarray(_scanning_eval(ast.root, pts), dtype=np.float64)
+    return np.full(pts.shape[0], float(out)) if out.ndim == 0 else out
+
+
+def _outcome(evaluate, ast, pts):
+    """The bytes of the result, or None if evaluation raised EvalError."""
+    try:
+        out = evaluate(ast, pts)
+    except EvalError:
+        return None
+    assert out.dtype == np.float64 and out.shape == (pts.shape[0],)
+    return out.tobytes()
+
+
+_CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, 1e200, -1e200, 1e-200]) | st.floats(-4.0, 4.0)
+_LEAVES = _CONSTANTS.map(Const) | st.integers(1, 2).map(Var)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "exp", "tanh"]), children)
+        | st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children)
+        | st.builds(Pow, children, st.integers(-3, 5))
+    ),
+    max_leaves=20,
+).map(lambda root: ExprAst(root, 2))
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, 800.0, -800.0]) | st.floats(-3.0, 3.0)
+_POINTS = st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6).map(
+    lambda rows: np.array(rows, dtype=np.float64)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_TREES, _POINTS)
+def test_trapped_evaluation_matches_scanning_walk(ast, pts):
+    """Both raise EvalError or both return the same bits, on a tree and on its
+    derivative (whose folded constants can overflow to infinity)."""
+    for tree in (ast, diff(ast, 1)):
+        assert _outcome(evaluate_many, tree, pts) == _outcome(_reference_many, tree, pts), str(tree)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_TREES, _POINTS)
+def test_printed_tree_reparses_to_the_same_values(ast, pts):
+    again = parse(expr.to_string(ast), 2)
+    assert _outcome(evaluate_many, again, pts) == _outcome(evaluate_many, ast, pts), str(ast)

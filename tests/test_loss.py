@@ -10,9 +10,7 @@ from weakgal.expr import parse
 from weakgal.loss import (
     NonFiniteLossError,
     as_evaluator,
-    continuous_loss_estimate,
     empirical_loss,
-    estimate_h1_norm,
     h1_error,
     loss_gradients,
 )
@@ -249,7 +247,6 @@ def test_h1_error_network_vs_expression():
     p = init(arch, 0)
     est_net = h1_error(p, None, unit_hypercube(1), n_quad=4096, seed=3)
     assert est_net.h1 > 0.0
-    assert estimate_h1_norm(p, unit_hypercube(1), n_quad=4096, seed=3) == est_net.h1
 
 
 def test_h1_estimate_clt_rate():
@@ -266,16 +263,6 @@ def test_h1_estimate_clt_rate():
         mean_abs.append(np.mean(errs))
     slope = np.polyfit(np.log(ns), np.log(mean_abs), 1)[0]
     assert -0.65 <= slope <= -0.35
-
-
-def test_continuous_loss_estimate_matches_empirical_on_same_seed():
-    prob = _neumann_problem(c="1")
-    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
-    u, v = init(arch, 8), init(arch, 9)
-    big = continuous_loss_estimate(u, v, prob, 128, seed=77)
-    batch = sample_batch(prob.domain, 128, 128, 77)
-    direct = empirical_loss(u, v, prob, batch)
-    assert big.total == direct.total
 
 
 def test_as_evaluator_kinds():
