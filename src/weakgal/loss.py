@@ -40,6 +40,7 @@ __all__ = [
     "empirical_loss",
     "loss_gradients",
     "GradientCache",
+    "H1Reference",
     "h1_error",
 ]
 
@@ -67,18 +68,12 @@ class LossValue:
 
 @dataclass(frozen=True)
 class H1Estimate:
-    """Monte Carlo H^1 distance: h1^2 = l2_part^2 + seminorm_part^2.
-
-    ``se_*`` are standard errors of the squared-norm estimates (sample std of
-    the per-point contributions over sqrt(n)).
-    """
+    """Monte Carlo H^1 distance: h1^2 = l2_part^2 + seminorm_part^2 up to
+    rounding, since ``h1`` averages the summed squares in one pass."""
 
     l2_part: float
     seminorm_part: float
     h1: float
-    n_samples: int
-    se_l2_sq: float
-    se_seminorm_sq: float
 
 
 def as_evaluator(obj: Union[NetworkParams, expr_mod.ExprAst, Evaluator, None], dim: int) -> Evaluator:
@@ -265,6 +260,39 @@ def loss_gradients(
     return grad_u, grad_v, value
 
 
+class H1Reference:
+    """A reference function evaluated once on a fixed point set.
+
+    ``distance(u)`` is the Monte Carlo H^1 distance of ``u`` from it over a
+    domain of the given volume, with the points as quadrature nodes.  Either
+    function may be a NetworkParams, an ExprAst, an evaluator, or None (zero).
+    The arrays are only read after construction, so threads may share one
+    reference.
+    """
+
+    def __init__(self, u_ref, points: np.ndarray, volume: float):
+        self.points, self.volume = points, volume
+        # a zero reference is not subtracted: the differences then keep the
+        # memory layout of u's gradients, on which einsum's rounding depends
+        # from three dimensions on
+        self.ref = None if u_ref is None else as_evaluator(u_ref, points.shape[1])(points)
+
+    def distance(self, u) -> H1Estimate:
+        du, dg = as_evaluator(u, self.points.shape[1])(self.points)
+        if self.ref is not None:
+            du, dg = du - self.ref[0], dg - self.ref[1]
+        du_sq = du**2
+        dg_sq = np.einsum("ni,ni->n", dg, dg)
+        l2_sq = float(np.mean(self.volume * du_sq))
+        semi_sq = float(np.mean(self.volume * dg_sq))
+        h1_sq = self.volume * float(np.mean(du_sq + dg_sq))
+        return H1Estimate(
+            l2_part=math.sqrt(max(l2_sq, 0.0)),
+            seminorm_part=math.sqrt(max(semi_sq, 0.0)),
+            h1=math.sqrt(max(h1_sq, 0.0)),
+        )
+
+
 def h1_error(
     u,
     u_ref,
@@ -272,33 +300,8 @@ def h1_error(
     n_quad: int = 4096,
     seed=0,
 ) -> H1Estimate:
-    """Monte Carlo H^1 distance between two evaluators over the domain.
-
-    Accepts NetworkParams, ExprAst, or any evaluator callable for either
-    argument (None means the zero function).
-    """
+    """Monte Carlo H^1 distance between two functions over ``n_quad`` points
+    sampled uniformly in the domain (see ``H1Reference``)."""
     if n_quad < 2:
         raise ValueError("n_quad must be >= 2")
-    ev_u = as_evaluator(u, domain.dim)
-    ev_ref = as_evaluator(u_ref, domain.dim)
-    X = sample_interior(domain, n_quad, seed)
-    u_vals, u_grads = ev_u(X)
-    r_vals, r_grads = ev_ref(X)
-    du = u_vals - r_vals
-    dg = u_grads - r_grads
-    vol = domain.volume
-    l2_samples = vol * du**2
-    semi_samples = vol * np.einsum("ni,ni->n", dg, dg)
-    l2_sq = float(np.mean(l2_samples))
-    semi_sq = float(np.mean(semi_samples))
-    se_l2 = float(np.std(l2_samples, ddof=1) / math.sqrt(n_quad))
-    se_semi = float(np.std(semi_samples, ddof=1) / math.sqrt(n_quad))
-    return H1Estimate(
-        l2_part=math.sqrt(max(l2_sq, 0.0)),
-        seminorm_part=math.sqrt(max(semi_sq, 0.0)),
-        h1=math.sqrt(max(l2_sq + semi_sq, 0.0)),
-        n_samples=n_quad,
-        se_l2_sq=se_l2,
-        se_seminorm_sq=se_semi,
-    )
-
+    return H1Reference(u_ref, sample_interior(domain, n_quad, seed), domain.volume).distance(u)

@@ -393,6 +393,14 @@ def lipschitz_probe(arch: NetworkArch, n_probes: int = 1000, seed=0) -> list[Bou
     ]
 
 
+# the reference batch of empirical_sta_error is this many times the sampled one
+_BIG_FACTOR = 100
+# signed-gradient ascent steps refining the best probe, each moving the weights
+# by this fraction of B_theta
+_ASCENT_STEPS = 3
+_ASCENT_STEP_FRAC = 0.05
+
+
 @dataclass(frozen=True)
 class StaErrorEstimate:
     """Empirical lower bound on the statistical error sup |L_small - L_big|."""
@@ -414,17 +422,13 @@ def empirical_sta_error(
     trials: int = 20,
     probe_budget: int = 20,
     seed=0,
-    big_factor: int = 100,
-    ascent_steps: int = 3,
-    ascent_step_frac: float = 0.05,
-    boundary_alpha_half: bool = False,
 ) -> StaErrorEstimate:
     """Adversarial estimate of sup_(u,v) |L_hat_N(u,v) - L_hat_big(u,v)|.
 
-    Per trial: a fresh N-point batch is compared against a ``big_factor`` times
-    larger reference batch; random network probes (the first probe is the zero
-    network) are refined by a few signed-gradient ascent steps, staying inside
-    the weight box.  Each batch's coefficients are evaluated once per trial.
+    Per trial: a fresh N-point batch is compared against a ``_BIG_FACTOR``
+    times larger reference batch; random network probes (the first probe is
+    the zero network) are refined by ``_ASCENT_STEPS`` signed-gradient ascent
+    steps, staying inside the weight box.  Each batch's coefficients are evaluated once per trial.
     Probe networks derive from seeds independent of N, so sweeps over N reuse
     the same probe parameters.  The reported bound is the statistical error
     bound with C_user = 1 instantiated conservatively with the
@@ -436,14 +440,14 @@ def empirical_sta_error(
     for t in range(trials):
         batch = sample_batch(problem.domain, n_samples, n_samples, [seed, 2000 + t])
         big = sample_batch(
-            problem.domain, big_factor * n_samples, big_factor * n_samples, [seed, 3000 + t]
+            problem.domain, _BIG_FACTOR * n_samples, _BIG_FACTOR * n_samples, [seed, 3000 + t]
         )
         probe_rng = np.random.default_rng([seed, 1000 + t])
         small_cache, big_cache = loss_mod.GradientCache(), loss_mod.GradientCache()
 
         def discrepancy(pu, pv):
-            small = loss_mod.empirical_loss(pu, pv, problem, batch, boundary_alpha_half, cache=small_cache)
-            large = loss_mod.empirical_loss(pu, pv, problem, big, boundary_alpha_half, cache=big_cache)
+            small = loss_mod.empirical_loss(pu, pv, problem, batch, cache=small_cache)
+            large = loss_mod.empirical_loss(pu, pv, problem, big, cache=big_cache)
             return abs(small.total - large.total)
 
         best_val = -1.0
@@ -462,23 +466,18 @@ def empirical_sta_error(
         # each iterate's discrepancy is read from the gradient calls at it;
         # the first iterate is the best probe, already counted
         pu, pv = best_pair
-        for _ in range(ascent_steps):
-            gu_s, gv_s, small = loss_mod.loss_gradients(
-                pu, pv, problem, batch, boundary_alpha_half, cache=small_cache
-            )
-            gu_b, gv_b, large = loss_mod.loss_gradients(
-                pu, pv, problem, big, boundary_alpha_half, cache=big_cache
-            )
+        for _ in range(_ASCENT_STEPS):
+            gu_s, gv_s, small = loss_mod.loss_gradients(pu, pv, problem, batch, cache=small_cache)
+            gu_b, gv_b, large = loss_mod.loss_gradients(pu, pv, problem, big, cache=big_cache)
             best_val = max(best_val, abs(small.total - large.total))
             sign = 1.0 if small.total >= large.total else -1.0
             du = sign * (gu_s - gu_b)
             dv = sign * (gv_s - gv_b)
-            scale_u = ascent_step_frac * u_arch.b_theta / max(float(np.linalg.norm(du)), 1e-12)
-            scale_v = ascent_step_frac * v_arch.b_theta / max(float(np.linalg.norm(dv)), 1e-12)
+            scale_u = _ASCENT_STEP_FRAC * u_arch.b_theta / max(float(np.linalg.norm(du)), 1e-12)
+            scale_v = _ASCENT_STEP_FRAC * v_arch.b_theta / max(float(np.linalg.norm(dv)), 1e-12)
             pu = net.clip_weights(net.flat_to_params(u_arch, net.params_to_flat(pu) + scale_u * du))
             pv = net.clip_weights(net.flat_to_params(v_arch, net.params_to_flat(pv) + scale_v * dv))
-        if ascent_steps:
-            best_val = max(best_val, discrepancy(pu, pv))
+        best_val = max(best_val, discrepancy(pu, pv))
         maxima.append(best_val)
 
     mean = float(np.mean(maxima))

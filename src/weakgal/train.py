@@ -37,7 +37,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import network as net
-from .loss import Evaluator, NonFiniteLossError
+from .loss import NonFiniteLossError
 from .network import NetworkArch, NetworkParams
 from .pde import EllipticProblem, check_coercivity, sample_batch, sample_interior
 
@@ -83,7 +83,6 @@ class TrainConfig:
     grad_clip_norm: float = 10.0  # 0 disables
     h1_ball_radius: float = 2.0  # inf disables the soft projection
     h1_quad_points: int = 4096
-    normalize_v: bool = False
     boundary_alpha_half: bool = False
     v_restart_every: int = 0  # 0 = never reinitialize the test network
     eval_every: int = 100
@@ -197,22 +196,22 @@ class _Optimizer:
         self.t = 0
 
 
-def _clip_grad(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(grad))
+def _clip_grad(grad: np.ndarray, max_norm: float, name: str) -> tuple[np.ndarray, float]:
+    """Rescale ``grad`` to norm ``max_norm`` (0 disables); returns it and its
+    norm.  A non-finite norm raises, since ``max_norm / inf`` would zero the step."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
+    if not math.isfinite(norm):
+        raise NonFiniteLossError(f"{name} norm", -1)
     if max_norm > 0 and norm > max_norm:
         return grad * (max_norm / norm), norm
     return grad, norm
 
 
-def _h1_on_quad(params: NetworkParams, quad: np.ndarray, volume: float) -> float:
-    vals, grads = net.forward_dual_batch(params, quad)
-    sq = volume * float(np.mean(vals**2 + np.einsum("ni,ni->n", grads, grads)))
-    return math.sqrt(max(sq, 0.0))
-
-
-def _soft_project(params: NetworkParams, quad: np.ndarray, volume: float, radius: float) -> tuple[NetworkParams, float]:
-    """Rescale the final affine layer so the estimated H^1 norm is <= radius."""
-    h1 = _h1_on_quad(params, quad, volume)
+def _soft_project(params: NetworkParams, zero: loss_mod.H1Reference, radius: float) -> tuple[NetworkParams, float]:
+    """Rescale the final affine layer so the H^1 norm estimated against the
+    zero reference ``zero`` is <= radius."""
+    h1 = zero.distance(params).h1
     if not math.isfinite(radius) or h1 <= radius or h1 == 0.0:
         return params, h1
     factor = radius / h1
@@ -238,9 +237,9 @@ class _Projector:
     so skipping it changes nothing downstream.
     """
 
-    def __init__(self, quad: np.ndarray, volume: float, radius: float):
-        self.quad, self.volume, self.radius = quad, volume, radius
-        self.x_radius = float(np.max(np.linalg.norm(quad, axis=1)))
+    def __init__(self, zero: loss_mod.H1Reference, radius: float):
+        self.zero, self.radius = zero, radius
+        self.x_radius = float(np.max(np.linalg.norm(zero.points, axis=1)))
         self.anchor: tuple[net.WeightMoveBound, float] | None = None
         self.exact = self.skipped = self.fired = 0
 
@@ -254,7 +253,7 @@ class _Projector:
         return out, h1
 
     def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float]:
-        out, h1 = _soft_project(params, self.quad, self.volume, self.radius)
+        out, h1 = _soft_project(params, self.zero, self.radius)
         self.exact += 1
         self.fired += out is not params
         return out, h1
@@ -266,7 +265,7 @@ class _Projector:
             return False
         move_bound, h1_a = self.anchor
         b_val, b_grad = move_bound(params)
-        reach = h1_a + math.sqrt(self.volume) * math.hypot(b_val, b_grad)
+        reach = h1_a + math.sqrt(self.zero.volume) * math.hypot(b_val, b_grad)
         return reach < self.radius * (1.0 - _SKIP_MARGIN)  # False on nan
 
 
@@ -308,12 +307,11 @@ def minimax_train(
     u = net.clip_weights(u, clip_u)
     v = net.clip_weights(v, clip_v)
 
+    # h1_u, h1_v and h1_error are all estimated on one quadrature set
     quad = sample_interior(problem.domain, config.h1_quad_points, ss_quad)
-    volume = problem.domain.volume
-    projector = _Projector(quad, volume, config.h1_ball_radius)
-    ref_eval: Evaluator | None = None
-    if u_ref is not None:
-        ref_eval = loss_mod.as_evaluator(u_ref, problem.dim)
+    zero = loss_mod.H1Reference(None, quad, problem.domain.volume)
+    projector = _Projector(zero, config.h1_ball_radius)
+    ref = None if u_ref is None else loss_mod.H1Reference(u_ref, quad, problem.domain.volume)
 
     opt_u = _Optimizer(config, u_arch.n_params(), config.lr_u)
     opt_v = _Optimizer(config, v_arch.n_params(), config.lr_v)
@@ -341,15 +339,11 @@ def minimax_train(
 
         is_row = (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1
         try:
-            scale = 1.0
-            if config.normalize_v:
-                # normalization factor treated as a constant within the step
-                scale = 1.0 / max(1.0, _h1_on_quad(v, quad, volume))
             for _ in range(config.inner_steps):
                 _, gv, _ = loss_mod.loss_gradients(
                     u, v, problem, batch, config.boundary_alpha_half, need_u=False, cache=cache
                 )
-                gv, grad_v_norm = _clip_grad(scale * gv, config.grad_clip_norm)
+                gv, grad_v_norm = _clip_grad(gv, config.grad_clip_norm, "grad_v")
                 v = net.flat_to_params(v_arch, opt_v.step(net.params_to_flat(v), gv, +1.0))
                 v = net.clip_weights(v, clip_v)
 
@@ -357,7 +351,7 @@ def minimax_train(
                 u, v, problem, batch, config.boundary_alpha_half, need_v=False, cache=cache
             )
             last_loss = value
-            gu, grad_u_norm = _clip_grad(scale * gu, config.grad_clip_norm)
+            gu, grad_u_norm = _clip_grad(gu, config.grad_clip_norm, "grad_u")
             u = net.flat_to_params(u_arch, opt_u.step(net.params_to_flat(u), gu, -1.0))
             u = net.clip_weights(u, clip_u)
             # a history row before the averaging window reports the iterate's h1
@@ -373,21 +367,14 @@ def minimax_train(
             if step >= avg_start:
                 u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg), clip_u)
                 u_out, h1_out = projector.exact_project(u_out)
-            h1_v = _h1_on_quad(v, quad, volume)
-            err_h1 = math.nan
-            if ref_eval is not None:
-                err_h1 = loss_mod.h1_error(
-                    u_out, ref_eval, problem.domain,
-                    n_quad=config.h1_quad_points, seed=ss_quad,
-                ).h1
             row = HistoryRow(
                 step=step + 1,
                 loss_total=last_loss.total,
                 loss_interior=last_loss.interior,
                 loss_boundary=last_loss.boundary,
                 h1_u=h1_out,
-                h1_v=h1_v,
-                h1_error=err_h1,
+                h1_v=zero.distance(v).h1,
+                h1_error=math.nan if ref is None else ref.distance(u_out).h1,
                 grad_u_norm=grad_u_norm,
                 grad_v_norm=grad_v_norm,
                 seconds=time.perf_counter() - t0,
@@ -438,16 +425,9 @@ def approx_error_probe(
     params = net.clip_weights(net.init(arch, ss_init), arch.b_theta)
     opt = _Optimizer(config, arch.n_params(), config.lr_u)
     quad = sample_interior(domain, config.h1_quad_points, ss_quad)
-    t_quad_vals, t_quad_grads = target(quad)
+    held_out = loss_mod.H1Reference(target, quad, volume)
 
-    def held_out_distance(p: NetworkParams) -> float:
-        vals, grads = net.forward_dual_batch(p, quad)
-        sq = volume * float(
-            np.mean((vals - t_quad_vals) ** 2 + np.sum((grads - t_quad_grads) ** 2, axis=1))
-        )
-        return math.sqrt(max(sq, 0.0))
-
-    best = held_out_distance(params)
+    best = held_out.distance(params).h1
     best_params = params.copy()
     history = [(0, best)]
     X = None
@@ -460,13 +440,14 @@ def approx_error_probe(
         seed_val = 2.0 * w * (tape.values - t_vals)
         seed_grad = 2.0 * w * (tape.grads - t_grads)
         g = net.backprop_tape(tape, seed_val, seed_grad)
-        if not np.all(np.isfinite(g)):
-            raise TrainingAborted(step, "fit gradient", -1)
-        g, _ = _clip_grad(g, config.grad_clip_norm)
+        try:  # a non-finite entry makes the norm non-finite too
+            g, _ = _clip_grad(g, config.grad_clip_norm, "fit gradient")
+        except NonFiniteLossError as err:
+            raise TrainingAborted(step, err.component, err.sample_index) from err
         params = net.flat_to_params(arch, opt.step(net.params_to_flat(params), g, -1.0))
         params = net.clip_weights(params, arch.b_theta)
         if (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1:
-            dist = held_out_distance(params)
+            dist = held_out.distance(params).h1
             history.append((step + 1, dist))
             if dist < best:
                 best = dist

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakgal import cli, network as net
+from weakgal import cli, expr, network as net
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -355,6 +355,20 @@ class TestSolve:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_gradient_norm_overflow_exits_3(self, tmp_path, capsys):
+        # beta = 1e-300 weights the boundary term by ~1e300: every gradient
+        # entry is finite but its norm overflows, which used to clip the step
+        # to zero and exit 0
+        doc = copy.deepcopy(TINY["solve"])
+        doc["problem"]["beta"] = 1e-300
+        doc["u_arch"] = doc["v_arch"] = {"widths": [1, 4, 1]}
+        doc["train"] = dict(_TINY_TRAIN, outer_steps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
+        assert code == 3
+        assert "grad_v norm" in capsys.readouterr().err
+
     def test_main_argv_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, solve_config())
         out = tmp_path / "out"
@@ -445,6 +459,21 @@ class TestConvergenceStudy:
             assert cli.run(cfg, out_dir=str(out), quiet=True) == 0
             blobs.append((out / "convergence.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_evaluates_u_exact_once(self, tmp_path, monkeypatch):
+        # the evaluation set is sampled and u_exact evaluated before the pool
+        # starts, not once per (N, seed) job
+        on_eval_set = []
+        evaluate_many = expr.evaluate_many
+
+        def counting(tree, points):
+            if len(points) == 1024:  # eval_quad
+                on_eval_set.append(tree)
+            return evaluate_many(tree, points)
+
+        monkeypatch.setattr(expr, "evaluate_many", counting)
+        assert cli.run(self.config(tmp_path), out_dir=str(tmp_path / "out"), quiet=True) == 0
+        assert len(on_eval_set) == 2  # u_exact and its one derivative, once each
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)

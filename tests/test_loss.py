@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakgal import loss, network as net, pde
 from weakgal.expr import parse
 from weakgal.loss import (
+    H1Reference,
     NonFiniteLossError,
     as_evaluator,
     empirical_loss,
@@ -247,6 +249,81 @@ def test_h1_error_network_vs_expression():
     p = init(arch, 0)
     est_net = h1_error(p, None, unit_hypercube(1), n_quad=4096, seed=3)
     assert est_net.h1 > 0.0
+
+
+# The three H^1 formulas the estimator replaced, kept as its reference: the
+# soft projection's norm, the approximation probe's held-out distance, and the
+# (l2_part, seminorm_part, h1) of h1_error.
+
+
+def _projection_norm(params, quad, volume):
+    vals, grads = net.forward_dual_batch(params, quad)
+    sq = volume * float(np.mean(vals**2 + np.einsum("ni,ni->n", grads, grads)))
+    return math.sqrt(max(sq, 0.0))
+
+
+def _held_out_distance(params, quad, volume, t_vals, t_grads):
+    vals, grads = net.forward_dual_batch(params, quad)
+    sq = volume * float(np.mean((vals - t_vals) ** 2 + np.sum((grads - t_grads) ** 2, axis=1)))
+    return math.sqrt(max(sq, 0.0))
+
+
+def _separate_parts(u, u_ref, domain, n_quad, seed):
+    X = pde.sample_interior(domain, n_quad, seed)
+    u_vals, u_grads = as_evaluator(u, domain.dim)(X)
+    r_vals, r_grads = as_evaluator(u_ref, domain.dim)(X)
+    du, dg = u_vals - r_vals, u_grads - r_grads
+    l2_sq = float(np.mean(domain.volume * du**2))
+    semi_sq = float(np.mean(domain.volume * np.einsum("ni,ni->n", dg, dg)))
+    return math.sqrt(max(l2_sq, 0.0)), math.sqrt(max(semi_sq, 0.0)), math.sqrt(max(l2_sq + semi_sq, 0.0))
+
+
+def _ulps(a, b):
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+_REF_TEXTS = {1: "sin(pi*x1)", 2: "sin(pi*x1)*sin(pi*x2)", 3: "x1*exp(x2) - x3^2"}
+
+
+@st.composite
+def _h1_cases(draw):
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        domain = unit_hypercube(d)
+    else:
+        radius = draw(st.sampled_from([0.1, 0.3, 0.5]))
+        domain = pde.Domain("ball", d, center=(0.5,) * d, radius=radius)
+    widths = (d, *draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)), 1)
+    arch = NetworkArch(widths=widths, activation=TANH, b_theta=draw(st.sampled_from([1.0, 2.0, 10.0])))
+    u = init(arch, draw(st.integers(0, 2**16)), scheme=draw(st.sampled_from(["glorot", "uniform"])),
+             uniform_half_width=draw(st.sampled_from([0.1, 3.0])))
+    kind = draw(st.sampled_from(["zero", "expression", "network"]))
+    ref = {"zero": None, "expression": parse(_REF_TEXTS[d], d), "network": init(arch, draw(st.integers(0, 99)))}[kind]
+    return domain, u, ref, draw(st.integers(2, 300)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_h1_cases())
+def test_h1_reference_matches_the_formulas_it_replaced(case):
+    domain, u, ref, n, seed = case
+    X = pde.sample_interior(domain, n, seed)
+    # the soft projection's norm, against the zero reference
+    assert H1Reference(None, X, domain.volume).distance(u).h1 == _projection_norm(u, X, domain.volume)
+    # h1_error: both parts bitwise, h1 summed in one pass instead of two.  With
+    # a zero reference from three dimensions on, the old h1_error rounded the
+    # network's gradients after a layout-changing copy; the projection, which
+    # the estimator follows, did not
+    est = h1_error(u, ref, domain, n_quad=n, seed=seed)
+    l2, semi, h1 = _separate_parts(u, ref, domain, n, seed)
+    assert est.l2_part == l2
+    assert _ulps(est.seminorm_part, semi) <= (4 if ref is None and domain.dim >= 3 else 0)
+    assert _ulps(est.h1, h1) <= 4
+    # the probe's held-out distance; np.sum over the gradient axis rounds like
+    # einsum for one or two components only
+    if domain.dim <= 2:
+        t_vals, t_grads = as_evaluator(ref, domain.dim)(X)
+        want = _held_out_distance(u, X, domain.volume, t_vals, t_grads)
+        assert H1Reference(ref, X, domain.volume).distance(u).h1 == want
 
 
 def test_h1_estimate_clt_rate():

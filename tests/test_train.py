@@ -53,7 +53,6 @@ class TestConfigValidation:
             {"n_interior": 8.0},
             {"eval_every": "10"},
             {"seed": True},
-            {"normalize_v": "false"},
             {"boundary_alpha_half": 1},
         ],
     )
@@ -110,6 +109,24 @@ class TestMinimaxTrain:
             assert r.h1_u >= 0.0 and r.h1_v >= 0.0
             assert math.isfinite(r.h1_error)
             assert r.seconds >= 0.0
+
+    def test_samples_quadrature_set_once(self, monkeypatch):
+        # h1_u, h1_v and every row's h1_error are estimated on one set
+        u_star, prob = robin_problem_1d()
+        sizes = []
+
+        def counting(domain, n, seed):
+            sizes.append(n)
+            return pde.sample_interior(domain, n, seed)
+
+        for mod in (train, loss_mod):
+            monkeypatch.setattr(mod, "sample_interior", counting)
+        cfg = train.TrainConfig(
+            n_interior=16, m_boundary=16, outer_steps=6, eval_every=2, h1_quad_points=333, seed=1
+        )
+        res = train.minimax_train(prob, small_arch(), small_arch(), cfg, u_ref=u_star)
+        assert len(res.history) == 3
+        assert sizes.count(333) == 1
 
     def test_h1_error_nan_without_reference(self):
         _, prob = robin_problem_1d()
@@ -180,16 +197,15 @@ class TestMinimaxTrain:
         assert not np.allclose(window[0], window[-1])
         ss_quad = np.random.SeedSequence(2).spawn(5)[2]
         quad = pde.sample_interior(prob.domain, 4096, ss_quad)
+        zero = loss_mod.H1Reference(None, quad, prob.domain.volume)
         mean = net.clip_weights(net.flat_to_params(ua, np.mean(window, axis=0)), 1.0)
-        expected, _ = train._soft_project(mean, quad, prob.domain.volume, 0.2)
+        expected, _ = train._soft_project(mean, zero, 0.2)
         np.testing.assert_allclose(flat(res.u), flat(expected), rtol=1e-12, atol=1e-14)
 
         last = res.history[-1]
         assert last.step == 12
         assert last.h1_u == 0.2  # the average itself left the ball and was projected
-        assert last.h1_u == pytest.approx(
-            train._h1_on_quad(res.u, quad, prob.domain.volume), rel=1e-12
-        )
+        assert last.h1_u == pytest.approx(zero.distance(res.u).h1, rel=1e-12)
         assert last.h1_error == pytest.approx(
             loss_mod.h1_error(res.u, u_star, prob.domain, n_quad=4096, seed=ss_quad).h1,
             rel=1e-12,
