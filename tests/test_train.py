@@ -53,6 +53,7 @@ class TestConfigValidation:
             {"n_interior": 8.0},
             {"eval_every": "10"},
             {"seed": True},
+            {"boundary_alpha_half": "false"},
             {"boundary_alpha_half": 1},
         ],
     )
