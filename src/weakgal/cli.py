@@ -281,15 +281,8 @@ def _cmd_solve(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, write_c
     result = train_mod.minimax_train(
         problem, u_arch, v_arch, train, u_ref=problem.u_exact, on_eval=on_eval
     )
-    header = [
-        "step", "loss_total", "loss_interior", "loss_boundary", "h1_u", "h1_v",
-        "h1_error", "grad_u_norm", "grad_v_norm", "seconds",
-    ]
-    rows = [
-        [r.step, r.loss_total, r.loss_interior, r.loss_boundary, r.h1_u, r.h1_v,
-         r.h1_error, r.grad_u_norm, r.grad_v_norm, r.seconds]
-        for r in result.history
-    ]
+    header = [f.name for f in dataclasses.fields(train_mod.HistoryRow)]
+    rows = [[getattr(r, name) for name in header] for r in result.history]
     _write_csv(os.path.join(out_dir, "history.csv"), header, rows)
     net.save_checkpoint(result.u, os.path.join(out_dir, "u.json"))
     net.save_checkpoint(result.v, os.path.join(out_dir, "v.json"))

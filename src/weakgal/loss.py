@@ -215,7 +215,7 @@ class GradientCache:
     """Per-batch state shared by consecutive ``loss_gradients`` calls: the
     checked coefficients of one (problem, batch, alpha convention), rebuilt when
     any of them is another object, and the trial network's tapes, rebuilt when
-    ``u`` is another object.  Cached params must not be changed in place."""
+    ``u`` is another object."""
 
     def __init__(self):
         self._key = self._terms = self._u = self._u_eval = None

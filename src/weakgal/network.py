@@ -2,8 +2,12 @@
 
 A network here is x -> A_D(rho(A_{D-1}(... rho(A_1 x + b_1) ...) + b_{D-1})) + b_D:
 ``depth`` counts affine layers, the last one has no activation, and every
-weight is clipped to [-B_theta, B_theta].  Two evaluations matter for weak-form
-training and both are implemented directly:
+weight is clipped to [-B_theta, B_theta].  The weights are one read-only
+vector theta in that box, the object the capacity lemmas are stated on:
+``NetworkParams.flat`` is (P,) for one network or (S, P) rows for a stack, and
+its per-layer ``(A, b)`` are views into it.  Optimizer steps, clipping and
+averaging act on the vector.  Two evaluations matter for weak-form training and
+both are implemented directly:
 
 * ``forward_tape`` - value and spatial gradient together (forward mode in x),
   keeping what the reverse sweep needs;
@@ -24,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -211,35 +215,49 @@ class NetworkArch:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkParams:
-    """Weights for a NetworkArch: layers[k] = (A, b) with A (n_{k+1}, n_k).
+    """Weights for a NetworkArch as one read-only float64 vector ``flat``.
 
-    A stack of S networks of one architecture (an ensemble) carries a leading
-    axis on every array: A (S, n_{k+1}, n_k) and b (S, n_{k+1}).
+    ``flat`` is (P,) for one network, or (S, P) rows for a stack of S networks
+    of one architecture (an ensemble).  ``layers[k] = (A, b)`` are views into
+    it with A (n_{k+1}, n_k) and b (n_{k+1},), behind the stack's leading axis
+    if any.  The constructor takes ``flat`` over and marks it read-only;
+    ``flat_to_params`` copies first.
     """
 
     arch: NetworkArch
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.layers) != self.arch.depth:
-            raise ValueError("layer count does not match architecture depth")
-        lead = self.ensemble
-        if len(lead) > 1:
-            raise ValueError(f"at most one leading ensemble axis, got shape {lead}")
-        for k, (A, b) in enumerate(self.layers):
-            want = (self.arch.widths[k + 1], self.arch.widths[k])
-            if A.shape != lead + want or b.shape != lead + want[:1]:
-                raise ValueError(f"layer {k} has shape {A.shape}/{b.shape}, want {lead + want}")
+        flat = np.asarray(self.flat, dtype=np.float64)
+        if flat.ndim not in (1, 2) or flat.shape[-1] != self.arch.n_params():
+            raise ValueError(
+                f"flat vector has {flat.shape}, arch needs ({self.arch.n_params()},) or (S, {self.arch.n_params()})"
+            )
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "layers", _layer_views(self.arch, flat))
 
     @property
     def ensemble(self) -> tuple[int, ...]:
         """Leading shape of the weights: (S,) for a stack of S networks, () for one."""
-        return self.layers[0][0].shape[:-2]
+        return self.flat.shape[:-1]
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.arch, [(A.copy(), b.copy()) for A, b in self.layers])
+
+def _layer_views(arch: NetworkArch, flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each layer's (A, b) as views of ``flat`` (..., P): A row-major, then b.
+
+    The one place that knows the weight layout."""
+    lead = flat.shape[:-1]
+    layers, pos = [], 0
+    for n_in, n_out in zip(arch.widths, arch.widths[1:]):
+        A = flat[..., pos : pos + n_out * n_in].reshape(lead + (n_out, n_in))
+        pos += n_out * n_in
+        layers.append((A, flat[..., pos : pos + n_out]))
+        pos += n_out
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -249,65 +267,29 @@ class DualEval:
 
 
 def params_to_flat(params: NetworkParams) -> np.ndarray:
-    parts = []
-    for A, b in params.layers:
-        parts.append(A.reshape(-1))
-        parts.append(b)
-    return np.concatenate(parts)
+    """The weights' read-only buffer, (P,) or (S, P)."""
+    return params.flat
 
 
 def flat_to_params(arch: NetworkArch, flat: np.ndarray) -> NetworkParams:
-    """Weights from a flat vector (P,), or a stack of S networks from rows (S, P)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim not in (1, 2) or flat.shape[-1] != arch.n_params():
-        raise ValueError(
-            f"flat vector has {flat.shape}, arch needs ({arch.n_params()},) or (S, {arch.n_params()})"
-        )
-    lead = flat.shape[:-1]
-    layers = []
-    pos = 0
-    for k in range(arch.depth):
-        n_out, n_in = arch.widths[k + 1], arch.widths[k]
-        A = flat[..., pos : pos + n_out * n_in].reshape(lead + (n_out, n_in)).copy()
-        pos += n_out * n_in
-        b = flat[..., pos : pos + n_out].copy()
-        pos += n_out
-        layers.append((A, b))
-    return NetworkParams(arch, layers)
+    """Weights from a copy of a flat vector (P,), or a stack of S networks from rows (S, P)."""
+    return NetworkParams(arch, np.array(flat, dtype=np.float64))
 
 
-def init(arch: NetworkArch, seed, scheme: str = "glorot", uniform_half_width: float = 0.1) -> NetworkParams:
-    """Deterministic initialization; weights always end inside [-B_theta, B_theta].
-
-    ``scheme`` is "glorot" (uniform with half-width sqrt(6/(n_in+n_out)), zero
-    biases) or "uniform" (entrywise uniform(-s, s) with s = uniform_half_width,
-    biases included).
-    """
+def init(arch: NetworkArch, seed) -> NetworkParams:
+    """Deterministic Glorot initialization: each A uniform with half-width
+    sqrt(6/(n_in+n_out)), zero biases, clipped to [-B_theta, B_theta]."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for k in range(arch.depth):
-        n_out, n_in = arch.widths[k + 1], arch.widths[k]
-        if scheme == "glorot":
-            s = math.sqrt(6.0 / (n_in + n_out))
-            A = rng.uniform(-s, s, size=(n_out, n_in))
-            b = np.zeros(n_out)
-        elif scheme == "uniform":
-            s = uniform_half_width
-            A = rng.uniform(-s, s, size=(n_out, n_in))
-            b = rng.uniform(-s, s, size=n_out)
-        else:
-            raise ValueError(f"unknown init scheme {scheme!r}")
-        bound = arch.b_theta
-        layers.append((np.clip(A, -bound, bound), np.clip(b, -bound, bound)))
-    return NetworkParams(arch, layers)
+    flat = np.zeros(arch.n_params())
+    for A, _ in _layer_views(arch, flat):
+        s = math.sqrt(6.0 / sum(A.shape))
+        A[...] = rng.uniform(-s, s, size=A.shape)
+    np.clip(flat, -arch.b_theta, arch.b_theta, out=flat)
+    return NetworkParams(arch, flat)
 
 
 def zeros_like_arch(arch: NetworkArch) -> NetworkParams:
-    layers = [
-        (np.zeros((arch.widths[k + 1], arch.widths[k])), np.zeros(arch.widths[k + 1]))
-        for k in range(arch.depth)
-    ]
-    return NetworkParams(arch, layers)
+    return NetworkParams(arch, np.zeros(arch.n_params()))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +393,14 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
         T = _identity_tangents((n, d)) if k == 0 else tape.tangents[k - 1] * act.d1(ins[k])
         return T.reshape(d * n, -1)
 
-    out: list[np.ndarray] = [None] * (2 * depth)  # type: ignore[list-item]
+    grad = np.empty_like(params.flat)
+    out = _layer_views(params.arch, grad)  # each layer's (dA, db), written in place
     a = params.layers[-1][0][0]
-    dA = w @ ins[-1]
+    dA, db = out[-1]
+    np.matmul(w, ins[-1], out=dA[0])
     if S is not None:
-        dA = dA + S.reshape(-1) @ tangent_in(depth - 1)
-    out[-2], out[-1] = dA[None, :], np.array([w.sum()])
+        dA[0] += S.reshape(-1) @ tangent_in(depth - 1)
+    db[0] = w.sum()
     # adjoints of the previous layer's value (n, q) and tangent (d, n, q)
     u = np.outer(w, a)
     V = None if S is None else S[:, :, None] * a
@@ -429,15 +413,16 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
         if V is not None:
             zeta += act.d2(f) * (V * tape.tangents[k]).sum(axis=0)
             W = V * s1
-        dA = zeta.T @ ins[k]
+        dA, db = out[k]
+        np.matmul(zeta.T, ins[k], out=dA)
         if V is not None:
             dA += W.reshape(d * n, -1).T @ tangent_in(k)
-        out[2 * k], out[2 * k + 1] = dA, zeta.sum(axis=0)
+        zeta.sum(axis=0, out=db)
         if k > 0:
             u = zeta @ A
             if V is not None:
                 V = W @ A
-    return np.concatenate([g.reshape(-1) for g in out])
+    return grad
 
 
 def forward_dual_batch(params: NetworkParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,12 +461,11 @@ def clip_weights(params: NetworkParams, bound: float | None = None) -> NetworkPa
     """Entrywise clip to [-bound, bound]; idempotent. Default bound is arch B_theta."""
     if bound is None:
         bound = params.arch.b_theta
-    layers = [(np.clip(A, -bound, bound), np.clip(b, -bound, bound)) for A, b in params.layers]
-    return NetworkParams(params.arch, layers)
+    return NetworkParams(params.arch, np.clip(params.flat, -bound, bound))
 
 
 def count_nonzero(params: NetworkParams) -> int:
-    return int(sum(np.count_nonzero(A) + np.count_nonzero(b) for A, b in params.layers))
+    return int(np.count_nonzero(params.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +664,9 @@ def arch_recipe(
 
 
 def save_checkpoint(params: NetworkParams, path: str) -> None:
-    """Write a JSON checkpoint atomically (temp file + rename)."""
+    """Write a single network's JSON checkpoint atomically (temp file + rename)."""
+    if params.ensemble:
+        raise ValueError("save_checkpoint writes a single network, not a stack")
     doc = {
         "arch": {
             "depth": params.arch.depth,
@@ -688,10 +674,7 @@ def save_checkpoint(params: NetworkParams, path: str) -> None:
             "activation": params.arch.activation.name,
             "b_theta": params.arch.b_theta,
         },
-        "layers": [
-            {"A": [float(v) for v in A.reshape(-1)], "b": [float(v) for v in b]}
-            for A, b in params.layers
-        ],
+        "layers": [{"A": A.reshape(-1).tolist(), "b": b.tolist()} for A, b in params.layers],
     }
     tmp = f"{path}.partial"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -711,10 +694,10 @@ def load_checkpoint(path: str) -> NetworkParams:
         activation=activation_by_name(arch_doc["activation"]),
         b_theta=float(arch_doc["b_theta"]),
     )
-    layers = []
-    for k, layer in enumerate(doc["layers"]):
-        n_out, n_in = widths[k + 1], widths[k]
-        A = np.asarray(layer["A"], dtype=np.float64).reshape(n_out, n_in)
-        b = np.asarray(layer["b"], dtype=np.float64)
-        layers.append((A, b))
-    return NetworkParams(arch, layers)
+    if len(doc["layers"]) != arch.depth:
+        raise ValueError(f"checkpoint has {len(doc['layers'])} layers, its widths imply {arch.depth}")
+    flat = np.empty(arch.n_params())
+    for (A, b), layer in zip(_layer_views(arch, flat), doc["layers"]):
+        A[...] = np.reshape(np.asarray(layer["A"], dtype=np.float64), A.shape)
+        b[...] = np.reshape(np.asarray(layer["b"], dtype=np.float64), b.shape)
+    return NetworkParams(arch, flat)

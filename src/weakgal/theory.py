@@ -281,10 +281,6 @@ def _random_flat(arch: NetworkArch, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-arch.b_theta, arch.b_theta, size=arch.n_params())
 
 
-def _random_params(arch: NetworkArch, rng: np.random.Generator) -> net.NetworkParams:
-    return net.flat_to_params(arch, _random_flat(arch, rng))
-
-
 # Probes are drawn one by one, in a fixed RNG order, and evaluated as stacks of
 # networks.  A stack holds at most about this many weights, so memory stays
 # bounded for wide architectures and large probe counts.
@@ -328,8 +324,8 @@ def empirical_class_sups(
     for idx in _probe_blocks(n_probes, arch):
         flats = np.array([(_random_flat(arch, rng), _random_flat(arch, rng)) for _ in idx])
         pts = np.stack([X[idx], Y[idx]], axis=1)  # each probe's interior and boundary point
-        u_vals, u_grads = net.forward_dual_batch(net.flat_to_params(arch, flats[:, 0]), pts)
-        v_vals, v_grads = net.forward_dual_batch(net.flat_to_params(arch, flats[:, 1]), pts)
+        u_vals, u_grads = net.forward_dual_batch(net.NetworkParams(arch, flats[:, 0]), pts)
+        v_vals, v_grads = net.forward_dual_batch(net.NetworkParams(arch, flats[:, 1]), pts)
         # interior gradients as rows (S, 1, d) and columns (S, d, 1)
         ug, ug_col, vg_col = u_grads[:, :1], u_grads[:, 0, :, None], v_grads[:, 0, :, None]
         vals = (
@@ -372,8 +368,8 @@ def lipschitz_probe(arch: NetworkArch, n_probes: int = 1000, seed=0) -> list[Bou
     for idx in _probe_blocks(n_probes, arch):
         draws = [(_random_flat(arch, rng), _random_flat(arch, rng), rng.random(arch.dim)) for _ in idx]
         flat1, flat2, x = (np.array(col) for col in zip(*draws))
-        v1, g1 = net.forward_dual_batch(net.flat_to_params(arch, flat1), x[:, None, :])
-        v2, g2 = net.forward_dual_batch(net.flat_to_params(arch, flat2), x[:, None, :])
+        v1, g1 = net.forward_dual_batch(net.NetworkParams(arch, flat1), x[:, None, :])
+        v2, g2 = net.forward_dual_batch(net.NetworkParams(arch, flat2), x[:, None, :])
         diff = flat1 - flat2
         # row by row, the dot product that np.linalg.norm takes
         dist = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
@@ -453,12 +449,10 @@ def empirical_sta_error(
         best_val = -1.0
         best_pair = None
         for k in range(probe_budget):
-            if k == 0:
-                pu = net.zeros_like_arch(u_arch)
-                pv = net.zeros_like_arch(v_arch)
-            else:
-                pu = _random_params(u_arch, probe_rng)
-                pv = _random_params(v_arch, probe_rng)
+            pu, pv = (  # u's draw, then v's
+                net.NetworkParams(arch, _random_flat(arch, probe_rng)) if k else net.zeros_like_arch(arch)
+                for arch in (u_arch, v_arch)
+            )
             val = discrepancy(pu, pv)
             if val > best_val:
                 best_val, best_pair = val, (pu, pv)
@@ -475,8 +469,8 @@ def empirical_sta_error(
             dv = sign * (gv_s - gv_b)
             scale_u = _ASCENT_STEP_FRAC * u_arch.b_theta / max(float(np.linalg.norm(du)), 1e-12)
             scale_v = _ASCENT_STEP_FRAC * v_arch.b_theta / max(float(np.linalg.norm(dv)), 1e-12)
-            pu = net.clip_weights(net.flat_to_params(u_arch, net.params_to_flat(pu) + scale_u * du))
-            pv = net.clip_weights(net.flat_to_params(v_arch, net.params_to_flat(pv) + scale_v * dv))
+            pu = net.clip_weights(net.NetworkParams(u_arch, pu.flat + scale_u * du))
+            pv = net.clip_weights(net.NetworkParams(v_arch, pv.flat + scale_v * dv))
         best_val = max(best_val, discrepancy(pu, pv))
         maxima.append(best_val)
 

@@ -214,11 +214,9 @@ def _soft_project(params: NetworkParams, zero: loss_mod.H1Reference, radius: flo
     h1 = zero.distance(params).h1
     if not math.isfinite(radius) or h1 <= radius or h1 == 0.0:
         return params, h1
-    factor = radius / h1
-    layers = list(params.layers)
-    A, b = layers[-1]
-    layers[-1] = (A * factor, b * factor)
-    return NetworkParams(params.arch, layers), radius
+    flat = params.flat.copy()
+    flat[-(params.arch.widths[-2] + 1) :] *= radius / h1  # the output layer's A and b end the vector
+    return NetworkParams(params.arch, flat), radius
 
 
 # relative slack below the radius that a proved bound must leave, covering the
@@ -344,23 +342,21 @@ def minimax_train(
                     u, v, problem, batch, config.boundary_alpha_half, need_u=False, cache=cache
                 )
                 gv, grad_v_norm = _clip_grad(gv, config.grad_clip_norm, "grad_v")
-                v = net.flat_to_params(v_arch, opt_v.step(net.params_to_flat(v), gv, +1.0))
-                v = net.clip_weights(v, clip_v)
+                v = net.clip_weights(NetworkParams(v_arch, opt_v.step(v.flat, gv, +1.0)), clip_v)
 
             gu, _, value = loss_mod.loss_gradients(
                 u, v, problem, batch, config.boundary_alpha_half, need_v=False, cache=cache
             )
             last_loss = value
             gu, grad_u_norm = _clip_grad(gu, config.grad_clip_norm, "grad_u")
-            u = net.flat_to_params(u_arch, opt_u.step(net.params_to_flat(u), gu, -1.0))
-            u = net.clip_weights(u, clip_u)
+            u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)), clip_u)
             # a history row before the averaging window reports the iterate's h1
             u, h1_u = projector.iterate(u, need_h1=is_row and step < avg_start)
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
 
         if step >= avg_start:
-            u_avg += (net.params_to_flat(u) - u_avg) / (step - avg_start + 1)
+            u_avg += (u.flat - u_avg) / (step - avg_start + 1)
 
         if is_row:
             u_out, h1_out = u, h1_u
@@ -428,7 +424,7 @@ def approx_error_probe(
     held_out = loss_mod.H1Reference(target, quad, volume)
 
     best = held_out.distance(params).h1
-    best_params = params.copy()
+    best_params = params
     history = [(0, best)]
     X = None
     for step in range(config.outer_steps):
@@ -444,12 +440,11 @@ def approx_error_probe(
             g, _ = _clip_grad(g, config.grad_clip_norm, "fit gradient")
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
-        params = net.flat_to_params(arch, opt.step(net.params_to_flat(params), g, -1.0))
-        params = net.clip_weights(params, arch.b_theta)
+        params = net.clip_weights(NetworkParams(arch, opt.step(params.flat, g, -1.0)), arch.b_theta)
         if (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1:
             dist = held_out.distance(params).h1
             history.append((step + 1, dist))
             if dist < best:
                 best = dist
-                best_params = params.copy()
+                best_params = params
     return ProbeResult(h1_distance=best, params=best_params, history=history)

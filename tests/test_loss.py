@@ -31,7 +31,7 @@ LIN = NetworkArch(widths=(1, 1), activation=TANH, b_theta=10.0)
 
 
 def _affine(a, b):
-    return NetworkParams(LIN, [(np.array([[float(a)]]), np.array([float(b)]))])
+    return NetworkParams(LIN, np.array([float(a), float(b)]))
 
 
 def _neumann_problem(c="0", f="1"):
@@ -115,11 +115,9 @@ def test_loss_is_linear_in_v():
     batch = sample_batch(prob.domain, 32, 32, 9)
 
     def value_with_v_scale(s):
-        v = init(arch, 4)
-        layers = [(A.copy(), b.copy()) for A, b in v.layers]
-        A, b = layers[-1]
-        layers[-1] = (s * A, s * b)
-        return empirical_loss(u, NetworkParams(arch, layers), prob, batch).total
+        flat = params_to_flat(init(arch, 4)).copy()
+        flat[-6:] *= s  # the output layer: A (1, 5) and b (1,)
+        return empirical_loss(u, NetworkParams(arch, flat), prob, batch).total
 
     l0 = value_with_v_scale(0.0)
     l1 = value_with_v_scale(1.0)
@@ -295,8 +293,9 @@ def _h1_cases(draw):
         domain = pde.Domain("ball", d, center=(0.5,) * d, radius=radius)
     widths = (d, *draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)), 1)
     arch = NetworkArch(widths=widths, activation=TANH, b_theta=draw(st.sampled_from([1.0, 2.0, 10.0])))
-    u = init(arch, draw(st.integers(0, 2**16)), scheme=draw(st.sampled_from(["glorot", "uniform"])),
-             uniform_half_width=draw(st.sampled_from([0.1, 3.0])))
+    s = draw(st.sampled_from([0.1, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = flat_to_params(arch, np.clip(rng.uniform(-s, s, arch.n_params()), -arch.b_theta, arch.b_theta))
     kind = draw(st.sampled_from(["zero", "expression", "network"]))
     ref = {"zero": None, "expression": parse(_REF_TEXTS[d], d), "network": init(arch, draw(st.integers(0, 99)))}[kind]
     return domain, u, ref, draw(st.integers(2, 300)), draw(st.integers(0, 2**16))

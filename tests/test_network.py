@@ -1,5 +1,6 @@
 """Network evaluation, AD, bounds, recipe, and checkpoint tests."""
 
+import json
 import math
 import os
 
@@ -74,9 +75,34 @@ def test_init_respects_weight_box_and_is_deterministic():
     assert not np.array_equal(params_to_flat(p1), params_to_flat(p3))
 
 
+def _uniform_params(arch, seed, s):
+    """Every weight, biases included, uniform in (-s, s) and clipped to the box."""
+    rng = np.random.default_rng(seed)
+    return flat_to_params(arch, np.clip(rng.uniform(-s, s, arch.n_params()), -arch.b_theta, arch.b_theta))
+
+
+def test_params_are_read_only():
+    arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=2.0)
+    x = np.arange(arch.n_params(), dtype=np.float64)
+    p = flat_to_params(arch, x)
+    with pytest.raises(ValueError, match="read-only"):
+        params_to_flat(p)[0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.layers[0][0][0] = 7.0
+    x[:] = -1.0  # the params hold their own copy
+    np.testing.assert_array_equal(params_to_flat(p), np.arange(arch.n_params()))
+    # the layers are views of the flat vector, in A-then-b order per layer
+    (A1, b1), (A2, b2) = p.layers
+    np.testing.assert_array_equal(A1, [[0, 1], [2, 3], [4, 5]])
+    np.testing.assert_array_equal(b1, [6, 7, 8])
+    np.testing.assert_array_equal(A2, [[9, 10, 11]])
+    np.testing.assert_array_equal(b2, [12])
+    assert all(np.shares_memory(w, p.flat) for layer in p.layers for w in layer)
+
+
 def test_depth_one_network_is_affine():
     arch = NetworkArch(widths=(2, 1), activation=TANH, b_theta=5.0)
-    p = NetworkParams(arch, [(np.array([[2.0, -1.0]]), np.array([0.5]))])
+    p = NetworkParams(arch, np.array([2.0, -1.0, 0.5]))
     vals, grads = forward_dual_batch(p, np.array([[1.0, 1.0], [0.0, 0.0]]))
     np.testing.assert_allclose(vals, [1.5, 0.5])
     np.testing.assert_allclose(grads, [[2.0, -1.0], [2.0, -1.0]])
@@ -164,13 +190,8 @@ def test_backprop_is_linear_in_seeds():
 
 def test_clip_weights():
     arch = NetworkArch(widths=(1, 2, 1), activation=TANH, b_theta=2.0)
-    p = NetworkParams(
-        arch,
-        [
-            (np.array([[2.5], [-3.0]]), np.array([0.1, -0.1])),
-            (np.array([[1.0, -1.0]]), np.array([4.0])),
-        ],
-    )
+    # layer 0: A = [[2.5], [-3.0]], b = [0.1, -0.1]; layer 1: A = [[1.0, -1.0]], b = [4.0]
+    p = NetworkParams(arch, np.array([2.5, -3.0, 0.1, -0.1, 1.0, -1.0, 4.0]))
     q = clip_weights(p)
     assert q.layers[0][0][0, 0] == 2.0
     assert q.layers[0][0][1, 0] == -2.0
@@ -189,7 +210,7 @@ def test_count_nonzero():
     p = flat_to_params(arch, np.full(arch.n_params(), 0.5))
     assert count_nonzero(p) == 10  # 3 + 3 + 3 + 1 dense entries
     a1 = NetworkArch(widths=(1, 1), activation=TANH, b_theta=2.0)
-    q = NetworkParams(a1, [(np.array([[2.0]]), np.array([1.0]))])
+    q = NetworkParams(a1, np.array([2.0, 1.0]))
     assert count_nonzero(q) == 2
 
 
@@ -231,7 +252,7 @@ def test_weight_move_bound_covers_the_h1_estimate(activation, hidden, d, weight_
     """sup |f - f_a| and sup |grad f - grad f_a| stay under the bound at sampled
     points, so the RMS H^1 estimate moves by at most sqrt(volume) * hypot(B)."""
     arch = NetworkArch(widths=(d, *hidden, 1), activation=activation, b_theta=10.0)
-    anchor = init(arch, seed, scheme="uniform", uniform_half_width=weight_scale)
+    anchor = _uniform_params(arch, seed, weight_scale)
     rng = np.random.default_rng(seed)
     flat_a = params_to_flat(anchor)
     moved = flat_to_params(arch, flat_a + 10.0**log_move * rng.standard_normal(flat_a.shape))
@@ -251,7 +272,7 @@ def test_weight_move_bound_covers_the_h1_estimate(activation, hidden, d, weight_
 def test_weight_move_bound_is_zero_without_a_move_and_inf_for_relu():
     arch = NetworkArch(widths=(2, 5, 4, 1), activation=TANH, b_theta=2.0)
     p = init(arch, 3)
-    assert WeightMoveBound(p, 1.5)(p.copy()) == (0.0, 0.0)
+    assert WeightMoveBound(p, 1.5)(flat_to_params(arch, p.flat)) == (0.0, 0.0)
     for name in ("relu", "relu2"):
         relu = NetworkArch(widths=(2, 5, 4, 1), activation=activation_by_name(name), b_theta=2.0)
         q = init(relu, 3)
@@ -347,6 +368,15 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(params_to_flat(p), params_to_flat(q))
     X = np.random.default_rng(0).uniform(size=(4, 2))
     np.testing.assert_array_equal(forward_dual_batch(p, X)[0], forward_dual_batch(q, X)[0])
+    # a layer more or fewer than the widths imply is rejected, as is a stack
+    doc = json.loads(open(path, encoding="utf-8").read())
+    for layers in (doc["layers"] + [{"A": [0.5], "b": [0.0]}], doc["layers"][:-1]):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dict(doc, layers=layers), fh)
+        with pytest.raises(ValueError, match="layers"):
+            load_checkpoint(path)
+    with pytest.raises(ValueError, match="single network"):
+        save_checkpoint(flat_to_params(arch, np.stack([p.flat, p.flat])), path)
 
 
 def _reference_dual_backprop(p, X, w, s):
@@ -391,7 +421,7 @@ def _reference_dual_backprop(p, X, w, s):
 def test_taped_sweep_matches_reference(activation, dim, hidden):
     rng = np.random.default_rng([dim, len(hidden)])
     arch = NetworkArch(widths=(dim,) + hidden + (1,), activation=activation, b_theta=3.0)
-    p = init(arch, 11, scheme="uniform", uniform_half_width=1.5)
+    p = _uniform_params(arch, 11, 1.5)
     X = rng.uniform(-1.0, 1.0, size=(7, dim))
     w = rng.normal(size=7)
     s = rng.normal(size=(7, dim))
@@ -473,7 +503,3 @@ def test_stacked_misuse_is_rejected():
         net.backprop_tape(net.forward_tape(stack, X), np.ones(5))
     with pytest.raises(ValueError, match="flat vector"):
         flat_to_params(arch, flats[None])
-    with pytest.raises(ValueError, match="layer 1"):
-        NetworkParams(arch, [stack.layers[0], (stack.layers[1][0][0], stack.layers[1][1][0])])
-    with pytest.raises(ValueError, match="at most one"):
-        NetworkParams(arch, [(A[None], b[None]) for A, b in stack.layers])
