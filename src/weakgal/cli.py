@@ -8,7 +8,10 @@ unknown keys anywhere, and sections the command does not read, are errors.
 All files are written atomically (a ``.partial`` temp file renamed into
 place), and every result CSV except the measured ``seconds`` column of the
 solve history is byte-reproducible given the same config and seed.
-``WG_THREADS`` caps the worker pool used for sweep points.
+``WG_THREADS`` caps the worker pool used for sweep points.  Once per process,
+``run`` pins glibc's heap thresholds so large temporaries stay mapped; each
+manifest's ``resources`` block reports whether they took, the run's minor page
+faults, the process's peak RSS, and the interpreter, numpy, BLAS and cores.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -24,12 +28,18 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__
 from . import expr as expr_mod
@@ -91,6 +101,63 @@ def _config_hash(cfg: dict) -> str:
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+# ---------------------------------------------------------------------------
+# heap policy and resource report
+
+# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, set to the
+# values its dynamic rule reaches after a large free on 64-bit builds
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or None where it has none."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no such symbol
+        return None
+    fn.argtypes, fn.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return fn
+
+
+@functools.cache
+def _heap_policy() -> bool:
+    """Pin glibc's heap thresholds once per process; True when both took.
+
+    glibc serves each allocation above its mmap threshold (128 KiB at start)
+    with its own mapping and unmaps it on free, and returns a freed heap top
+    above its trim threshold to the system, so every evaluation on a large
+    point set page-faults its arrays in afresh.  With the thresholds pinned
+    at 32 and 64 MiB those arrays reuse heap memory the process keeps."""
+    mallopt = _mallopt()
+    return mallopt is not None and all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
+
+
+def _usage():
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF)
+
+
+def _resources(before, heap_policy: bool) -> dict:
+    """Peak RSS of the process so far, minor page faults since ``before``, and
+    the environment: interpreter, numpy, BLAS, cores, ``WG_THREADS``."""
+    after = _usage()
+    blas = {}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25, or a build without the entry
+        pass
+    per_mb = 1 << 20 if sys.platform == "darwin" else 1 << 10  # ru_maxrss is in bytes on macOS, else KiB
+    return {
+        "peak_rss_mb": None if after is None else after.ru_maxrss / per_mb,
+        "minor_faults": None if after is None else after.ru_minflt - before.ru_minflt,
+        "heap_policy": heap_policy,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "cpu_count": os.cpu_count(),
+        "WG_THREADS": os.environ.get("WG_THREADS"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +581,8 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None,
         quiet: bool = False) -> int:
     """Execute one experiment config; returns the process exit code."""
+    heap_policy = _heap_policy()
+    usage = _usage()
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
@@ -554,6 +623,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             "started_utc": started,
             "finished_utc": _utc_now(),
             "runtime_seconds": time.perf_counter() - t0,
+            "resources": _resources(usage, heap_policy),
             "results": extras,
         }
         _write_json(os.path.join(target, "manifest.json"), manifest)

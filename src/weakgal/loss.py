@@ -278,7 +278,10 @@ class H1Reference:
         self.ref = None if u_ref is None else as_evaluator(u_ref, points.shape[1])(points)
 
     def distance(self, u) -> H1Estimate:
-        du, dg = as_evaluator(u, self.points.shape[1])(self.points)
+        return self.distance_of(*as_evaluator(u, self.points.shape[1])(self.points))
+
+    def distance_of(self, du: np.ndarray, dg: np.ndarray) -> H1Estimate:
+        """``distance`` of a function with these values and gradients at the points."""
         if self.ref is not None:
             du, dg = du - self.ref[0], dg - self.ref[1]
         du_sq = du**2

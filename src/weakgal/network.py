@@ -323,22 +323,67 @@ class Tape:
     tangents: list[np.ndarray]  # empty on a value-only tape
 
 
+# Memory budget, in float64 entries, of one temporary array of an evaluation.
+# An unkept forward of one network runs in row blocks whose largest temporary
+# holds about this many, and the bound lab stacks probe networks up to this
+# many weights.
+BLOCK_FLOATS = 1 << 18
+# Row blocks start at multiples of this many rows.  BLAS then rounds each row
+# of a block as one pass over all rows does, unless the block is only a few
+# rows long, when it may take another kernel.
+_BLOCK_ALIGN = 64
+
+
+def _block_rows(arch: NetworkArch, grads: bool) -> int:
+    """Rows whose widest layer's outputs and, with ``grads``, their tangents
+    (dim of them per row) fit ``BLOCK_FLOATS``.  At least four alignments, so
+    the nearly equal blocks of ``forward_tape`` hold over 64 rows each."""
+    per_row = arch.max_width * (arch.dim if grads else 1)
+    return max(4 * _BLOCK_ALIGN, BLOCK_FLOATS // per_row // _BLOCK_ALIGN * _BLOCK_ALIGN)
+
+
 def forward_tape(params: NetworkParams, points: np.ndarray, grads: bool = True, keep: bool = True) -> Tape:
     """Values (and, with ``grads``, spatial gradients) at a batch of points.
 
     Forward mode: each hidden state carries its tangents with respect to the
     inputs alongside the value.  ``grads=False`` gives a value-only tape.
     ``keep=False`` drops each layer's record once the next layer is done; the
-    result then holds values and gradients only and cannot be swept.
+    result then holds values and gradients only and cannot be swept.  Such a
+    forward of one network at C-ordered points runs in blocks of rows, so its
+    temporaries stay near ``BLOCK_FLOATS`` entries.  It returns gradients in the
+    memory layout of one pass over all rows, and the same bits wherever BLAS
+    runs each product on one thread: a product it splits among threads rounds
+    by each thread's share of rows, which one pass does as well.
 
     A stack of S networks evaluates each network at its own points: points
     (S, n, dim) give values (S, n) and grads (S, n, dim).
     """
-    act = params.arch.activation
     lead = params.ensemble
     X = np.asarray(points, dtype=np.float64)
     if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != params.arch.dim:
         raise ValueError(f"points must be {lead + ('n', params.arch.dim)}, got {X.shape}")
+    if keep or lead or not X.flags.c_contiguous:
+        return _forward(params, X, grads, keep)
+    n, rows = X.shape[0], _block_rows(params.arch, grads)
+    if n <= rows:
+        return _forward(params, X, grads, keep=False)
+    # blocks of nearly equal size: BLAS may round a product of a few rows
+    # differently, so no block is left small
+    k = -(-n // rows)
+    starts = [_BLOCK_ALIGN * (j * n // (k * _BLOCK_ALIGN)) for j in range(k)] + [n]
+    values = np.empty(n)
+    g = np.empty((params.arch.dim, n)) if grads else None  # the layout of one pass's gradients
+    for start, stop in zip(starts, starts[1:]):
+        block = _forward(params, X[start:stop], grads, keep=False)
+        values[start:stop] = block.values
+        if grads:
+            g[:, start:stop] = block.grads.T
+    return Tape(params=params, ins=[X], values=values, grads=None if g is None else g.T, tangents=[])
+
+
+def _forward(params: NetworkParams, X: np.ndarray, grads: bool, keep: bool) -> Tape:
+    """``forward_tape`` in one pass over checked points."""
+    act = params.arch.activation
     *hidden, (A_top, b_top) = params.layers
     ins, tangents = [X], []
     f, T = X, _identity_tangents(X.shape)  # T: tangents of f

@@ -282,9 +282,10 @@ def _random_flat(arch: NetworkArch, rng: np.random.Generator) -> np.ndarray:
 
 
 # Probes are drawn one by one, in a fixed RNG order, and evaluated as stacks of
-# networks.  A stack holds at most about this many weights, so memory stays
-# bounded for wide architectures and large probe counts.
-_PROBE_BLOCK_WEIGHTS = 1 << 18
+# networks.  A stack holds at most about this many weights, the evaluation
+# memory budget, so memory stays bounded for wide architectures and large
+# probe counts.
+_PROBE_BLOCK_WEIGHTS = net.BLOCK_FLOATS
 
 
 def _probe_blocks(n_probes: int, arch: NetworkArch) -> list[range]:

@@ -208,15 +208,23 @@ def _clip_grad(grad: np.ndarray, max_norm: float, name: str) -> tuple[np.ndarray
     return grad, norm
 
 
-def _soft_project(params: NetworkParams, zero: loss_mod.H1Reference, radius: float) -> tuple[NetworkParams, float]:
+# values and gradients of a network at the quadrature points
+_QuadEval = tuple[np.ndarray, np.ndarray]
+
+
+def _soft_project(
+    params: NetworkParams, zero: loss_mod.H1Reference, radius: float
+) -> tuple[NetworkParams, float, _QuadEval | None]:
     """Rescale the final affine layer so the H^1 norm estimated against the
-    zero reference ``zero`` is <= radius."""
-    h1 = zero.distance(params).h1
+    zero reference ``zero`` is <= radius.  Also returns the evaluation the
+    estimate read, which describes the result unless it was rescaled (None)."""
+    ev = net.forward_dual_batch(params, zero.points)
+    h1 = zero.distance_of(*ev).h1
     if not math.isfinite(radius) or h1 <= radius or h1 == 0.0:
-        return params, h1
+        return params, h1, ev
     flat = params.flat.copy()
     flat[-(params.arch.widths[-2] + 1) :] *= radius / h1  # the output layer's A and b end the vector
-    return NetworkParams(params.arch, flat), radius
+    return NetworkParams(params.arch, flat), radius, None
 
 
 # relative slack below the radius that a proved bound must leave, covering the
@@ -241,20 +249,21 @@ class _Projector:
         self.anchor: tuple[net.WeightMoveBound, float] | None = None
         self.exact = self.skipped = self.fired = 0
 
-    def iterate(self, params: NetworkParams, need_h1: bool) -> tuple[NetworkParams, float]:
-        """Project a trial iterate; the estimate is nan on a skipped call."""
+    def iterate(self, params: NetworkParams, need_h1: bool) -> tuple[NetworkParams, float, _QuadEval | None]:
+        """Project a trial iterate; the estimate is nan and the evaluation None
+        on a skipped call."""
         if not need_h1 and self._cannot_fire(params):
             self.skipped += 1
-            return params, math.nan
-        out, h1 = self.exact_project(params)
+            return params, math.nan, None
+        out, h1, ev = self.exact_project(params)
         self.anchor = (net.WeightMoveBound(params, self.x_radius), h1) if out is params else None
-        return out, h1
+        return out, h1, ev
 
-    def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float]:
-        out, h1 = _soft_project(params, self.zero, self.radius)
+    def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float, _QuadEval | None]:
+        out, h1, ev = _soft_project(params, self.zero, self.radius)
         self.exact += 1
         self.fired += out is not params
-        return out, h1
+        return out, h1, ev
 
     def _cannot_fire(self, params: NetworkParams) -> bool:
         if not math.isfinite(self.radius):
@@ -351,7 +360,7 @@ def minimax_train(
             gu, grad_u_norm = _clip_grad(gu, config.grad_clip_norm, "grad_u")
             u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)), clip_u)
             # a history row before the averaging window reports the iterate's h1
-            u, h1_u = projector.iterate(u, need_h1=is_row and step < avg_start)
+            u, h1_u, ev_u = projector.iterate(u, need_h1=is_row and step < avg_start)
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
 
@@ -359,10 +368,13 @@ def minimax_train(
             u_avg += (u.flat - u_avg) / (step - avg_start + 1)
 
         if is_row:
-            u_out, h1_out = u, h1_u
+            u_out, h1_out, ev_out = u, h1_u, ev_u
             if step >= avg_start:
                 u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg), clip_u)
-                u_out, h1_out = projector.exact_project(u_out)
+                u_out, h1_out, ev_out = projector.exact_project(u_out)
+            h1_error = math.nan
+            if ref is not None:  # u_out needs its own forward only if the projection rescaled it
+                h1_error = (ref.distance(u_out) if ev_out is None else ref.distance_of(*ev_out)).h1
             row = HistoryRow(
                 step=step + 1,
                 loss_total=last_loss.total,
@@ -370,7 +382,7 @@ def minimax_train(
                 loss_boundary=last_loss.boundary,
                 h1_u=h1_out,
                 h1_v=zero.distance(v).h1,
-                h1_error=math.nan if ref is None else ref.distance(u_out).h1,
+                h1_error=h1_error,
                 grad_u_norm=grad_u_norm,
                 grad_v_norm=grad_v_norm,
                 seconds=time.perf_counter() - t0,

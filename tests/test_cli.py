@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import platform
 import tempfile
 import warnings
 
@@ -567,6 +568,53 @@ class TestApproxProbe:
         cfg = write_config(tmp_path, doc)
         assert cli.run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 2
         assert "u_exact" in capsys.readouterr().err
+
+
+class TestResources:
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        # the heap policy is applied once per process; each test starts over,
+        # and the next caller re-applies the real one
+        cli._heap_policy.cache_clear()
+        yield
+        cli._heap_policy.cache_clear()
+
+    def run_tiny(self, tmp_path, name="out"):
+        cfg = write_config(tmp_path, TINY["solve"])
+        assert cli.run(cfg, out_dir=str(tmp_path / name), quiet=True) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text())["resources"]
+
+    def test_manifest_reports_resources_and_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WG_THREADS", "1")
+        res = self.run_tiny(tmp_path)
+        assert res["peak_rss_mb"] > 0
+        assert isinstance(res["minor_faults"], int) and res["minor_faults"] >= 0
+        assert res["heap_policy"] is (platform.libc_ver()[0] == "glibc")
+        assert res["python"] == platform.python_version()
+        assert res["numpy"] == np.__version__
+        assert isinstance(res["blas"], str) and res["blas"]
+        assert res["cpu_count"] == os.cpu_count()
+        assert res["WG_THREADS"] == "1"
+
+    def test_heap_policy_is_applied_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli, "_mallopt", lambda: mallopt)
+        assert self.run_tiny(tmp_path, "a")["heap_policy"] is True
+        assert self.run_tiny(tmp_path, "b")["heap_policy"] is True
+        assert calls == list(cli._HEAP_POLICY)
+
+    def test_heap_policy_without_mallopt_is_a_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_mallopt", lambda: None)
+        assert self.run_tiny(tmp_path)["heap_policy"] is False
+
+    def test_rejected_threshold_reports_false(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: 0)
+        assert self.run_tiny(tmp_path)["heap_policy"] is False
 
 
 # key names an inserted key is drawn from: those of the tiny configs and the optional ones

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +487,55 @@ def test_stacked_forward_matches_unstacked_calls(activation, dim, hidden):
         for (A, b), (A_s, b_s) in zip(stack.layers, p.layers):
             np.testing.assert_array_equal(A[s], A_s)
             np.testing.assert_array_equal(b[s], b_s)
+
+
+def _assert_same_evaluation(got, want):
+    """Equal values and gradients, bit for bit, with the gradients' strides."""
+    (v, g), (v_ref, g_ref) = got, want
+    np.testing.assert_array_equal(v, v_ref)
+    np.testing.assert_array_equal(g, g_ref)
+    assert g.strides == g_ref.strides
+
+
+@pytest.mark.parametrize("activation", [TANH, LOGISTIC, activation_by_name("relu2")])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_blocked_forward_matches_one_pass(monkeypatch, activation, dim):
+    # the smallest blocks, and products small enough that BLAS runs each on
+    # one thread; the kept forward is never blocked and is the reference
+    monkeypatch.setattr(net, "BLOCK_FLOATS", 0)
+    rng = np.random.default_rng([dim, 7])
+    for depth in (1, 2, 3, 4):
+        arch = NetworkArch(widths=(dim,) + (8,) * (depth - 1) + (1,), activation=activation, b_theta=3.0)
+        p = flat_to_params(arch, rng.uniform(-1.0, 1.0, arch.n_params()))
+        B = net._block_rows(arch, grads=True)
+        for n in (1, B - 1, B, B + 1, 3 * B + 5):
+            X = rng.uniform(-1.0, 1.0, size=(n, dim))
+            one_pass = net.forward_tape(p, X)
+            _assert_same_evaluation(forward_dual_batch(p, X), (one_pass.values, one_pass.grads))
+            value_only = net.forward_tape(p, X, grads=False, keep=False)
+            np.testing.assert_array_equal(value_only.values, one_pass.values)
+        # a stack is evaluated in one pass, whatever its size
+        S, n = 2, 3 * B + 5
+        stack = flat_to_params(arch, rng.uniform(-1.0, 1.0, (S, arch.n_params())))
+        X = rng.uniform(-1.0, 1.0, size=(S, n, dim))
+        one_pass = net.forward_tape(stack, X)
+        _assert_same_evaluation(forward_dual_batch(stack, X), (one_pass.values, one_pass.grads))
+
+
+def test_blocked_forward_bounds_its_temporaries():
+    arch = NetworkArch(widths=(2, 20, 20, 1), activation=TANH, b_theta=3.0)
+    p = init(arch, 0)
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1 << 17, 2))
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        values, grads = forward_dual_batch(p, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = values.nbytes + grads.nbytes
+    block = 8 * net.BLOCK_FLOATS
+    # one pass would hold (2, 2^17, 20) tangents, 40 MiB, several times over
+    assert peak < outputs + 6 * block, (peak, outputs, block)
 
 
 def test_stacked_misuse_is_rejected():

@@ -129,6 +129,34 @@ class TestMinimaxTrain:
         assert len(res.history) == 3
         assert sizes.count(333) == 1
 
+    @pytest.mark.parametrize("radius", [math.inf, 0.05])
+    def test_row_reads_h1_and_h1_error_from_one_forward(self, monkeypatch, radius):
+        u_star, prob = robin_problem_1d()
+        calls, rows = [], []
+        original = net.forward_dual_batch
+
+        def counting(params, X):
+            calls.append((params, X))
+            return original(params, X)
+
+        def on_eval(step, u, v, row):
+            rows.append((u, v, row, calls[:]))
+            calls.clear()
+
+        monkeypatch.setattr(net, "forward_dual_batch", counting)
+        cfg = train.TrainConfig(
+            n_interior=16, m_boundary=16, outer_steps=20, eval_every=5,
+            h1_ball_radius=radius, h1_quad_points=64, seed=1,
+        )
+        res = train.minimax_train(prob, small_arch(), small_arch(), cfg, u_ref=u_star, on_eval=on_eval)
+        assert len(rows) == 4 and (res.projection.fired > 0) == (radius < math.inf)
+        for u, v, row, seen in rows:
+            if radius == math.inf:  # u's forward for h1_u and h1_error, then v's for h1_v
+                assert [p for p, _ in seen] == [u, v]
+            # the row's h1_error is that of a fresh estimate of the u it reports
+            ref = loss_mod.H1Reference(u_star, seen[0][1], prob.domain.volume)
+            assert row.h1_error == ref.distance(u).h1
+
     def test_h1_error_nan_without_reference(self):
         _, prob = robin_problem_1d()
         cfg = train.TrainConfig(n_interior=16, m_boundary=16, outer_steps=2, eval_every=2, seed=1)
@@ -200,7 +228,7 @@ class TestMinimaxTrain:
         quad = pde.sample_interior(prob.domain, 4096, ss_quad)
         zero = loss_mod.H1Reference(None, quad, prob.domain.volume)
         mean = net.clip_weights(net.flat_to_params(ua, np.mean(window, axis=0)), 1.0)
-        expected, _ = train._soft_project(mean, zero, 0.2)
+        expected, _, _ = train._soft_project(mean, zero, 0.2)
         np.testing.assert_allclose(flat(res.u), flat(expected), rtol=1e-12, atol=1e-14)
 
         last = res.history[-1]
