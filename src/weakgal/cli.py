@@ -584,11 +584,13 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
     heap_policy = _heap_policy()
     usage = _usage()
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            except ValueError as err:  # also an integer literal too long to convert
-                raise ConfigError(f"invalid JSON: {err}") from err
+        except OSError as err:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read {config_path!r}: {err.strerror or err}") from err
+        except ValueError as err:  # also an integer literal too long to convert
+            raise ConfigError(f"invalid JSON: {err}") from err
         if not isinstance(cfg, dict):
             raise ConfigError("top level: expected an object")
         command = _as_str(cfg.get("command"), "config.command")
@@ -608,8 +610,8 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
 
         try:
             os.makedirs(target, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as err:
-            raise ConfigError(f"output directory {target!r} is not a directory: {err.strerror}") from err
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {target!r}: {err.strerror or err}") from err
         started = _utc_now()
         t0 = time.perf_counter()
         sections = _build_sections(cfg, command, seed_override)
@@ -628,7 +630,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         }
         _write_json(os.path.join(target, "manifest.json"), manifest)
         return 0
-    except (ConfigError, FileNotFoundError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (train_mod.TrainingAborted, loss_mod.NonFiniteLossError, oracle.SolveError,

@@ -37,7 +37,6 @@ __all__ = [
     "diff",
     "to_string",
     "const",
-    "var",
     "add",
     "sub",
     "mul",
@@ -108,12 +107,6 @@ _FUNCTIONS = ("sin", "cos", "exp", "tanh")
 
 def const(value: float) -> Const:
     return Const(float(value))
-
-
-def var(index: int) -> Var:
-    if index < 1:
-        raise ExprError(f"variable index must be >= 1, got {index}")
-    return Var(index)
 
 
 def _is_const(node: Node, value: float | None = None) -> bool:

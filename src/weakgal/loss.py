@@ -62,8 +62,6 @@ class LossValue:
     total: float
     interior: float
     boundary: float
-    n_interior: int
-    m_boundary: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def _assemble(terms: _BatchTerms, u: _Eval, v: _Eval, need_u: bool, need_v: bool
     total = interior + boundary
     if not math.isfinite(total):
         raise NonFiniteLossError("total", -1)
-    value = LossValue(total, interior, boundary, terms.X.shape[0], terms.Y.shape[0])
+    value = LossValue(total, interior, boundary)
     seeds_u = seeds_v = None
     if need_u:
         # d(integrand)/d(grad u) = A grad v + B v ; d/d(u) = c v

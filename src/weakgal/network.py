@@ -53,7 +53,6 @@ __all__ = [
     "forward_dual_batch",
     "backprop_params_batch",
     "clip_weights",
-    "count_nonzero",
     "network_bounds",
     "WeightMoveBound",
     "arch_recipe",
@@ -507,10 +506,6 @@ def clip_weights(params: NetworkParams, bound: float | None = None) -> NetworkPa
     if bound is None:
         bound = params.arch.b_theta
     return NetworkParams(params.arch, np.clip(params.flat, -bound, bound))
-
-
-def count_nonzero(params: NetworkParams) -> int:
-    return int(np.count_nonzero(params.flat))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Finite-difference reference solvers and grid norms.
+"""Finite-difference reference solver and grid norm.
 
-These are the trusted, boring solvers the neural results are judged against:
+This is the trusted, boring solver the neural results are judged against:
 a conservative second-order scheme for the general 1d problem (Robin data via
-ghost-point elimination, Dirichlet directly), and a 5-point scheme for
--Lap u + c u = f on the unit square with zero Dirichlet data.  Both are
-deliberately dependency-free: a Thomas recurrence for the tridiagonal system
-and matrix-free conjugate gradients for the 2d one.
+ghost-point elimination, Dirichlet directly), solved by a dependency-free
+Thomas recurrence.
 
 The ghost-point rows evaluate coefficient expressions at -h/2 and 1 + h/2;
 coefficients must extend smoothly there (true for closed-form expressions).
@@ -13,6 +11,7 @@ coefficients must extend smoothly there (true for closed-form expressions).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,14 +19,12 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import ExprAst
-from .pde import EllipticProblem
+from .pde import ZERO_BOUNDARY, EllipticProblem
 
 __all__ = [
     "SolveError",
     "Grid1D",
-    "Grid2D",
     "fd_solve_1d",
-    "fd_solve_poisson_2d",
     "grid_h1_error",
     "PenaltyStudy",
     "penalty_rate_study",
@@ -35,7 +32,7 @@ __all__ = [
 
 
 class SolveError(ArithmeticError):
-    """Linear solve failed (singular pivot, non-convergence, bad residual)."""
+    """Linear solve failed (singular pivot, overflow, bad residual)."""
 
 
 @dataclass(frozen=True)
@@ -60,33 +57,13 @@ class Grid1D:
         return np.linspace(0.0, 1.0, self.n + 1)
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Values on the n x n interior lattice of [0,1]^2 with h = 1/(n+1).
-
-    Boundary values are implicitly zero (Dirichlet).
-    """
-
-    n: int
-    values: np.ndarray  # shape (n, n)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least a 2x2 interior lattice, got n = {self.n}")
-        if self.values.shape != (self.n, self.n):
-            raise ValueError(f"values must have shape ({self.n}, {self.n}), got {self.values.shape}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n + 1)
-
-
-def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by forward elimination / back substitution.
+def _solve_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Thomas solve (forward elimination, back substitution), residual-checked.
 
     lower[i] multiplies x[i-1] in row i (lower[0] unused); upper[i] multiplies
     x[i+1] (upper[-1] unused).  No pivoting: rows are diagonally dominant for
-    the schemes built here.
+    the schemes built here.  The residual is scaled by the largest row sum
+    (unused entries included) and the data; a NaN residual fails the check.
     """
     n = diag.size
     c = np.empty(n)
@@ -106,11 +83,7 @@ def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndar
     x[-1] = d[-1]
     for i in range(n - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
-    return x
 
-
-def _tridiag_residual(lower, diag, upper, rhs, x) -> float:
-    n = diag.size
     Ax = diag * x
     Ax[1:] += lower[1:] * x[:-1]
     Ax[:-1] += upper[:-1] * x[1:]
@@ -118,7 +91,10 @@ def _tridiag_residual(lower, diag, upper, rhs, x) -> float:
         (np.abs(lower) + np.abs(diag) + np.abs(upper)).max() * np.abs(x).max()
         + np.abs(rhs).max()
     )
-    return float(np.abs(Ax - rhs).max() / max(scale, 1.0))
+    res = float(np.abs(Ax - rhs).max() / max(scale, 1.0))
+    if not res <= 1e-10:
+        raise SolveError(f"tridiagonal residual {res:.3g} exceeds tolerance")
+    return x
 
 
 def _eval1(ast: ExprAst, x: np.ndarray) -> np.ndarray:
@@ -130,13 +106,25 @@ def fd_solve_1d(problem: EllipticProblem, n: int, bc_kind: str | None = None) ->
 
     -(a u')' + b u' + c u = f with either the problem's Robin data
     (alpha u + beta a u' nu = g at both ends, nu = -/+ 1) or zero Dirichlet
-    data when ``bc_kind`` is "dirichlet".
+    data when ``bc_kind`` is "dirichlet".  An overflow or invalid operation
+    while building or solving the system (a beta so small that the ghost rows
+    blow up) is a SolveError.
     """
     if problem.dim != 1:
         raise ValueError("fd_solve_1d needs a 1d problem")
     if n < 2:
         raise ValueError("n must be >= 2")
     kind = bc_kind or problem.bc_kind
+    if kind not in ("dirichlet", "robin", "neumann"):
+        raise ValueError(f"unknown bc_kind {kind!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return Grid1D(n=n, values=_fd_values_1d(problem, n, kind))
+    except FloatingPointError as err:
+        raise SolveError(f"finite-difference system: {err}") from err
+
+
+def _fd_values_1d(problem: EllipticProblem, n: int, kind: str) -> np.ndarray:
     h = 1.0 / n
     nodes = np.linspace(0.0, 1.0, n + 1)
     half = np.linspace(-0.5 * h, 1.0 + 0.5 * h, n + 2)  # staggered flux points
@@ -146,27 +134,18 @@ def fd_solve_1d(problem: EllipticProblem, n: int, bc_kind: str | None = None) ->
     c_nodes = _eval1(problem.c, nodes)
     f_nodes = _eval1(problem.f, nodes)
 
-    # interior row j:  -(a_{j+1/2}(u_{j+1}-u_j) - a_{j-1/2}(u_j-u_{j-1}))/h^2
-    #                  + b_j (u_{j+1}-u_{j-1})/(2h) + c_j u_j = f_j
+    # row j:  -(a_{j+1/2}(u_{j+1}-u_j) - a_{j-1/2}(u_j-u_{j-1}))/h^2
+    #         + b_j (u_{j+1}-u_{j-1})/(2h) + c_j u_j = f_j
     a_minus = a_half[:-1]  # a_{j-1/2} for node j
     a_plus = a_half[1:]  # a_{j+1/2} for node j
+    lower = -a_minus / h**2 - b_nodes / (2 * h)
+    diag = (a_minus + a_plus) / h**2 + c_nodes
+    upper = -a_plus / h**2 + b_nodes / (2 * h)
 
     if kind == "dirichlet":
-        idx = np.arange(1, n)
-        lower = -a_minus[idx] / h**2 - b_nodes[idx] / (2 * h)
-        diag = (a_minus[idx] + a_plus[idx]) / h**2 + c_nodes[idx]
-        upper = -a_plus[idx] / h**2 + b_nodes[idx] / (2 * h)
-        rhs = f_nodes[idx]
-        inner = _thomas(lower, diag, upper, rhs)
-        res = _tridiag_residual(lower, diag, upper, rhs, inner)
-        if res > 1e-10:
-            raise SolveError(f"tridiagonal residual {res:.3g} exceeds tolerance")
         values = np.zeros(n + 1)
-        values[1:-1] = inner
-        return Grid1D(n=n, values=values)
-
-    if kind not in ("robin", "neumann"):
-        raise ValueError(f"unknown bc_kind {kind!r}")
+        values[1:-1] = _solve_tridiag(lower[1:n], diag[1:n], upper[1:n], f_nodes[1:n])
+        return values
 
     alpha, beta = problem.alpha, problem.beta
     g_ends = problem.g_values(np.array([[0.0], [1.0]]), np.array([[-1.0], [1.0]]))
@@ -176,16 +155,8 @@ def fd_solve_1d(problem: EllipticProblem, n: int, bc_kind: str | None = None) ->
         raise SolveError("diffusion coefficient vanishes at the boundary")
     q0 = 2.0 * h / (beta * a0)
     qn = 2.0 * h / (beta * a1)
-
-    lower = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    upper = np.zeros(n + 1)
     rhs = f_nodes.copy()
-
-    j = np.arange(1, n)
-    lower[j] = -a_minus[j] / h**2 - b_nodes[j] / (2 * h)
-    diag[j] = (a_minus[j] + a_plus[j]) / h**2 + c_nodes[j]
-    upper[j] = -a_plus[j] / h**2 + b_nodes[j] / (2 * h)
+    lower[0] = upper[n] = 0.0  # unused, but they enter the residual's scale
 
     # left end: ghost value u_{-1} = u_1 - q0 (alpha u_0 - g_0)
     diag[0] = (a_plus[0] + a_minus[0]) / h**2 + a_minus[0] * q0 * alpha / h**2 \
@@ -199,85 +170,7 @@ def fd_solve_1d(problem: EllipticProblem, n: int, bc_kind: str | None = None) ->
     lower[n] = -(a_plus[n] + a_minus[n]) / h**2
     rhs[n] += a_plus[n] * qn * g_ends[1] / h**2 - b_nodes[n] * qn * g_ends[1] / (2 * h)
 
-    values = _thomas(lower, diag, upper, rhs)
-    res = _tridiag_residual(lower, diag, upper, rhs, values)
-    if res > 1e-10:
-        raise SolveError(f"tridiagonal residual {res:.3g} exceeds tolerance")
-    return Grid1D(n=n, values=values)
-
-
-def fd_solve_poisson_2d(f: ExprAst, c: float, n: int) -> Grid2D:
-    """5-point scheme for -Lap u + c u = f on [0,1]^2, u = 0 on the boundary.
-
-    Matrix-free conjugate gradients; the operator is symmetric positive
-    definite for c >= 0.  Stops at ||r||_2 <= 1e-10 max(1, ||rhs||_2).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if c < 0:
-        raise ValueError("c must be >= 0 for a definite operator")
-    h = 1.0 / (n + 1)
-    coords = np.linspace(h, 1.0 - h, n)
-    XX, YY = np.meshgrid(coords, coords, indexing="ij")
-    pts = np.column_stack([XX.reshape(-1), YY.reshape(-1)])
-    rhs = expr_mod.evaluate_many(f, pts).reshape(n, n)
-
-    inv_h2 = 1.0 / h**2
-
-    def apply_op(U: np.ndarray) -> np.ndarray:
-        P = np.pad(U, 1)
-        lap = (4.0 * U - P[:-2, 1:-1] - P[2:, 1:-1] - P[1:-1, :-2] - P[1:-1, 2:]) * inv_h2
-        return lap + c * U
-
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(rhs)))
-    U = np.zeros((n, n))
-    r = rhs - apply_op(U)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    max_iter = 10 * n * n
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= tol:
-            break
-        Ap = apply_op(p)
-        denom = float(np.sum(p * Ap))
-        if denom <= 0.0:
-            raise SolveError("conjugate gradients lost definiteness")
-        step = rs / denom
-        U += step * p
-        r -= step * Ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    else:
-        raise SolveError(f"conjugate gradients did not converge in {max_iter} iterations")
-    return Grid2D(n=n, values=U)
-
-
-def _as_grid_values_1d(other, grid: Grid1D) -> np.ndarray:
-    if isinstance(other, Grid1D):
-        if other.n != grid.n:
-            raise ValueError("grids must share n")
-        return other.values
-    if isinstance(other, ExprAst):
-        return _eval1(other, grid.nodes)
-    if callable(other):
-        return np.asarray(other(grid.nodes[:, None]), dtype=np.float64)
-    raise TypeError(f"cannot interpret {type(other).__name__} as 1d grid data")
-
-
-def _as_grid_values_2d(other, grid: Grid2D) -> np.ndarray:
-    if isinstance(other, Grid2D):
-        if other.n != grid.n:
-            raise ValueError("grids must share n")
-        return other.values
-    coords = np.linspace(grid.h, 1.0 - grid.h, grid.n)
-    XX, YY = np.meshgrid(coords, coords, indexing="ij")
-    pts = np.column_stack([XX.reshape(-1), YY.reshape(-1)])
-    if isinstance(other, ExprAst):
-        return expr_mod.evaluate_many(other, pts).reshape(grid.n, grid.n)
-    if callable(other):
-        return np.asarray(other(pts), dtype=np.float64).reshape(grid.n, grid.n)
-    raise TypeError(f"cannot interpret {type(other).__name__} as 2d grid data")
+    return _solve_tridiag(lower, diag, upper, rhs)
 
 
 def grid_h1_error(grid_a, grid_b) -> float:
@@ -287,34 +180,27 @@ def grid_h1_error(grid_a, grid_b) -> float:
     One argument anchors the grid; the other may be a grid, an expression, or
     a callable on points.
     """
-    if isinstance(grid_a, (Grid1D, Grid2D)):
-        anchor = grid_a
-    elif isinstance(grid_b, (Grid1D, Grid2D)):
-        anchor, grid_a, grid_b = grid_b, grid_b, grid_a
-    else:
+    if not isinstance(grid_a, Grid1D):
+        grid_a, grid_b = grid_b, grid_a
+    if not isinstance(grid_a, Grid1D):
         raise TypeError("at least one argument must be a grid")
-
-    if isinstance(anchor, Grid1D):
-        e = _as_grid_values_1d(grid_a, anchor) - _as_grid_values_1d(grid_b, anchor)
-        h = anchor.h
-        w = np.full(e.size, h)
-        w[0] = w[-1] = 0.5 * h
-        l2_sq = float(np.sum(w * e * e))
-        d = np.diff(e) / h
-        semi_sq = float(np.sum(d * d) * h)
-        return math.sqrt(l2_sq + semi_sq)
-
-    ea = _as_grid_values_2d(grid_a, anchor)
-    eb = _as_grid_values_2d(grid_b, anchor)
-    e = np.pad(ea - eb, 1)  # zero Dirichlet frame
-    h = anchor.h
-    w1 = np.full(e.shape[0], h)
-    w1[0] = w1[-1] = 0.5 * h
-    W = np.outer(w1, w1)
-    l2_sq = float(np.sum(W * e * e))
-    dx = np.diff(e, axis=0) / h
-    dy = np.diff(e, axis=1) / h
-    semi_sq = float((np.sum(dx * dx) + np.sum(dy * dy)) * h * h)
+    if isinstance(grid_b, Grid1D):
+        if grid_b.n != grid_a.n:
+            raise ValueError("grids must share n")
+        other = grid_b.values
+    elif isinstance(grid_b, ExprAst):
+        other = _eval1(grid_b, grid_a.nodes)
+    elif callable(grid_b):
+        other = np.asarray(grid_b(grid_a.nodes[:, None]), dtype=np.float64)
+    else:
+        raise TypeError(f"cannot interpret {type(grid_b).__name__} as 1d grid data")
+    e = grid_a.values - other
+    h = grid_a.h
+    w = np.full(e.size, h)
+    w[0] = w[-1] = 0.5 * h
+    l2_sq = float(np.sum(w * e * e))
+    d = np.diff(e) / h
+    semi_sq = float(np.sum(d * d) * h)
     return math.sqrt(l2_sq + semi_sq)
 
 
@@ -334,7 +220,9 @@ def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> Penalt
     """Solve the penalized-Robin family against the Dirichlet limit on one grid.
 
     ``problem`` supplies the differential data; its own beta is ignored.  Each
-    sweep point solves with alpha = 1, g = 0 and the given beta.
+    sweep point solves with alpha = 1, g = 0 and the given beta.  An error that
+    is not finite and positive (a beta below what the grid resolves) has no
+    logarithm to fit, so it is a SolveError.
     """
     if problem.dim != 1:
         raise ValueError("penalty study is a 1d experiment")
@@ -343,16 +231,12 @@ def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> Penalt
         raise ValueError("need at least two beta values")
     u_dir = fd_solve_1d(problem, n, bc_kind="dirichlet")
     errors = []
-    from .pde import ZERO_BOUNDARY, EllipticProblem as _EP
-
     for beta in betas:
-        penalized = _EP(
-            domain=problem.domain, a=problem.a, b=problem.b, c=problem.c,
-            f=problem.f, g=ZERO_BOUNDARY, alpha=1.0, beta=beta,
-            bc_kind="robin", u_exact=problem.u_exact,
-        )
-        u_rob = fd_solve_1d(penalized, n, bc_kind="robin")
-        errors.append(grid_h1_error(u_rob, u_dir))
+        penalized = dataclasses.replace(problem, g=ZERO_BOUNDARY, alpha=1.0, beta=beta, bc_kind="robin")
+        error = grid_h1_error(fd_solve_1d(penalized, n, bc_kind="robin"), u_dir)
+        if not (math.isfinite(error) and error > 0.0):
+            raise SolveError(f"penalty error {error!r} at beta = {beta!r} is not finite and positive")
+        errors.append(error)
 
     log_b = np.log(np.asarray(betas))
     log_e = np.log(np.asarray(errors))

@@ -107,6 +107,17 @@ def _redraw_zeros(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
         X[mask] = rng.random((int(mask.sum()), X.shape[1]))
 
 
+def _unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n directions uniform on the unit sphere in R^d (normalized Gaussians)."""
+    dirs = rng.standard_normal((n, d))
+    norms = np.linalg.norm(dirs, axis=1)
+    while (norms == 0.0).any():
+        bad = norms == 0.0
+        dirs[bad] = rng.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(dirs, axis=1)
+    return dirs / norms[:, None]
+
+
 def sample_interior(domain: Domain, n: int, seed) -> np.ndarray:
     """n i.i.d. uniform points strictly inside the domain, shape (n, dim)."""
     if n < 0:
@@ -115,14 +126,9 @@ def sample_interior(domain: Domain, n: int, seed) -> np.ndarray:
     d = domain.dim
     if domain.kind == "hypercube":
         return _redraw_zeros(rng, rng.random((n, d)))
-    dirs = rng.standard_normal((n, d))
-    norms = np.linalg.norm(dirs, axis=1)
-    while (norms == 0.0).any():
-        bad = norms == 0.0
-        dirs[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(dirs, axis=1)
+    dirs = _unit_directions(rng, n, d)
     radii = domain.radius * rng.random(n) ** (1.0 / d)
-    return np.asarray(domain.center) + dirs / norms[:, None] * radii[:, None]
+    return np.asarray(domain.center) + dirs * radii[:, None]
 
 
 def sample_boundary(domain: Domain, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -141,13 +147,7 @@ def sample_boundary(domain: Domain, m: int, seed) -> tuple[np.ndarray, np.ndarra
         normals = np.zeros((m, d))
         normals[rows, axis] = 2.0 * side - 1.0
         return pts, normals
-    dirs = rng.standard_normal((m, d))
-    norms = np.linalg.norm(dirs, axis=1)
-    while (norms == 0.0).any():
-        bad = norms == 0.0
-        dirs[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(dirs, axis=1)
-    normals = dirs / norms[:, None]
+    normals = _unit_directions(rng, m, d)
     pts = np.asarray(domain.center) + domain.radius * normals
     return pts, normals
 
@@ -159,14 +159,6 @@ class EmpiricalBatch:
     interior: np.ndarray
     boundary: np.ndarray
     normals: np.ndarray
-
-    @property
-    def n_interior(self) -> int:
-        return self.interior.shape[0]
-
-    @property
-    def m_boundary(self) -> int:
-        return self.boundary.shape[0]
 
 
 def sample_batch(domain: Domain, n: int, m: int, seed) -> EmpiricalBatch:
@@ -357,8 +349,7 @@ def check_coercivity(problem: EllipticProblem, n_probes: int = 512, seed=0) -> C
     lam_min = float(eigs[:, 0].min())
     lam_max = float(eigs[:, -1].max())
     c_min = float(problem.c_values(pts).min())
-    b_abs = np.abs(problem.b_values(pts))
-    b_max = float(b_abs.max(axis=0).max()) if problem.dim > 0 else 0.0
+    b_max = float(np.abs(problem.b_values(pts)).max())
     condition = 4.0 * lam_min * c_min - problem.dim * b_max * b_max
     holds = bool(condition > 0.0 and lam_min > 0.0)
     return CoercivityReport(

@@ -26,7 +26,7 @@ import numpy as np
 from . import loss as loss_mod
 from . import network as net
 from .network import NetworkArch, exp_or_inf
-from .pde import CoeffSupNorms, EllipticProblem, sample_batch, sample_boundary, sample_interior
+from .pde import CoeffSupNorms, EllipticProblem, probe_sup_norms, sample_batch, sample_boundary, sample_interior
 
 __all__ = [
     "BoundNotApplicableError",
@@ -306,8 +306,6 @@ def empirical_class_sups(
     Weights are drawn entrywise uniform in [-B_theta, B_theta] (the class's
     box), interior/boundary points uniform on the problem's domain.
     """
-    from .pde import probe_sup_norms
-
     if sups is None:
         sups = probe_sup_norms(problem, max(2048, n_probes), seed=[seed, 0])
     consts = class_constants(arch, arch.n_params(), sups, problem.alpha)

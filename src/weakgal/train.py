@@ -39,7 +39,7 @@ from . import loss as loss_mod
 from . import network as net
 from .loss import NonFiniteLossError
 from .network import NetworkArch, NetworkParams
-from .pde import EllipticProblem, check_coercivity, sample_batch, sample_interior
+from .pde import EllipticProblem, check_coercivity, sample_batch, sample_interior, unit_hypercube
 
 __all__ = [
     "TrainConfig",
@@ -426,8 +426,6 @@ def approx_error_probe(
     target = loss_mod.as_evaluator(u_target, arch.dim)
     ss = np.random.SeedSequence(config.seed)
     ss_init, ss_quad, ss_batches = ss.spawn(3)
-    from .pde import unit_hypercube
-
     domain = unit_hypercube(arch.dim)
     volume = domain.volume
     params = net.clip_weights(net.init(arch, ss_init), arch.b_theta)

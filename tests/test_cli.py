@@ -92,6 +92,10 @@ class TestConfigValidation:
         assert cli.run(str(tmp_path / "nope.json")) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert cli.run(str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -390,7 +394,7 @@ class TestSolve:
 
 
 class TestPenaltyStudy:
-    def config(self, tmp_path):
+    def config(self, tmp_path, betas=(0.1, 0.03, 0.01), grid_n=512):
         doc = {
             "command": "penalty-study",
             "problem": {
@@ -402,7 +406,7 @@ class TestPenaltyStudy:
                 "u_exact": "sin(pi*x1)",
                 "bc_kind": "dirichlet",
             },
-            "sweep": {"betas": [0.1, 0.03, 0.01], "grid_n": 512},
+            "sweep": {"betas": list(betas), "grid_n": grid_n},
         }
         return write_config(tmp_path, doc)
 
@@ -427,6 +431,17 @@ class TestPenaltyStudy:
             assert cli.run(cfg, out_dir=str(out), quiet=True) == 0
             blobs.append((out / "penalty.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("betas", [
+        (1e-310, 1e-300),  # 2h / (beta a) overflows: 0 * inf in the end rows
+        (1e-300, 1e-310),
+        (1e-300, 1e-250),  # both solves equal the Dirichlet one: error 0 has no logarithm
+    ])
+    def test_unresolvable_beta_exits_3_without_nan(self, tmp_path, capsys, betas):
+        out = tmp_path / "out"
+        assert cli.run(self.config(tmp_path, betas, grid_n=16), out_dir=str(out), quiet=True) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "penalty.csv").exists() and not (out / "manifest.json").exists()
 
 
 class TestConvergenceStudy:

@@ -102,7 +102,7 @@ def test_sample_batch_deterministic_and_split():
     b2 = sample_batch(dom, 64, 32, 123)
     np.testing.assert_array_equal(b1.interior, b2.interior)
     np.testing.assert_array_equal(b1.boundary, b2.boundary)
-    assert b1.n_interior == 64 and b1.m_boundary == 32
+    assert b1.interior.shape == (64, 2) and b1.boundary.shape == b1.normals.shape == (32, 2)
     b3 = sample_batch(dom, 64, 32, 124)
     assert not np.array_equal(b1.interior, b3.interior)
 
