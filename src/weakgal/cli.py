@@ -271,30 +271,30 @@ def _build_problem(cfg, path: str = "problem") -> pde.EllipticProblem:
     )
 
 
-def _build_arch(cfg, problem: pde.EllipticProblem, path: str) -> net.NetworkArch:
+def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) -> net.NetworkArch:
+    """``b_theta`` is the command's bound, used when ``cfg`` gives none."""
     _require_keys(cfg, path, (), ("widths", "activation", "b_theta", "recipe"))
     activation = net.activation_by_name(_as_str(cfg.get("activation", "tanh"), f"{path}.activation"))
     if "recipe" in cfg:
         if "widths" in cfg or "b_theta" in cfg:
             raise ConfigError(f"{path}: give either widths/b_theta or recipe, not both")
         rcfg = cfg["recipe"]
-        _require_keys(rcfg, f"{path}.recipe", ("epsilon", "mu"), ("c_user", "max_b_theta", "max_weights"))
+        optional = {"c_user": _as_number, "max_b_theta": _as_number, "max_weights": _as_int}
+        _require_keys(rcfg, f"{path}.recipe", ("epsilon", "mu"), tuple(optional))
         return net.arch_recipe(
             epsilon=_as_number(rcfg["epsilon"], f"{path}.recipe.epsilon"),
             d=problem.dim,
             mu=_as_number(rcfg["mu"], f"{path}.recipe.mu"),
             beta=problem.beta,
-            c_user=_as_number(rcfg.get("c_user", 1.0), f"{path}.recipe.c_user"),
             activation=activation,
-            max_b_theta=_as_number(rcfg.get("max_b_theta", 1e12), f"{path}.recipe.max_b_theta"),
-            max_weights=_as_int(rcfg.get("max_weights", 10_000_000), f"{path}.recipe.max_weights"),
+            **{key: read(rcfg[key], f"{path}.recipe.{key}") for key, read in optional.items() if key in rcfg},
         ).arch
     if "widths" not in cfg:
         raise ConfigError(f"{path}.widths: required without a recipe")
     arch = net.NetworkArch(
         widths=tuple(_as_list(cfg["widths"], f"{path}.widths", _as_int)),
         activation=activation,
-        b_theta=_as_number(cfg.get("b_theta", 10.0), f"{path}.b_theta"),
+        b_theta=_as_number(cfg.get("b_theta", b_theta), f"{path}.b_theta"),
     )
     if arch.widths[0] != problem.dim:
         raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
@@ -511,8 +511,9 @@ class _Command:
 
     ``sections`` are the top-level keys it reads besides ``command``, ``problem``
     and ``output_dir``; any other key is a config error.  ``arch`` gives the
-    hidden widths and ``b_theta`` of an absent ``u_arch``/``v_arch``;
-    ``options`` are the keys of its ``sweep`` or ``theory`` section."""
+    hidden widths of an absent ``u_arch``/``v_arch`` and the ``b_theta`` of
+    one without that key; ``options`` are the keys of its ``sweep`` or
+    ``theory`` section."""
 
     run: Callable[..., dict]
     sections: tuple[str, ...]
@@ -557,8 +558,8 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
                 built[section] = problem = _build_problem(cfg[section])
             elif section in ("u_arch", "v_arch"):
                 hidden, b_theta = spec.arch
-                default = {"widths": [problem.dim, *hidden, 1], "b_theta": b_theta}
-                built[section] = _build_arch(cfg.get(section, default), problem, section)
+                default = {"widths": [problem.dim, *hidden, 1]}
+                built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
             elif section == "train":
                 built[section] = _build_train_config(cfg.get(section, {}), seed_override)
             elif section == "write_checkpoints":

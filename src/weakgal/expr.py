@@ -3,7 +3,10 @@
 Coefficients, right-hand sides, and exact solutions are all small expression
 trees: parse them from text, evaluate them on batches of points, and
 differentiate them symbolically (differentiation is closed over the node set,
-which is why power exponents are restricted to integers).
+which is why power exponents are restricted to integers).  The text grammar is
+Python's expression grammar cut down to numbers, ``pi``, ``x1..xd``,
+``+ - * /``, unary minus, ``sin cos exp tanh`` and ``^``, which binds tightest
+and is never chained; ``parse`` states it in full.
 
 Evaluation never lets NaN/Inf escape silently.  The parser rejects a literal
 that overflows to infinity, and each evaluation runs under one floating-point
@@ -14,8 +17,10 @@ numpy op and the flag (``overflow encountered in exp``), not the sample.
 
 from __future__ import annotations
 
+import ast as pyast
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -109,10 +114,8 @@ def const(value: float) -> Const:
     return Const(float(value))
 
 
-def _is_const(node: Node, value: float | None = None) -> bool:
-    if not isinstance(node, Const):
-        return False
-    return value is None or node.value == value
+def _is_const(node: Node, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
 
 
 def add(left: Node, right: Node) -> Node:
@@ -189,7 +192,10 @@ class ExprAst:
     def __post_init__(self):
         if self.dim < 1:
             raise ExprError(f"dimension must be >= 1, got {self.dim}")
-        hi = _max_var_index(self.root)
+        try:
+            hi = _max_var_index(self.root)
+        except RecursionError:
+            raise ExprError("expression nests too deeply") from None
         if hi > self.dim:
             raise ExprError(f"expression uses x{hi} but dim={self.dim}")
 
@@ -223,152 +229,79 @@ def _max_var_index(node: Node) -> int:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        for kind in ("number", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                if kind == "number" and not math.isfinite(float(val)):
-                    raise ParseError(f"number {val} overflows the float range", m.start(kind))
-                tokens.append((kind, val, m.start(kind)))
-                break
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over: expr -> term -> unary -> power -> atom.
-
-    Precedence (tightest first): ^, unary minus, * /, + -.  Binary levels are
-    left-associative.  Power exponents must be integer literals, optionally
-    signed, so that differentiation stays closed.
-    """
-
-    def __init__(self, text: str, dim: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.dim = dim
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, off = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", off)
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", off)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = Binary("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Binary("mul" if val == "*" else "div", node, rhs)
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Unary("neg", self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                node = Pow(node, self.exponent())
-            else:
-                return node
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, val, off = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            sign = -1
-            kind, val, off = self.peek()
-        if kind != "number":
-            raise ParseError("power exponent must be an integer literal", off)
-        self.next()
-        as_float = float(val)
-        if as_float != int(as_float):
-            raise ParseError(f"power exponent must be an integer, got {val}", off)
-        return sign * int(as_float)
-
-    def atom(self) -> Node:
-        kind, val, off = self.next()
-        if kind == "number":
-            return Const(float(val))
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if val == "pi":
-                return Const(math.pi)
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(val, arg)
-            m = re.fullmatch(r"x(\d+)", val)
-            if m:
-                index = int(m.group(1))
-                if index < 1 or index > self.dim:
-                    raise ParseError(
-                        f"variable {val} out of range for dimension {self.dim}", off
-                    )
-                return Var(index)
-            raise ParseError(f"unknown identifier {val!r}", off)
-        raise ParseError(f"expected a value, got {val!r}" if val else "unexpected end of input", off)
+_BAD_TEXT = re.compile(r"[^A-Za-z0-9 \t\n\r\f\v.+\-*/^()]|\*\*")  # off the alphabet, or Python's **
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_BINARY_OPS = {pyast.Add: "add", pyast.Sub: "sub", pyast.Mult: "mul", pyast.Div: "div"}
 
 
 def parse(text: str, dim: int) -> ExprAst:
-    """Parse ``text`` into an expression over x1..x<dim>."""
-    return ExprAst(_Parser(text, dim).parse(), dim)
+    """Parse ``text`` into an expression over x1..x<dim>.
+
+    The grammar is Python's expression grammar, read by Python's parser with
+    ``^`` as ``**``, restricted to decimal numbers, ``pi``, ``x1..x<dim>``,
+    ``+ - * /``, unary minus, one-argument ``sin cos exp tanh`` and ``^``.
+    ``^`` binds tightest; its exponent is an integer literal with at most one
+    minus sign, so ``x1^2^3`` is an error.  Any other input, ``**`` included,
+    raises ``ParseError`` whose ``offset`` indexes ``text``.
+    """
+    bad = _BAD_TEXT.search(text)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r}", bad.start())
+    body = re.sub(r"\s", " ", text).lstrip()  # eval mode rejects an indent
+    source = body.replace("^", "**")
+    # origin[i] is the offset in text of source[i]; each ^ became two characters
+    origin = [len(text) - len(body) + i for i, ch in enumerate(body) for _ in range(1 + (ch == "^"))]
+    origin.append(len(text))
+
+    def fail(message: str, col: int):
+        raise ParseError(message, origin[min(col, len(source))]) from None
+
+    def segment(node: pyast.expr) -> str:
+        return text[origin[node.col_offset]:origin[node.end_col_offset]]
+
+    def number(node: pyast.expr, what: str) -> float:
+        if not (isinstance(node, pyast.Constant) and _NUMBER.fullmatch(segment(node))):
+            fail(f"expected {what}, got {segment(node)!r}", node.col_offset)
+        value = float(segment(node))
+        if not math.isfinite(value):
+            fail(f"number {segment(node)} overflows the float range", node.col_offset)
+        return value
+
+    def exponent(node: pyast.expr) -> int:
+        value = number(node, "an integer literal as power exponent")
+        if value != int(value):
+            fail(f"power exponent must be an integer, got {segment(node)}", node.col_offset)
+        return int(value)
+
+    def walk(node: pyast.expr) -> Node:
+        match node:
+            case pyast.Constant():
+                return Const(number(node, "a number literal"))
+            case pyast.Name("pi"):
+                return Const(math.pi)
+            case pyast.Name(name) if re.fullmatch(r"x\d+", name) and 1 <= float(name[1:]) <= dim:
+                return Var(int(float(name[1:])))  # int() refuses a string of over 4300 digits
+            case pyast.UnaryOp(pyast.USub(), operand):
+                return Unary("neg", walk(operand))
+            case pyast.BinOp(base, pyast.Pow(), pyast.UnaryOp(pyast.USub(), power_of)):
+                return Pow(walk(base), -exponent(power_of))
+            case pyast.BinOp(base, pyast.Pow(), power_of):
+                return Pow(walk(base), exponent(power_of))
+            case pyast.BinOp(left, op, right) if type(op) in _BINARY_OPS:
+                return Binary(_BINARY_OPS[type(op)], walk(left), walk(right))
+            case pyast.Call(pyast.Name(name), [arg]) if name in _FUNCTIONS:
+                return Unary(name, walk(arg))  # keywords need '=', which is rejected above
+        fail(f"not in the grammar over x1..x{dim}: {segment(node)!r}", node.col_offset)
+
+    try:
+        with warnings.catch_warnings():  # "1if" warns, and is never in the grammar
+            warnings.simplefilter("error", SyntaxWarning)
+            root = walk(pyast.parse(source, mode="eval").body)
+    except SyntaxError as err:
+        fail(err.msg, err.offset - 1 if err.offset else len(source))
+    except (RecursionError, MemoryError):  # MemoryError: the parser's stack overflowed
+        raise ParseError("expression nests too deeply", 0) from None
+    return ExprAst(root, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +324,8 @@ def evaluate_many(ast: ExprAst, points: np.ndarray) -> np.ndarray:
             out = np.asarray(_eval_node(ast.root, points), dtype=np.float64)
     except FloatingPointError as err:
         raise EvalError(f"non-finite intermediate value: {err}") from None
+    except RecursionError:
+        raise EvalError("expression nests too deeply to evaluate") from None
     if out.ndim == 0:
         out = np.full(points.shape[0], float(out))
     return out
@@ -438,7 +373,10 @@ def diff(ast: ExprAst, i: int) -> ExprAst:
     """Exact partial derivative with respect to x<i> (1-based)."""
     if not 1 <= i <= ast.dim:
         raise ExprError(f"derivative index {i} out of range 1..{ast.dim}")
-    return ExprAst(_diff_node(ast.root, i), ast.dim)
+    try:
+        return ExprAst(_diff_node(ast.root, i), ast.dim)
+    except RecursionError:
+        raise ExprError("expression nests too deeply to differentiate") from None
 
 
 def _diff_node(node: Node, i: int) -> Node:
@@ -485,56 +423,28 @@ def _diff_node(node: Node, i: int) -> Node:
 # ---------------------------------------------------------------------------
 # printing
 
-# precedence levels used to decide parenthesization; larger binds tighter
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+_BINARY_NAMES = {name: op for op, name in _BINARY_OPS.items()}
 
 
-def _node_level(node: Node) -> int:
-    if isinstance(node, Binary):
-        return _LEVEL_ADD if node.op in ("add", "sub") else _LEVEL_MUL
-    if isinstance(node, Unary):
-        return _LEVEL_NEG if node.op == "neg" else _LEVEL_ATOM
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    if isinstance(node, Const) and (node.value < 0 or math.copysign(1.0, node.value) < 0):
-        return _LEVEL_NEG  # prints with a leading minus
-    return _LEVEL_ATOM
-
-
-def _wrap(node: Node, minimum: int) -> str:
-    text = _print_node(node)
-    if _node_level(node) < minimum:
-        return f"({text})"
-    return text
-
-
-def _print_node(node: Node) -> str:
+def _to_python(node: Node) -> pyast.expr:
+    if isinstance(node, Const) and math.copysign(1.0, node.value) < 0:
+        return pyast.UnaryOp(pyast.USub(), _to_python(Const(-node.value)))  # wrapped where needed
     if isinstance(node, Const):
-        return repr(node.value)  # round-trips float64 exactly, as print->parse->eval needs
+        return pyast.Constant(node.value)  # a float prints as its repr, which round-trips
     if isinstance(node, Var):
-        return f"x{node.index}"
+        return pyast.Name(f"x{node.index}")
+    if isinstance(node, Unary) and node.op == "neg":
+        return pyast.UnaryOp(pyast.USub(), _to_python(node.arg))
     if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"-{_wrap(node.arg, _LEVEL_NEG)}"
-        return f"{node.op}({_print_node(node.arg)})"
-    if isinstance(node, Binary):
-        if node.op in ("add", "sub"):
-            sym = "+" if node.op == "add" else "-"
-            left = _wrap(node.left, _LEVEL_ADD)
-            right = _wrap(node.right, _LEVEL_ADD + 1)
-            return f"{left} {sym} {right}"
-        sym = "*" if node.op == "mul" else "/"
-        left = _wrap(node.left, _LEVEL_MUL)
-        right = _wrap(node.right, _LEVEL_MUL + 1)
-        return f"{left} {sym} {right}"
+        return pyast.Call(pyast.Name(node.op), [_to_python(node.arg)], [])
+    if isinstance(node, Binary) and node.op in _BINARY_NAMES:
+        return pyast.BinOp(_to_python(node.left), _BINARY_NAMES[node.op](), _to_python(node.right))
     if isinstance(node, Pow):
-        base = _wrap(node.base, _LEVEL_ATOM)
-        if node.exponent < 0:
-            return f"{base}^-{-node.exponent}"
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
+        return pyast.BinOp(_to_python(node.base), pyast.Pow(), _to_python(Const(node.exponent)))
+    raise ExprError(f"cannot print {node!r}")
 
 
 def to_string(ast: ExprAst) -> str:
-    """Render to text that reparses to an equivalent tree."""
-    return _print_node(ast.root)
+    """Render to text that reparses to the same values.  Python's unparser places
+    the parentheses and spaces each binary operator, ``^`` too: ``x1 ^ 2``."""
+    return pyast.unparse(_to_python(ast.root)).replace("**", "^")

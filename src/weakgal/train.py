@@ -428,7 +428,7 @@ def approx_error_probe(
     ss_init, ss_quad, ss_batches = ss.spawn(3)
     domain = unit_hypercube(arch.dim)
     volume = domain.volume
-    params = net.clip_weights(net.init(arch, ss_init), arch.b_theta)
+    params = net.init(arch, ss_init)  # already inside [-B_theta, B_theta]
     opt = _Optimizer(config, arch.n_params(), config.lr_u)
     quad = sample_interior(domain, config.h1_quad_points, ss_quad)
     held_out = loss_mod.H1Reference(target, quad, volume)

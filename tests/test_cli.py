@@ -219,6 +219,17 @@ class TestConfigValidation:
             assert f"problem.{key}" in err and "offset" in err, err
             assert not (out / "history.csv").exists()
 
+    def test_too_deep_an_expression_exits_2_without_a_traceback(self, tmp_path, capsys):
+        deep = {"parens": "(" * 1000 + "x1" + ")" * 1000, "long sum": "+".join(["x1"] * 1000)}
+        for key in ("c", "u_exact"):
+            for name, text in deep.items():
+                doc = solve_config()
+                doc["problem"][key] = text
+                out = tmp_path / f"{key}_{name}"
+                assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, name
+                assert f"config error: problem.{key}: " in capsys.readouterr().err
+                assert not (out / "history.csv").exists()
+
     def test_pinned_knobs_and_infinite_ball_stay_valid(self, tmp_path):
         doc = solve_config()
         doc["train"].update(
@@ -553,6 +564,18 @@ class TestTheoryCheck:
             blobs.append((out / "theory.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_absent_b_theta_is_the_commands_default(self, tmp_path):
+        """``u_arch`` without ``b_theta`` gets the 2.0 an absent ``u_arch`` gets."""
+        doc = dict(TINY["theory-check"], u_arch={"widths": [1, 4, 1]})
+        blobs = []
+        for name, tiny in (("partial", doc), ("absent", {k: v for k, v in doc.items() if k != "u_arch"})):
+            out = tmp_path / name
+            assert cli.run(write_config(tmp_path, tiny, f"{name}.json"), out_dir=str(out), quiet=True) == 0
+            lips = [e for e in json.loads((out / "theory.json").read_text()) if "b_theta" in e["details"]]
+            assert lips and all(e["details"]["b_theta"] == 2.0 for e in lips)
+            blobs.append((out / "theory.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestApproxProbe:
     def test_fit_history_written(self, tmp_path):
@@ -642,8 +665,8 @@ _CONFIG_KEYS = sorted(
 _NUMBERS = st.integers(-2, 9) | st.floats()
 _LEAVES = st.one_of(
     st.none(), st.booleans(), _NUMBERS, st.text(max_size=6),
-    st.sampled_from(["inf", "x1", "1/x1", "sin(pi*x1)", "exp(800*x1)", "ball", "neumann",
-                     "dirichlet", "relu2", "logistic", "identity", "zero", "sgd"]),
+    st.sampled_from(["inf", "x1", "1/x1", "sin(pi*x1)", "exp(800*x1)", "x1^2^3", "01", "x1**2",
+                     "ball", "neumann", "dirichlet", "relu2", "logistic", "identity", "zero", "sgd"]),
 )
 # generated objects have random keys, so a replaced section never falls back
 # to its (long-running) defaults

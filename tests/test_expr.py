@@ -61,6 +61,66 @@ def test_non_integer_exponent_rejected():
     assert parse("x1^-2", 1)((2.0,)) == 0.25
 
 
+# Python's grammar, cut down: accepted forms with their trees, then rejected
+# forms with the offset of the first bad character in the original text
+_ACCEPTED = (
+    ("x1^(2)", Pow(Var(1), 2)),
+    ("x1^-(2)", Pow(Var(1), -2)),
+    ("x1^2.0", Pow(Var(1), 2)),
+    ("(x1^2)^3", Pow(Pow(Var(1), 2), 3)),
+    ("-x1^2", Unary("neg", Pow(Var(1), 2))),
+    ("(sin)(x1)", Unary("sin", Var(1))),
+    ("\tx1 +\n 2", Binary("add", Var(1), Const(2.0))),
+    ("x01", Var(1)),
+    ("x" + "0" * 5000 + "2", Var(2)),
+    ("1.e1", Const(10.0)),
+    ("(" * 200 + "x1" + ")" * 200, Var(1)),
+)
+_REJECTED = (
+    ("x1^2^3", 3), ("x1 ^ 2 ^ 3", 5), ("x1^--2", 4), ("x1^x1", 3), ("x1^2.5", 3),
+    ("01", 0), ("x1 + 007", 5), ("\u0663", 0), ("x1\xa0+ 1", 2), ("x1 + \u0663", 5),
+    ("x1**2", 2), ("x1 # c", 3), ("'x1'", 0), ("sin(x1, x2)", 6), ("[x1]", 0),
+    ("1_0", 1), ("0x1f", 0), ("0o7", 0), ("0b1", 0), ("1j", 0), ("True", 0), ("None", 0),
+    ("+x1", 0), ("x1 // 2", 0), ("sin(*x1)", 4), ("pi(x1)", 0), ("sin", 0), ("x1 if x1 else 2", 0),
+    ("1if x1 else 2", 0), ("x2^2 + x4", 7), ("2*^3", 2), ("", 0), ("  ", 2), ("x1 +", 4),
+    ("x1 + x" + "9" * 5000, 5),
+)
+
+
+def test_grammar_accepts_and_rejects_each_form_at_its_offset():
+    for text, root in _ACCEPTED:
+        assert parse(text, 3).root == root, text
+    for text, offset in _REJECTED:
+        with pytest.raises(ParseError) as err:
+            parse(text, 3)
+        assert err.value.offset == offset, (text, str(err.value))
+
+
+def test_too_deep_a_tree_is_an_expr_error_at_each_step():
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse("+".join(["x1"] * 1000), 1)
+    deep = Var(1)
+    for _ in range(5000):
+        deep = Unary("neg", deep)
+    with pytest.raises(expr.ExprError, match="nests too deeply"):
+        ExprAst(deep, 1)
+    tree = ExprAst(Var(1), 1)
+    object.__setattr__(tree, "root", deep)  # past the construction check
+    with pytest.raises(expr.ExprError, match="nests too deeply"):
+        diff(tree, 1)
+    with pytest.raises(EvalError, match="nests too deeply"):
+        evaluate_many(tree, np.array([[0.5]]))
+
+
+def test_printed_powers_are_spaced_and_parenthesized_by_python_rules():
+    cases = (("x1^2", "x1 ^ 2"), ("x1^-2", "x1 ^ (-2)"), ("(x1^2)^3", "(x1 ^ 2) ^ 3"),
+             ("(-x1)^2", "(-x1) ^ 2"), ("-x1^2", "-x1 ^ 2"), ("2 - (3 - x1)", "2.0 - (3.0 - x1)"))
+    for text, printed in cases:
+        assert str(parse(text, 1)) == printed
+        assert parse(printed, 1).root == parse(text, 1).root
+    assert str(ExprAst(Pow(Const(-2.0), 2), 1)) == "(-2.0) ^ 2"
+
+
 def test_batch_evaluation_shape():
     e = parse("x1*x2", 2)
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
