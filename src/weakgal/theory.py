@@ -12,14 +12,17 @@ Everything here is one of a matched pair:
   formula or an implementation is wrong; tests assert zero violations.
 
 Bound formulas are evaluated in log space; reports carry both the float value
-(+inf if out of range) and its natural log.
+(+inf if out of range) and its natural log.  Every probe returns
+``BoundReport``s over one network class: ``lipschitz_probe``,
+``empirical_class_sups``, ``massart_sweep`` and ``empirical_sta_error``, which
+``theory-check`` runs in that order.  All but the Massart sweep assume
+|rho|, |rho'| <= 1 (tanh, logistic) and reject any other activation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +44,7 @@ __all__ = [
     "statistical_error_bound",
     "empirical_class_sups",
     "lipschitz_probe",
-    "StaErrorEstimate",
+    "massart_sweep",
     "empirical_sta_error",
 ]
 
@@ -69,12 +72,6 @@ class FiniteVectorSet:
     @property
     def n(self) -> int:
         return self.vectors.shape[1]
-
-
-def _as_set(vectors) -> FiniteVectorSet:
-    if isinstance(vectors, FiniteVectorSet):
-        return vectors
-    return FiniteVectorSet(np.asarray(vectors, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -115,12 +112,13 @@ def _make_report(lemma: str, ln_theoretical: float, empirical: float, details: d
 # Rademacher averages
 
 
-def exact_rademacher(vectors) -> float:
+def exact_rademacher(vs: FiniteVectorSet) -> float:
     """E_sigma sup_a (1/N) sum_k sigma_k a_k by full sign enumeration (N <= 20)."""
-    vs = _as_set(vectors)
     n = vs.n
     if n > 20:
         raise ValueError(f"exact enumeration limited to N <= 20, got N = {n}")
+    if vs.size == 1:
+        return 0.0  # sigma and -sigma cancel, so the average is 0, not float noise
     a_t = vs.vectors.T  # (N, m)
     n_signs = 1 << n
     chunk = 1 << min(n, 14)  # cap memory at 2^14 sign rows per block
@@ -133,11 +131,40 @@ def exact_rademacher(vectors) -> float:
     return total / n_signs / n
 
 
-def massart_bound(vectors) -> float:
+def massart_bound(vs: FiniteVectorSet) -> float:
     """Finite-class bound D sqrt(2 log m) / N with D the largest l2 norm."""
-    vs = _as_set(vectors)
     d_max = float(np.linalg.norm(vs.vectors, axis=1).max())
     return d_max * math.sqrt(2.0 * math.log(vs.size)) / vs.n
+
+
+def massart_sweep(n_sets: int, seed) -> BoundReport:
+    """The worst exact-to-Massart ratio over ``n_sets`` random finite sets of
+    1-15 Gaussian vectors in R^1..R^11; ``details`` counts the violations."""
+    if n_sets < 1:
+        raise ValueError("n_sets must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst = None
+    violations = 0
+    for _ in range(n_sets):
+        m = int(rng.integers(1, 16))
+        n = int(rng.integers(1, 12))
+        vs = FiniteVectorSet(rng.normal(size=(m, n)) * float(rng.uniform(0.5, 3.0)))
+        exact = exact_rademacher(vs)
+        bound = massart_bound(vs)
+        if exact > bound + 1e-12:
+            violations += 1
+        ratio = exact / bound if bound > 0 else 0.0
+        if worst is None or ratio > worst[0]:
+            worst = (ratio, exact, bound)
+    ratio, exact, bound = worst
+    return BoundReport(
+        lemma="rademacher_massart",
+        theoretical=bound,
+        ln_theoretical=math.log(bound) if bound > 0 else -math.inf,
+        empirical=exact,
+        ratio=ratio,
+        details={"sets": n_sets, "violations": violations},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +322,18 @@ def _probe_blocks(n_probes: int, arch: NetworkArch) -> list[range]:
 
 
 def empirical_class_sups(
-    arch: NetworkArch,
-    problem: EllipticProblem,
-    n_probes: int = 1000,
-    seed=0,
-    sups: CoeffSupNorms | None = None,
+    arch: NetworkArch, problem: EllipticProblem, n_probes: int, seed
 ) -> list[BoundReport]:
     """Max of each family over random (theta_u, theta_v, x) probes vs B_1..B_6.
 
     Weights are drawn entrywise uniform in [-B_theta, B_theta] (the class's
-    box), interior/boundary points uniform on the problem's domain.
+    box), interior/boundary points uniform on the problem's domain.  The
+    constants assume |rho|, |rho'| <= 1, so the activation must be tanh or
+    logistic.
     """
-    if sups is None:
-        sups = probe_sup_norms(problem, max(2048, n_probes), seed=[seed, 0])
+    if not arch.activation.smooth:
+        raise ValueError("class sups require a bounded smooth activation")
+    sups = probe_sup_norms(problem, max(2048, n_probes), seed=[seed, 0])
     consts = class_constants(arch, arch.n_params(), sups, problem.alpha)
 
     rng = np.random.default_rng([seed, 1])
@@ -352,7 +378,7 @@ def empirical_class_sups(
     ]
 
 
-def lipschitz_probe(arch: NetworkArch, n_probes: int = 1000, seed=0) -> list[BoundReport]:
+def lipschitz_probe(arch: NetworkArch, n_probes: int, seed) -> list[BoundReport]:
     """Probe the value/gradient weight-Lipschitz and gradient-sup bounds.
 
     Each probe draws two weight vectors in the class box and a point in the
@@ -396,41 +422,27 @@ _ASCENT_STEPS = 3
 _ASCENT_STEP_FRAC = 0.05
 
 
-@dataclass(frozen=True)
-class StaErrorEstimate:
-    """Empirical lower bound on the statistical error sup |L_small - L_big|."""
-
-    n_samples: int
-    trials: int
-    trial_maxima: tuple[float, ...]
-    mean: float
-    bound: float
-    ln_bound: float
-    ratio: float
-
-
 def empirical_sta_error(
-    u_arch: NetworkArch,
-    v_arch: NetworkArch,
-    problem: EllipticProblem,
-    n_samples: int,
-    trials: int = 20,
-    probe_budget: int = 20,
-    seed=0,
-) -> StaErrorEstimate:
-    """Adversarial estimate of sup_(u,v) |L_hat_N(u,v) - L_hat_big(u,v)|.
+    arch: NetworkArch, problem: EllipticProblem, n_samples: int, trials: int, probe_budget: int, seed
+) -> BoundReport:
+    """Adversarial estimate of sup_(u,v) |L_hat_N(u,v) - L_hat_big(u,v)| over
+    u, v drawn from one class, against the statistical error bound.
 
     Per trial: a fresh N-point batch is compared against a ``_BIG_FACTOR``
     times larger reference batch; random network probes (the first probe is
     the zero network) are refined by ``_ASCENT_STEPS`` signed-gradient ascent
     steps, staying inside the weight box.  Each batch's coefficients are evaluated once per trial.
     Probe networks derive from seeds independent of N, so sweeps over N reuse
-    the same probe parameters.  The reported bound is the statistical error
-    bound with C_user = 1 instantiated conservatively with the
-    elementwise-larger of the two architectures' (depth, weights, B_theta).
+    the same probe parameters.  The report's empirical value is the mean of
+    the trial maxima, its bound the statistical error bound with C_user = 1;
+    the bound assumes |rho|, |rho'| <= 1, so the activation must be tanh or
+    logistic.
     """
+    if not arch.activation.smooth:
+        raise ValueError("the statistical error bound requires a bounded smooth activation")
     if trials < 1 or probe_budget < 1:
         raise ValueError("trials and probe_budget must be >= 1")
+    step = _ASCENT_STEP_FRAC * arch.b_theta
     maxima = []
     for t in range(trials):
         batch = sample_batch(problem.domain, n_samples, n_samples, [seed, 2000 + t])
@@ -450,7 +462,7 @@ def empirical_sta_error(
         for k in range(probe_budget):
             pu, pv = (  # u's draw, then v's
                 net.NetworkParams(arch, _random_flat(arch, probe_rng)) if k else net.zeros_like_arch(arch)
-                for arch in (u_arch, v_arch)
+                for _ in range(2)
             )
             val = discrepancy(pu, pv)
             if val > best_val:
@@ -464,33 +476,20 @@ def empirical_sta_error(
             gu_b, gv_b, large = loss_mod.loss_gradients(pu, pv, problem, big, cache=big_cache)
             best_val = max(best_val, abs(small.total - large.total))
             sign = 1.0 if small.total >= large.total else -1.0
-            du = sign * (gu_s - gu_b)
-            dv = sign * (gv_s - gv_b)
-            scale_u = _ASCENT_STEP_FRAC * u_arch.b_theta / max(float(np.linalg.norm(du)), 1e-12)
-            scale_v = _ASCENT_STEP_FRAC * v_arch.b_theta / max(float(np.linalg.norm(dv)), 1e-12)
-            pu = net.clip_weights(net.NetworkParams(u_arch, pu.flat + scale_u * du))
-            pv = net.clip_weights(net.NetworkParams(v_arch, pv.flat + scale_v * dv))
+            pu, pv = (
+                net.clip_weights(net.NetworkParams(arch, p.flat + step / max(float(np.linalg.norm(d)), 1e-12) * d))
+                for p, d in ((pu, sign * (gu_s - gu_b)), (pv, sign * (gv_s - gv_b)))
+            )
         best_val = max(best_val, discrepancy(pu, pv))
         maxima.append(best_val)
 
     mean = float(np.mean(maxima))
-    ref_arch = u_arch if (u_arch.n_params(), u_arch.b_theta, u_arch.depth) >= (
-        v_arch.n_params(), v_arch.b_theta, v_arch.depth
-    ) else v_arch
-    bound, ln_bound = statistical_error_bound(
-        ref_arch,
-        max(u_arch.n_params(), v_arch.n_params()),
-        n_samples,
-        problem.beta,
-        c_user=1.0,
-    )
-    ratio = mean / bound if math.isfinite(bound) and bound > 0 else 0.0
-    return StaErrorEstimate(
-        n_samples=n_samples,
-        trials=trials,
-        trial_maxima=tuple(maxima),
-        mean=mean,
-        bound=bound,
-        ln_bound=ln_bound,
-        ratio=ratio,
+    bound, ln_bound = statistical_error_bound(arch, arch.n_params(), n_samples, problem.beta, c_user=1.0)
+    return BoundReport(
+        lemma="statistical_error",
+        theoretical=bound,
+        ln_theoretical=ln_bound,
+        empirical=mean,
+        ratio=mean / bound if math.isfinite(bound) and bound > 0 else 0.0,
+        details={"n_samples": n_samples, "trials": trials, "trial_maxima": tuple(maxima)},
     )

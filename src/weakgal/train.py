@@ -307,12 +307,8 @@ def minimax_train(
 
     ss = np.random.SeedSequence(config.seed)
     ss_u, ss_v, ss_quad, ss_batches, ss_restarts = ss.spawn(5)
-    u = net.init(u_arch, ss_u)
-    v = net.init(v_arch, ss_v)
-    clip_u = config.clip_b_theta if config.clip_b_theta is not None else u_arch.b_theta
-    clip_v = config.clip_b_theta if config.clip_b_theta is not None else v_arch.b_theta
-    u = net.clip_weights(u, clip_u)
-    v = net.clip_weights(v, clip_v)
+    u = net.clip_weights(net.init(u_arch, ss_u), config.clip_b_theta)
+    v = net.clip_weights(net.init(v_arch, ss_v), config.clip_b_theta)
 
     # h1_u, h1_v and h1_error are all estimated on one quadrature set
     quad = sample_interior(problem.domain, config.h1_quad_points, ss_quad)
@@ -341,7 +337,7 @@ def minimax_train(
                 problem.domain, config.n_interior, config.m_boundary, ss_batches.spawn(1)[0]
             )
         if config.v_restart_every > 0 and step > 0 and step % config.v_restart_every == 0:
-            v = net.clip_weights(net.init(v_arch, ss_restarts.spawn(1)[0]), clip_v)
+            v = net.clip_weights(net.init(v_arch, ss_restarts.spawn(1)[0]), config.clip_b_theta)
             opt_v.reset()
 
         is_row = (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1
@@ -351,14 +347,14 @@ def minimax_train(
                     u, v, problem, batch, config.boundary_alpha_half, need_u=False, cache=cache
                 )
                 gv, grad_v_norm = _clip_grad(gv, config.grad_clip_norm, "grad_v")
-                v = net.clip_weights(NetworkParams(v_arch, opt_v.step(v.flat, gv, +1.0)), clip_v)
+                v = net.clip_weights(NetworkParams(v_arch, opt_v.step(v.flat, gv, +1.0)), config.clip_b_theta)
 
             gu, _, value = loss_mod.loss_gradients(
                 u, v, problem, batch, config.boundary_alpha_half, need_v=False, cache=cache
             )
             last_loss = value
             gu, grad_u_norm = _clip_grad(gu, config.grad_clip_norm, "grad_u")
-            u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)), clip_u)
+            u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)), config.clip_b_theta)
             # a history row before the averaging window reports the iterate's h1
             u, h1_u, ev_u = projector.iterate(u, need_h1=is_row and step < avg_start)
         except NonFiniteLossError as err:
@@ -370,7 +366,7 @@ def minimax_train(
         if is_row:
             u_out, h1_out, ev_out = u, h1_u, ev_u
             if step >= avg_start:
-                u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg), clip_u)
+                u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg), config.clip_b_theta)
                 u_out, h1_out, ev_out = projector.exact_project(u_out)
             h1_error = math.nan
             if ref is not None:  # u_out needs its own forward only if the projection rescaled it

@@ -258,13 +258,13 @@ def test_criterion_6_statistical_error_direction():
         means = []
         for n_samples in (64, 128, 256):
             est = theory.empirical_sta_error(
-                arch, arch, problem, n_samples=n_samples, trials=20,
+                arch, problem, n_samples=n_samples, trials=20,
                 probe_budget=10, seed=[6, ci],
             )
             assert est.ratio <= 1.0, (
-                f"empirical {est.mean} above bound {est.bound} at N={n_samples}"
+                f"empirical {est.empirical} above bound {est.theoretical} at N={n_samples}"
             )
-            means.append(est.mean)
+            means.append(est.empirical)
         for m_small, m_big in zip(means, means[1:]):
             assert m_big <= 1.10 * m_small, f"means increased with N: {means}"
     _elapsed_line(6, "statistical error direction", t0, 300.0)

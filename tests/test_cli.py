@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakgal import cli, expr, network as net
+from weakgal import cli, expr, network as net, theory
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -229,6 +229,20 @@ class TestConfigValidation:
                 assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, name
                 assert f"config error: problem.{key}: " in capsys.readouterr().err
                 assert not (out / "history.csv").exists()
+
+    def test_too_deep_a_derivative_names_u_exact(self, tmp_path, capsys):
+        # a 400-factor product parses, but its derivative tree nests too deeply
+        doc = solve_config()
+        doc["problem"]["u_exact"] = "*".join(["x1"] * 400)
+        out = tmp_path / "deep"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
+        err = capsys.readouterr().err
+        assert "config error: problem.u_exact: deriving f and g: " in err, err
+        assert not (out / "history.csv").exists()
+        # an overflow evaluating the Dirichlet trace is still a numerical failure
+        doc["problem"].update(u_exact="exp(800*x1)", bc_kind="dirichlet")
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "trace"), quiet=True) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_pinned_knobs_and_infinite_ball_stay_valid(self, tmp_path):
         doc = solve_config()
@@ -563,6 +577,46 @@ class TestTheoryCheck:
             assert cli.run(cfg, out_dir=str(out), quiet=True) == 0
             blobs.append((out / "theory.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_runner_calls_the_lab_through_the_module_in_order(self, tmp_path, monkeypatch):
+        """Each lab call goes through the ``theory`` module attribute, so a
+        wrapper patched there (a tracer, a set-up clock) sees it."""
+        calls = []
+        for name in ("lipschitz_probe", "empirical_class_sups", "massart_sweep", "empirical_sta_error"):
+            def recorded(*args, _name=name, _original=getattr(theory, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(theory, name, recorded)
+        assert cli.run(write_config(tmp_path, TINY["theory-check"]), out_dir=str(tmp_path / "out"), quiet=True) == 0
+        assert calls == ["lipschitz_probe", "empirical_class_sups", "massart_sweep", "empirical_sta_error"]
+
+    @pytest.mark.parametrize("seed", [109, 222, 242])
+    def test_one_vector_massart_set_holds(self, tmp_path, seed):
+        # the only Rademacher set holds one vector, whose bound is exactly 0
+        doc = copy.deepcopy(TINY["theory-check"])
+        doc["theory"].update(rademacher_sets=1, seed=seed)
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"] == {"all_bounds_hold": True, "massart_violations": 0}
+        massart = [e for e in json.loads((out / "theory.json").read_text()) if e["lemma"] == "rademacher_massart"]
+        assert massart[0]["empirical"] == 0.0 and massart[0]["holds"]
+
+    @pytest.mark.parametrize("activation, rows", [("relu", 1), ("relu2", 1), ("tanh", 11)])
+    def test_unbounded_activation_reports_massart_only(self, tmp_path, activation, rows):
+        """The class lemmas assume |rho|, |rho'| <= 1, which relu-family
+        activations break; their runs report the Massart row alone."""
+        doc = copy.deepcopy(TINY["theory-check"])
+        doc["u_arch"] = {"widths": [1, 8, 8, 1], "b_theta": 2.0, "activation": activation}
+        doc["theory"]["probes"] = 2000
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 0
+        doc = json.loads((out / "theory.json").read_text())
+        assert len(doc) == rows and all(e["holds"] for e in doc)
+        assert "rademacher_massart" in [e["lemma"] for e in doc]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["all_bounds_hold"] is True
 
     def test_absent_b_theta_is_the_commands_default(self, tmp_path):
         """``u_arch`` without ``b_theta`` gets the 2.0 an absent ``u_arch`` gets."""

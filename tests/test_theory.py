@@ -27,6 +27,7 @@ from weakgal.theory import (
     exact_rademacher,
     lipschitz_probe,
     massart_bound,
+    massart_sweep,
     statistical_error_bound,
 )
 
@@ -56,7 +57,7 @@ def test_exact_rademacher_two_point_set():
 
 def test_exact_rademacher_single_vector_is_zero():
     vs = FiniteVectorSet(np.array([[0.7, -0.3, 2.0]]))
-    assert exact_rademacher(vs) == pytest.approx(0.0, abs=1e-15)
+    assert exact_rademacher(vs) == 0.0
 
 
 def test_exact_rademacher_rejects_large_n():
@@ -92,6 +93,22 @@ def test_exact_below_massart_property():
         scale = float(rng.uniform(0.1, 5.0))
         vs = FiniteVectorSet(rng.normal(size=(m, n)) * scale)
         assert exact_rademacher(vs) <= massart_bound(vs) + 1e-12
+
+
+def test_massart_sweep_reports_the_worst_ratio_with_no_violation():
+    report = massart_sweep(200, [0, 12])
+    assert report.lemma == "rademacher_massart"
+    assert report.details == {"sets": 200, "violations": 0}
+    assert report.holds and 0.0 < report.ratio <= 1.0
+    assert report.ratio == report.empirical / report.theoretical
+    assert report.ln_theoretical == math.log(report.theoretical)
+    assert massart_sweep(200, [0, 12]) == report
+    # each draws one set of one vector, whose sign enumeration leaves about
+    # 2e-17 of float noise above its Massart bound of exactly 0
+    for seed in (109, 222, 242):
+        single = massart_sweep(1, [seed, 12])
+        assert single.holds and single.details["violations"] == 0
+        assert (single.empirical, single.theoretical, single.ratio) == (0.0, 0.0, 0.0)
 
 
 def test_covering_bound_values():
@@ -221,6 +238,16 @@ def test_lipschitz_probe_rejects_relu():
         lipschitz_probe(arch, n_probes=10, seed=0)
 
 
+@pytest.mark.parametrize("name", ["relu", "relu2", "relu3"])
+def test_class_sups_and_sta_error_reject_unbounded_activations(name):
+    arch = NetworkArch(widths=(2, 4, 1), activation=activation_by_name(name), b_theta=2.0)
+    prob = _problem_2d()
+    with pytest.raises(ValueError, match="bounded smooth activation"):
+        empirical_class_sups(arch, prob, n_probes=10, seed=0)
+    with pytest.raises(ValueError, match="bounded smooth activation"):
+        empirical_sta_error(arch, prob, n_samples=8, trials=1, probe_budget=1, seed=0)
+
+
 def test_empirical_class_sups_hold():
     prob = _problem_2d()
     arch = NetworkArch(widths=(2, 4, 1), activation=TANH, b_theta=2.0)
@@ -238,24 +265,25 @@ def test_empirical_class_sups_hold():
 def test_empirical_sta_error_below_bound_and_deterministic():
     prob = _problem_2d()
     arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=2.0)
-    est1 = empirical_sta_error(arch, arch, prob, n_samples=32, trials=3, probe_budget=5, seed=11)
-    est2 = empirical_sta_error(arch, arch, prob, n_samples=32, trials=3, probe_budget=5, seed=11)
-    assert est1.trial_maxima == est2.trial_maxima
-    assert est1.mean <= est1.bound
-    assert est1.mean > 0.0
-    assert est1.ratio == pytest.approx(est1.mean / est1.bound, rel=1e-12)
-    est3 = empirical_sta_error(arch, arch, prob, n_samples=32, trials=3, probe_budget=5, seed=12)
-    assert est3.trial_maxima != est1.trial_maxima
+    est1 = empirical_sta_error(arch, prob, n_samples=32, trials=3, probe_budget=5, seed=11)
+    est2 = empirical_sta_error(arch, prob, n_samples=32, trials=3, probe_budget=5, seed=11)
+    assert est1.lemma == "statistical_error"
+    assert est1.details["trial_maxima"] == est2.details["trial_maxima"]
+    assert est1.empirical <= est1.theoretical
+    assert est1.empirical > 0.0
+    assert est1.ratio == pytest.approx(est1.empirical / est1.theoretical, rel=1e-12)
+    est3 = empirical_sta_error(arch, prob, n_samples=32, trials=3, probe_budget=5, seed=12)
+    assert est3.details["trial_maxima"] != est1.details["trial_maxima"]
 
 
 def test_empirical_sta_error_probe_seeds_shared_across_n():
     # the random probe networks must not depend on N, so doubling N reuses them
     prob = _problem_2d()
     arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=2.0)
-    small = empirical_sta_error(arch, arch, prob, n_samples=16, trials=2, probe_budget=4, seed=3)
-    large = empirical_sta_error(arch, arch, prob, n_samples=32, trials=2, probe_budget=4, seed=3)
-    assert small.n_samples == 16 and large.n_samples == 32
-    assert small.trial_maxima != large.trial_maxima
+    small = empirical_sta_error(arch, prob, n_samples=16, trials=2, probe_budget=4, seed=3)
+    large = empirical_sta_error(arch, prob, n_samples=32, trials=2, probe_budget=4, seed=3)
+    assert small.details["n_samples"] == 16 and large.details["n_samples"] == 32
+    assert small.details["trial_maxima"] != large.details["trial_maxima"]
 
 
 def test_bound_report_ratio_convention():
@@ -380,7 +408,7 @@ def test_empirical_sta_error_evaluates_coefficients_once_per_batch(monkeypatch):
         return original(self, points)
 
     monkeypatch.setattr(pde.EllipticProblem, "a_values", counted)
-    empirical_sta_error(arch, arch, prob, n_samples=8, trials=3, probe_budget=10, seed=4)
+    empirical_sta_error(arch, prob, n_samples=8, trials=3, probe_budget=10, seed=4)
     # one small and one 100x reference batch per trial (32 evaluations each before)
     assert sizes == [8, 800] * 3
 
@@ -395,6 +423,6 @@ def test_empirical_sta_error_pinned_maxima():
         (32, 2, 4, 3, (261.5604934735384, 42.42483458124917)),
     )
     for n_samples, trials, budget, seed, want in cases:
-        est = empirical_sta_error(arch, arch, prob, n_samples=n_samples, trials=trials,
+        est = empirical_sta_error(arch, prob, n_samples=n_samples, trials=trials,
                                   probe_budget=budget, seed=seed)
-        assert est.trial_maxima == pytest.approx(want, rel=1e-12, abs=0)
+        assert est.details["trial_maxima"] == pytest.approx(want, rel=1e-12, abs=0)
