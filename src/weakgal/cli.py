@@ -11,7 +11,8 @@ solve history is byte-reproducible given the same config and seed.
 ``WG_THREADS`` caps the worker pool that runs convergence-study's sweep
 points.  ``theory-check`` only calls the ``theory`` lab, through its module
 attributes, and writes the ``BoundReport``s it returns.  Once per process,
-``run`` pins glibc's heap thresholds so large temporaries stay mapped; each
+``run`` pins glibc's heap thresholds so large temporaries stay mapped, and
+OpenBLAS to one thread so results do not depend on its thread count; each
 manifest's ``resources`` block reports whether they took, the run's minor page
 faults, the process's peak RSS, and the interpreter, numpy, BLAS and cores.
 
@@ -25,6 +26,7 @@ import concurrent.futures
 import ctypes
 import dataclasses
 import functools
+import glob
 import hashlib
 import io
 import json
@@ -136,13 +138,41 @@ def _heap_policy() -> bool:
     return mallopt is not None and all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
 
 
+def _blas_setter():
+    """The thread-count setter of the OpenBLAS that numpy bundles, or None where none is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            fn = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or another OpenBLAS build
+            continue
+        fn.argtypes, fn.restype = (ctypes.c_int,), None
+        return fn
+    return None
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Pin OpenBLAS to one thread once per process; the count set, or None without a setter.
+
+    OpenBLAS splits a large product among its threads at row offsets that
+    depend on the size, so results would change bits with the thread count.
+    On these small products a second thread also buys little wall time for a
+    core of CPU time, and the ``convergence-study`` pool gets the cores."""
+    setter = _blas_setter()
+    if setter is None:
+        return None
+    setter(1)
+    return 1
+
+
 def _usage():
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF)
 
 
-def _resources(before, heap_policy: bool) -> dict:
+def _resources(before, heap_policy: bool, blas_threads: int | None) -> dict:
     """Peak RSS of the process so far, minor page faults since ``before``, and
-    the environment: interpreter, numpy, BLAS, cores, ``WG_THREADS``."""
+    the environment: interpreter, numpy, BLAS and its threads, cores, ``WG_THREADS``."""
     after = _usage()
     blas = {}
     try:
@@ -157,6 +187,7 @@ def _resources(before, heap_policy: bool) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "blas_threads": blas_threads,
         "cpu_count": os.cpu_count(),
         "WG_THREADS": os.environ.get("WG_THREADS"),
     }
@@ -551,7 +582,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None,
         quiet: bool = False) -> int:
     """Execute one experiment config; returns the process exit code."""
-    heap_policy = _heap_policy()
+    heap_policy, blas_threads = _heap_policy(), _blas_threads()
     usage = _usage()
     try:
         try:
@@ -595,7 +626,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             "started_utc": started,
             "finished_utc": _utc_now(),
             "runtime_seconds": time.perf_counter() - t0,
-            "resources": _resources(usage, heap_policy),
+            "resources": _resources(usage, heap_policy, blas_threads),
             "results": extras,
         }
         _write_json(os.path.join(target, "manifest.json"), manifest)

@@ -199,32 +199,34 @@ def empirical_loss(
 
     ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.  A
     ``cache`` shared with other calls on the same batch (see ``loss_gradients``)
-    evaluates the coefficients once per batch and ``u`` once per object.
+    evaluates the coefficients once per batch and ``u`` once per object; a
+    value needs no tapes, so this call keeps none.
     """
     if cache is None:
         terms = _BatchTerms(problem, batch, boundary_alpha_half)
         eu = _evaluate("u", u, terms)
     else:
-        terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half)
+        terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half, keep=False)
     return _assemble(terms, eu, _evaluate("v", v, terms), False, False)[0]
 
 
 class GradientCache:
     """Per-batch state shared by consecutive ``loss_gradients`` calls: the
     checked coefficients of one (problem, batch, alpha convention), rebuilt when
-    any of them is another object, and the trial network's tapes, rebuilt when
-    ``u`` is another object."""
+    any of them is another object, and the trial network's evaluation, redone
+    when ``u`` is another object or its tapes are wanted and were not kept."""
 
     def __init__(self):
         self._key = self._terms = self._u = self._u_eval = None
+        self._kept = False
 
-    def lookup(self, u, problem, batch, boundary_alpha_half) -> tuple[_BatchTerms, _Eval]:
+    def lookup(self, u, problem, batch, boundary_alpha_half, keep: bool) -> tuple[_BatchTerms, _Eval]:
         key = (problem, batch, bool(boundary_alpha_half))
         if self._key is None or any(a is not b for a, b in zip(key, self._key)):
             self._terms, self._u = _BatchTerms(problem, batch, boundary_alpha_half), None
             self._key = key
-        if u is not self._u:
-            self._u_eval, self._u = _evaluate("u", u, self._terms, keep=True), u
+        if u is not self._u or (keep and not self._kept):
+            self._u_eval, self._u, self._kept = _evaluate("u", u, self._terms, keep=keep), u, keep
         return self._terms, self._u_eval
 
 
@@ -246,11 +248,11 @@ def loss_gradients(
     skip one side's backprop (the corresponding entry is None); alternating
     optimizers use this to avoid paying for gradients they discard.  A
     ``cache`` shared by consecutive calls evaluates the coefficients once per
-    batch and the trial network's forward pass once per ``u``.
+    batch and the trial network's kept forward pass once per ``u``.
     """
     if cache is None:
         cache = GradientCache()
-    terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half)
+    terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half, keep=True)
     ev = _evaluate("v", v, terms, keep=need_v)
     value, seeds_u, seeds_v = _assemble(terms, eu, ev, need_u, need_v)
     grad_u = _backprop(eu, seeds_u, "grad_u") if need_u else None

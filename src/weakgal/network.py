@@ -76,8 +76,9 @@ def exp_or_inf(ln_value: float) -> float:
 class ActivationKind:
     """Activation plus the constants the capacity lemmas consume.
 
-    ``d1`` and ``d2`` give rho'(z) and rho''(z) as functions of the output
-    rho(z), so a forward pass that keeps the activations need not keep z.
+    ``d1`` gives rho'(z) as a function of the output rho(z), and ``d2`` gives
+    rho''(z) from the output and rho'(z), so a forward pass that keeps the
+    activations need not keep z, and a reverse sweep computes rho' once.
     ``b_rho``..``l_rho_prime`` are the conventional values used by the bound
     formulas (tanh and logistic both satisfy the <= 1 normalization, so all
     four are stored as 1.0).  ``smooth`` gates the Lipschitz lab: bounds
@@ -87,7 +88,7 @@ class ActivationKind:
     name: str
     apply: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     b_rho: float
     l_rho: float
     b_rho_prime: float
@@ -108,11 +109,38 @@ def _logistic(z):
     return out
 
 
+# rho' and rho'' from the output, each built in one array.  They round as
+# 1 - t*t, (-2t)(1 - t*t), s(1 - s) and s(1 - s)(1 - 2s) do: the same
+# operations in the same order, a product's factors at most swapped.
+def _tanh_d1(t):
+    r = t * t
+    return np.subtract(1.0, r, out=r)
+
+
+def _tanh_d2(t, dt):
+    r = -2.0 * t
+    r *= dt
+    return r
+
+
+def _logistic_d1(s):
+    r = 1.0 - s
+    r *= s
+    return r
+
+
+def _logistic_d2(s, ds):
+    r = 2.0 * s
+    np.subtract(1.0, r, out=r)
+    r *= ds
+    return r
+
+
 TANH = ActivationKind(
     name="tanh",
     apply=np.tanh,
-    d1=lambda t: 1.0 - t * t,
-    d2=lambda t: -2.0 * t * (1.0 - t * t),
+    d1=_tanh_d1,
+    d2=_tanh_d2,
     b_rho=1.0,
     l_rho=1.0,
     b_rho_prime=1.0,
@@ -122,8 +150,8 @@ TANH = ActivationKind(
 LOGISTIC = ActivationKind(
     name="logistic",
     apply=_logistic,
-    d1=lambda s: s * (1.0 - s),
-    d2=lambda s: s * (1.0 - s) * (1.0 - 2.0 * s),
+    d1=_logistic_d1,
+    d2=_logistic_d2,
     b_rho=1.0,
     l_rho=1.0,
     b_rho_prime=1.0,
@@ -139,7 +167,7 @@ def _relu_k(k: int) -> ActivationKind:
     def d1(y):
         return np.where(y <= 0, 0.0, k * y ** ((k - 1) / k))
 
-    def d2(y):
+    def d2(y, dy):
         if k == 1:
             return np.zeros_like(y)
         return np.where(y <= 0, 0.0, k * (k - 1) * y ** ((k - 2) / k))
@@ -301,15 +329,45 @@ def _identity_tangents(shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.eye(d).reshape((d,) + (1,) * (len(shape) - 1) + (d,)), (d,) + shape)
 
 
+def _first_tangents(A: np.ndarray) -> np.ndarray:
+    """Tangents of A x at any points x, stacked as (d, ..., 1, q) for A (..., q, d).
+
+    The tangent in input direction i is row i of A^T at every point, so this
+    broadcasts a C-ordered copy of A^T over the points; products with it come
+    out C-ordered, as products with a full array do.  Adding +0.0 gives the
+    bits of ``I @ A^T``, whose sums start from +0.0 and so turn -0.0 into +0.0."""
+    return np.add(np.moveaxis(A, -1, 0), 0.0, order="C")[..., None, :]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, taking a product over one term as a broadcast multiply.
+
+    A GEMM over one term adds its one rounded product to +0.0; the multiply
+    plus +0.0 gives the same bits, -0.0 products turned to +0.0 included."""
+    if a.shape[-1] != 1:
+        return a @ b
+    c = a * b
+    c += 0.0
+    return c
+
+
+def _affine(f: np.ndarray, At: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f @ At + b for inputs f (..., n, p), with b added in place."""
+    z = _dot(f, At)
+    z += b[..., None, :]
+    return z
+
+
 @dataclass(frozen=True)
 class Tape:
     """One forward pass over a batch, keeping what the reverse sweep needs.
 
     Per hidden layer the tape keeps the activation output rho(z) (n, q) and,
     unless it is value-only (``grads is None``), the pre-activation tangents
-    P = J_in A^T (d, n, q), stacked over the input dimensions.  The sweep
-    derives rho'(z) and rho''(z) from the output and rebuilds the layer's
-    output tangents as P * rho'(z), so neither z nor those are stored.
+    P = J_in A^T (d, n, q), stacked over the input dimensions.  The first
+    layer's are the same at every point, a (d, 1, q) broadcast of A^T.  The
+    sweep derives rho'(z) and rho''(z) from the output and rebuilds the
+    layer's output tangents as P * rho'(z), so neither z nor those are stored.
 
     A tape of a stack of S networks carries the ensemble axis after the
     tangent axis: outputs (S, n, q), tangents (d, S, n, q).
@@ -385,22 +443,26 @@ def _forward(params: NetworkParams, X: np.ndarray, grads: bool, keep: bool) -> T
     act = params.arch.activation
     *hidden, (A_top, b_top) = params.layers
     ins, tangents = [X], []
-    f, T = X, _identity_tangents(X.shape)  # T: tangents of f
+    f, T = X, None  # T: tangents of f, None while f is the points
     for A, b in hidden:
         At = A.swapaxes(-1, -2)
-        f = act.apply(f @ At + b[..., None, :])
+        f = act.apply(_affine(f, At, b))
         if keep:
             ins.append(f)
         if grads:
-            P = T @ At
-            T = P * act.d1(f)
+            P = _first_tangents(A) if T is None else _dot(T, At)
             if keep:
                 tangents.append(P)
+            # an unkept layer's P is its own temporary; the first layer's is a broadcast
+            T = P * act.d1(f) if keep or T is None else np.multiply(P, act.d1(f), out=P)
     At = A_top.swapaxes(-1, -2)
-    values = (f @ At + b_top[..., None, :])[..., 0]
+    values = _affine(f, At, b_top)[..., 0]
     g = None
     if grads:
-        g = (T @ At)[..., 0]  # (d, ..., n)
+        if T is None:  # an affine network: its gradient is its weight row at every point
+            g = np.broadcast_to(_first_tangents(A_top)[..., 0], (X.shape[-1],) + X.shape[:-1]).copy()
+        else:
+            g = _dot(T, At)[..., 0]  # (d, ..., n)
         g = g.transpose(*range(1, g.ndim), 0)
     return Tape(params=params, ins=ins, values=values, grads=g, tangents=tangents)
 
@@ -433,8 +495,8 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
             raise ValueError(f"seed_grads must be ({n}, {d}), got {s.shape}")
         S = np.ascontiguousarray(s.T)
 
-    def tangent_in(k):  # tangents of layer k's input, (d, n, q) flattened to (d*n, q)
-        T = _identity_tangents((n, d)) if k == 0 else tape.tangents[k - 1] * act.d1(ins[k])
+    def tangent_in(k, d1):  # tangents of layer k's input, (d, n, q) flattened to (d*n, q)
+        T = _identity_tangents((n, d)) if k == 0 else tape.tangents[k - 1] * d1
         return T.reshape(d * n, -1)
 
     grad = np.empty_like(params.flat)
@@ -442,8 +504,9 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
     a = params.layers[-1][0][0]
     dA, db = out[-1]
     np.matmul(w, ins[-1], out=dA[0])
+    d1 = act.d1(ins[-1]) if depth > 1 else None  # rho' at the current layer's input
     if S is not None:
-        dA[0] += S.reshape(-1) @ tangent_in(depth - 1)
+        dA[0] += S.reshape(-1) @ tangent_in(depth - 1, d1)
     db[0] = w.sum()
     # adjoints of the previous layer's value (n, q) and tangent (d, n, q)
     u = np.outer(w, a)
@@ -451,21 +514,21 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
 
     for k in range(depth - 2, -1, -1):
         A = params.layers[k][0]
-        f = ins[k + 1]
-        s1 = act.d1(f)
-        zeta = u * s1
+        zeta = np.multiply(u, d1, out=u)
         if V is not None:
-            zeta += act.d2(f) * (V * tape.tangents[k]).sum(axis=0)
-            W = V * s1
+            d2 = act.d2(ins[k + 1], d1)
+            zeta += np.multiply(d2, (V * tape.tangents[k]).sum(axis=0), out=d2)
+            W = np.multiply(V, d1, out=V)
+        d1 = act.d1(ins[k]) if k > 0 else None
         dA, db = out[k]
         np.matmul(zeta.T, ins[k], out=dA)
         if V is not None:
-            dA += W.reshape(d * n, -1).T @ tangent_in(k)
+            dA += W.reshape(d * n, -1).T @ tangent_in(k, d1)
         zeta.sum(axis=0, out=db)
         if k > 0:
-            u = zeta @ A
+            u = _dot(zeta, A)
             if V is not None:
-                V = W @ A
+                V = _dot(W, A)
     return grad
 
 

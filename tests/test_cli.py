@@ -665,11 +665,13 @@ class TestApproxProbe:
 class TestResources:
     @pytest.fixture(autouse=True)
     def fresh_policy(self):
-        # the heap policy is applied once per process; each test starts over,
-        # and the next caller re-applies the real one
+        # the process policies are applied once per process; each test starts
+        # over, and the next caller re-applies the real ones
         cli._heap_policy.cache_clear()
+        cli._blas_threads.cache_clear()
         yield
         cli._heap_policy.cache_clear()
+        cli._blas_threads.cache_clear()
 
     def run_tiny(self, tmp_path, name="out"):
         cfg = write_config(tmp_path, TINY["solve"])
@@ -685,6 +687,7 @@ class TestResources:
         assert res["python"] == platform.python_version()
         assert res["numpy"] == np.__version__
         assert isinstance(res["blas"], str) and res["blas"]
+        assert res["blas_threads"] in (1, None)
         assert res["cpu_count"] == os.cpu_count()
         assert res["WG_THREADS"] == "1"
 
@@ -707,6 +710,22 @@ class TestResources:
     def test_rejected_threshold_reports_false(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: 0)
         assert self.run_tiny(tmp_path)["heap_policy"] is False
+
+    def test_blas_is_pinned_to_one_thread_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_blas_setter", lambda: calls.append)
+        assert self.run_tiny(tmp_path, "a")["blas_threads"] == 1
+        assert self.run_tiny(tmp_path, "b")["blas_threads"] == 1
+        assert calls == [1]
+
+    def test_blas_threads_without_a_setter_is_a_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_blas_setter", lambda: None)
+        assert self.run_tiny(tmp_path)["blas_threads"] is None
+
+    @pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name") != "scipy-openblas",
+                        reason="numpy is not built on its bundled scipy-openblas")
+    def test_bundled_openblas_setter_is_found(self):
+        assert cli._blas_setter() is not None
 
 
 # key names an inserted key is drawn from: those of the tiny configs and the optional ones

@@ -201,6 +201,24 @@ def test_cached_empirical_loss_matches_uncached(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cache_keeps_u_tapes_only_for_gradients(monkeypatch):
+    prob = _neumann_problem()
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    u, v = init(arch, 5), init(arch, 6)
+    batch = sample_batch(prob.domain, 8, 8, 1)
+    kept = []  # the keep flag of every forward, u's and v's, interior then boundary
+    original = net.forward_tape
+    monkeypatch.setattr(net, "forward_tape", lambda *a, keep=True, **k: kept.append(keep) or original(*a, keep=keep, **k))
+    cache = loss.GradientCache()
+    value = empirical_loss(u, v, prob, batch, cache=cache)
+    assert kept == [False] * 4
+    assert loss_gradients(u, v, prob, batch, cache=cache)[2] == value  # u taped now, then v
+    assert kept[4:] == [True] * 4
+    loss_gradients(u, v, prob, batch, cache=cache)
+    assert empirical_loss(u, v, prob, batch, cache=cache) == value  # u's tapes reused: v only
+    assert kept[8:] == [True, True, False, False]
+
+
 def test_need_flags_skip_outputs():
     prob = _neumann_problem()
     arch = NetworkArch(widths=(1, 3, 1), activation=TANH, b_theta=2.0)

@@ -295,7 +295,7 @@ def test_activation_metadata():
 
 
 def test_activation_derivatives_match_fd():
-    # d1 and d2 take the activation's output rho(z), not z
+    # d1 takes the activation's output rho(z), not z; d2 takes it and rho'(z)
     h = 1e-6
     x = np.linspace(-2.5, 2.5, 21)
     for act in (TANH, LOGISTIC):
@@ -305,7 +305,7 @@ def test_activation_derivatives_match_fd():
         fd1 = (act.apply(x + h) - act.apply(x - h)) / (2 * h)
         fd2 = (rho1(x + h) - rho1(x - h)) / (2 * h)
         np.testing.assert_allclose(rho1(x), fd1, rtol=1e-8, atol=1e-8)
-        np.testing.assert_allclose(act.d2(act.apply(x)), fd2, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(act.d2(act.apply(x), rho1(x)), fd2, rtol=1e-8, atol=1e-8)
 
 
 def test_arch_recipe_worked_examples():
@@ -405,7 +405,8 @@ def _reference_dual_backprop(p, X, w, s):
     for k in range(depth - 2, -1, -1):
         A, _ = p.layers[k]
         f = f_list[k + 1]
-        s1, s2 = act.d1(f), act.d2(f)
+        s1 = act.d1(f)
+        s2 = act.d2(f, s1)
         zeta = u * s1 + s2 * np.einsum("nqp,nqp->nq", V, P_list[k])
         W = V * s1[:, :, None]
         out[k] = (zeta.T @ f_list[k] + np.einsum("nqp,nip->qi", W, J_list[k]), zeta.sum(axis=0))
@@ -459,7 +460,7 @@ def test_relu_derivatives_from_output():
         act = activation_by_name(f"relu{k}")
         y = act.apply(z)
         np.testing.assert_allclose(act.d1(y), k * m ** (k - 1) * (z > 0), rtol=1e-14)
-        np.testing.assert_allclose(act.d2(y), k * (k - 1) * m ** max(k - 2, 0) * (z > 0), rtol=1e-14)
+        np.testing.assert_allclose(act.d2(y, act.d1(y)), k * (k - 1) * m ** max(k - 2, 0) * (z > 0), rtol=1e-14)
 
 
 @pytest.mark.parametrize("activation", [TANH, LOGISTIC, activation_by_name("relu2")])
@@ -535,6 +536,167 @@ def test_blocked_forward_bounds_its_temporaries():
     block = 8 * net.BLOCK_FLOATS
     # one pass would hold (2, 2^17, 20) tangents, 40 MiB, several times over
     assert peak < outputs + 6 * block, (peak, outputs, block)
+
+
+# A reference in the plain operation order: the points' identity tangents
+# through a matmul, every product a GEMM, and rho' and rho'' each computed
+# from the output.  The kernels must reproduce its bits.
+_REFERENCE_DERIVATIVES = {
+    "tanh": (lambda t: 1.0 - t * t, lambda t: -2.0 * t * (1.0 - t * t)),
+    "logistic": (lambda s: s * (1.0 - s), lambda s: s * (1.0 - s) * (1.0 - 2.0 * s)),
+}
+
+
+def _reference_derivatives(act):
+    return _REFERENCE_DERIVATIVES.get(act.name, (act.d1, lambda y: act.d2(y, act.d1(y))))
+
+
+def _reference_identity(shape):
+    d = shape[-1]
+    return np.broadcast_to(np.eye(d).reshape((d,) + (1,) * (len(shape) - 1) + (d,)), (d,) + shape)
+
+
+def _reference_forward(params, X, grads, keep):
+    act = params.arch.activation
+    d1, _ = _reference_derivatives(act)
+    *hidden, (A_top, b_top) = params.layers
+    ins, tangents = [X], []
+    f, T = X, _reference_identity(X.shape)
+    for A, b in hidden:
+        At = A.swapaxes(-1, -2)
+        f = act.apply(f @ At + b[..., None, :])
+        if keep:
+            ins.append(f)
+        if grads:
+            P = T @ At
+            T = P * d1(f)
+            if keep:
+                tangents.append(P)
+    At = A_top.swapaxes(-1, -2)
+    values = (f @ At + b_top[..., None, :])[..., 0]
+    g = None
+    if grads:
+        g = (T @ At)[..., 0]
+        g = g.transpose(*range(1, g.ndim), 0)
+    return net.Tape(params=params, ins=ins, values=values, grads=g, tangents=tangents)
+
+
+def _reference_backprop(tape, w, s=None):
+    params, ins = tape.params, tape.ins
+    d1, d2 = _reference_derivatives(params.arch.activation)
+    n, d = ins[0].shape
+    depth = params.arch.depth
+    S = None if s is None else np.ascontiguousarray(s.T)
+
+    def tangent_in(k):
+        T = _reference_identity((n, d)) if k == 0 else tape.tangents[k - 1] * d1(ins[k])
+        return T.reshape(d * n, -1)
+
+    grad = np.empty_like(params.flat)
+    out = net._layer_views(params.arch, grad)
+    a = params.layers[-1][0][0]
+    dA, db = out[-1]
+    np.matmul(w, ins[-1], out=dA[0])
+    if S is not None:
+        dA[0] += S.reshape(-1) @ tangent_in(depth - 1)
+    db[0] = w.sum()
+    u = np.outer(w, a)
+    V = None if S is None else S[:, :, None] * a
+    for k in range(depth - 2, -1, -1):
+        A = params.layers[k][0]
+        f = ins[k + 1]
+        s1 = d1(f)
+        zeta = u * s1
+        if V is not None:
+            zeta += d2(f) * (V * tape.tangents[k]).sum(axis=0)
+            W = V * s1
+        dA, db = out[k]
+        np.matmul(zeta.T, ins[k], out=dA)
+        if V is not None:
+            dA += W.reshape(d * n, -1).T @ tangent_in(k)
+        zeta.sum(axis=0, out=db)
+        if k > 0:
+            u = zeta @ A
+            if V is not None:
+                V = W @ A
+    return grad
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 and +0.0 too
+
+
+def _params_with_negative_zeros(arch, rng, lead=()):
+    flat = rng.uniform(-1.5, 1.5, lead + (arch.n_params(),))
+    flat[..., ::5] = -0.0  # sums such as I @ A^T turn these into +0.0
+    return flat_to_params(arch, flat)
+
+
+@pytest.mark.parametrize("activation", [TANH, LOGISTIC, activation_by_name("relu2")])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(), (1,), (6,), (5, 1, 3), (7, 6)])
+def test_kernels_keep_the_bits_of_the_reference_order(monkeypatch, activation, dim, hidden):
+    rng = np.random.default_rng([dim, len(hidden), sum(hidden)])
+    arch = NetworkArch(widths=(dim,) + hidden + (1,), activation=activation, b_theta=3.0)
+    p = _params_with_negative_zeros(arch, rng)
+    n = 37
+    X = rng.uniform(-1.0, 1.0, size=(n, dim))
+    w, s = rng.normal(size=n), rng.normal(size=(n, dim))
+    for grads in (True, False):
+        for keep in (True, False):
+            got, want = net.forward_tape(p, X, grads, keep), _reference_forward(p, X, grads, keep)
+            _assert_same_bits(got.values, want.values)
+            if grads:
+                _assert_same_bits(got.grads, want.grads)
+            if keep:
+                _assert_same_bits(net.backprop_tape(got, w), _reference_backprop(want, w))
+            if keep and grads:
+                _assert_same_bits(net.backprop_tape(got, w, s), _reference_backprop(want, w, s))
+    stack = _params_with_negative_zeros(arch, rng, (3,))
+    XS = rng.uniform(-1.0, 1.0, size=(3, n, dim))
+    for grads in (True, False):
+        got, want = net.forward_tape(stack, XS, grads), _reference_forward(stack, XS, grads, True)
+        _assert_same_bits(got.values, want.values)
+        if grads:
+            _assert_same_bits(got.grads, want.grads)
+    # blocked, in the smallest blocks
+    monkeypatch.setattr(net, "BLOCK_FLOATS", 0)
+    X = rng.uniform(-1.0, 1.0, size=(3 * net._block_rows(arch, grads=True) + 5, dim))
+    got = net.forward_tape(p, X, keep=False)
+    monkeypatch.setattr(net, "_forward", _reference_forward)
+    want = net.forward_tape(p, X, keep=False)
+    _assert_same_bits(got.values, want.values)
+    _assert_same_bits(got.grads, want.grads)
+
+
+def _traced_peak(fn):
+    """Peak bytes numpy allocates while ``fn`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("widths", [(1, 12, 12, 1), (2, 20, 20, 1)])
+def test_kernels_hold_no_more_memory_than_the_reference_order(monkeypatch, widths):
+    arch = NetworkArch(widths=widths, activation=TANH, b_theta=3.0)
+    p = init(arch, 0)
+    rng = np.random.default_rng(3)
+    n = 1 << 15
+    X = rng.uniform(-1.0, 1.0, size=(n, arch.dim))
+    w, s = rng.normal(size=n), rng.normal(size=(n, arch.dim))
+    tape, ref_tape = net.forward_tape(p, X), _reference_forward(p, X, True, True)
+    assert _traced_peak(lambda: net.backprop_tape(tape, w, s)) <= _traced_peak(
+        lambda: _reference_backprop(ref_tape, w, s)
+    )
+    del tape, ref_tape
+    X = rng.uniform(-1.0, 1.0, size=(1 << 16, arch.dim))  # a blocked unkept forward
+    blocked = _traced_peak(lambda: forward_dual_batch(p, X))
+    monkeypatch.setattr(net, "_forward", _reference_forward)
+    assert blocked <= _traced_peak(lambda: forward_dual_batch(p, X))
 
 
 def test_stacked_misuse_is_rejected():
