@@ -8,8 +8,13 @@ The package has two halves that share one set of primitives:
 * a verification lab - finite-difference reference solvers, exact Rademacher
   enumeration, and the quantitative class-capacity bounds the solver's error
   analysis rests on, each paired with an empirical probe.
+
+A script that calls the solver directly, not through ``cli.run``, should call
+``apply_process_policy()`` once first: it pins the heap thresholds and BLAS
+thread count that the command line runs with.
 """
 
 __version__ = "0.1.0"
 
 from . import expr, network, pde, loss, oracle, theory, train, cli  # noqa: F401
+from .cli import apply_process_policy  # noqa: F401

@@ -10,11 +10,12 @@ place), and every result CSV except the measured ``seconds`` column of the
 solve history is byte-reproducible given the same config and seed.
 ``WG_THREADS`` caps the worker pool that runs convergence-study's sweep
 points.  ``theory-check`` only calls the ``theory`` lab, through its module
-attributes, and writes the ``BoundReport``s it returns.  Once per process,
-``run`` pins glibc's heap thresholds so large temporaries stay mapped, and
-OpenBLAS to one thread so results do not depend on its thread count; each
-manifest's ``resources`` block reports whether they took, the run's minor page
-faults, the process's peak RSS, and the interpreter, numpy, BLAS and cores.
+attributes, and writes the ``BoundReport``s it returns.  ``run`` calls
+``apply_process_policy``, which once per process pins glibc's heap thresholds
+so large temporaries stay mapped, and OpenBLAS to one thread so results do not
+depend on its thread count; each manifest's ``resources`` block reports whether
+they took, the run's minor page faults, the process's peak RSS, and the
+interpreter, numpy, BLAS and cores.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -52,7 +53,7 @@ from . import network as net
 from . import oracle, theory as theory_mod, train as train_mod
 from . import pde
 
-__all__ = ["ConfigError", "run", "main"]
+__all__ = ["ConfigError", "apply_process_policy", "run", "main"]
 
 
 class ConfigError(ValueError):
@@ -125,19 +126,6 @@ def _mallopt():
     return fn
 
 
-@functools.cache
-def _heap_policy() -> bool:
-    """Pin glibc's heap thresholds once per process; True when both took.
-
-    glibc serves each allocation above its mmap threshold (128 KiB at start)
-    with its own mapping and unmaps it on free, and returns a freed heap top
-    above its trim threshold to the system, so every evaluation on a large
-    point set page-faults its arrays in afresh.  With the thresholds pinned
-    at 32 and 64 MiB those arrays reuse heap memory the process keeps."""
-    mallopt = _mallopt()
-    return mallopt is not None and all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
-
-
 def _blas_setter():
     """The thread-count setter of the OpenBLAS that numpy bundles, or None where none is found."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -152,18 +140,32 @@ def _blas_setter():
 
 
 @functools.cache
-def _blas_threads() -> int | None:
-    """Pin OpenBLAS to one thread once per process; the count set, or None without a setter.
+def apply_process_policy() -> tuple[bool, int | None]:
+    """Pin glibc's heap thresholds and OpenBLAS's thread count, once per process.
+
+    Returns whether both heap thresholds took, and the BLAS thread count set
+    (None where no setter is found); later calls return the same and set
+    nothing.  ``run`` calls it; a script that calls the library directly
+    (``train.minimax_train``, say) should call it first.  Importing weakgal
+    does not.
+
+    glibc serves each allocation above its mmap threshold (128 KiB at start)
+    with its own mapping and unmaps it on free, and returns a freed heap top
+    above its trim threshold to the system, so every evaluation on a large
+    point set page-faults its arrays in afresh.  With the thresholds pinned
+    at 32 and 64 MiB those arrays reuse heap memory the process keeps.
 
     OpenBLAS splits a large product among its threads at row offsets that
     depend on the size, so results would change bits with the thread count.
     On these small products a second thread also buys little wall time for a
     core of CPU time, and the ``convergence-study`` pool gets the cores."""
+    mallopt = _mallopt()
+    heap_policy = mallopt is not None and all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
     setter = _blas_setter()
     if setter is None:
-        return None
+        return heap_policy, None
     setter(1)
-    return 1
+    return heap_policy, 1
 
 
 def _usage():
@@ -296,15 +298,9 @@ def _build_problem(cfg, path: str = "problem") -> pde.EllipticProblem:
             raise ConfigError(f"{path}.u_exact: deriving f and g: {err}") from err
     if "f" not in cfg:
         raise ConfigError(f"{path}.f: required when u_exact is absent")
-    f = expr(cfg["f"], f"{path}.f")
-    if "g" in cfg:
-        g: pde.BoundaryFunction = pde.ExprBoundary(expr(cfg["g"], f"{path}.g"))
-    else:
-        g = pde.ZERO_BOUNDARY
-    if bc_kind == "dirichlet":
-        alpha, g = 1.0, pde.ZERO_BOUNDARY
     return pde.EllipticProblem(
-        domain=domain, a=a, b=b, c=c, f=f, g=g,
+        domain=domain, a=a, b=b, c=c, f=expr(cfg["f"], f"{path}.f"),
+        g=expr(cfg["g"], f"{path}.g") if "g" in cfg else None,
         alpha=alpha, beta=beta, bc_kind=bc_kind,
     )
 
@@ -339,8 +335,16 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
     return arch
 
 
-def _build_train_config(cfg, seed_override: int | None) -> train_mod.TrainConfig:
-    _require_keys(cfg, "train", (), tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig)))
+_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
+
+
+def _build_train_config(cfg, seed_override: int | None, command: str) -> train_mod.TrainConfig:
+    """A ``TrainConfig`` from the fields that ``command`` reads; a field it
+    does not read is a config error, since setting it would change nothing."""
+    _require_keys(cfg, "train", (), _TRAIN_FIELDS)
+    for key in cfg:
+        if key not in _COMMANDS[command].train_fields:
+            raise ConfigError(f"train.{key}: {command} does not read it")
     kwargs = dict(cfg)
     if "h1_ball_radius" in kwargs and kwargs["h1_ball_radius"] == "inf":
         kwargs["h1_ball_radius"] = math.inf
@@ -417,6 +421,10 @@ def _cmd_penalty_study(out_dir, quiet, cfg_hash, problem, sweep) -> dict:
         "within_half_rate": study.within_half_rate,
         "grid_n": grid_n,
     }
+
+
+# the TrainConfig fields that each sweep point sets, so a config may not
+_SWEPT_FIELDS = ("n_interior", "m_boundary", "seed")
 
 
 def _cmd_convergence_study(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, sweep) -> dict:
@@ -512,25 +520,35 @@ class _Command:
     ``sections`` are the top-level keys it reads besides ``command``, ``problem``
     and ``output_dir``; any other key is a config error.  ``arch`` gives the
     hidden widths of an absent ``u_arch``/``v_arch`` and the ``b_theta`` of
-    one without that key; ``options`` are the keys of its ``sweep`` or
-    ``theory`` section."""
+    one without that key; ``train_fields`` are the keys its ``train`` section
+    may set; ``options`` are the keys of its ``sweep`` or ``theory``
+    section."""
 
     run: Callable[..., dict]
     sections: tuple[str, ...]
     arch: tuple[tuple[int, ...], float] = ((16, 16), 10.0)
     needs_u_exact: bool = False
     needs_1d: bool = False
+    train_fields: tuple[str, ...] = ()
     options: dict[str, _Option] = dataclasses.field(default_factory=dict)
+
+    @property
+    def reads_seed(self) -> bool:
+        """Whether the command has one seed for ``--seed-override`` to replace."""
+        return "seed" in self.train_fields or "seed" in self.options
 
 
 _COMMANDS = {
-    "solve": _Command(_cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints")),
+    "solve": _Command(
+        _cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints"), train_fields=_TRAIN_FIELDS,
+    ),
     "penalty-study": _Command(
         _cmd_penalty_study, ("sweep",), needs_1d=True,
         options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8)},
     ),
     "convergence-study": _Command(
         _cmd_convergence_study, ("u_arch", "v_arch", "train", "sweep"), needs_u_exact=True,
+        train_fields=tuple(f for f in _TRAIN_FIELDS if f not in _SWEPT_FIELDS),
         options={"n_values": _Option(None, 1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2)},
     ),
     "theory-check": _Command(
@@ -540,7 +558,10 @@ _COMMANDS = {
             "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2), "sta_probes": _Option(10, 1),
         },
     ),
-    "approx-probe": _Command(_cmd_approx_probe, ("u_arch", "train"), arch=((20,), 10.0), needs_u_exact=True),
+    "approx-probe": _Command(
+        _cmd_approx_probe, ("u_arch", "train"), arch=((20,), 10.0), needs_u_exact=True,
+        train_fields=train_mod.APPROX_PROBE_FIELDS,
+    ),
 }
 
 
@@ -561,7 +582,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
                 default = {"widths": [problem.dim, *hidden, 1]}
                 built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
             elif section == "train":
-                built[section] = _build_train_config(cfg.get(section, {}), seed_override)
+                built[section] = _build_train_config(cfg.get(section, {}), seed_override, command)
             elif section == "write_checkpoints":
                 built[section] = cfg.get(section, False)
                 if not isinstance(built[section], bool):
@@ -582,7 +603,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None,
         quiet: bool = False) -> int:
     """Execute one experiment config; returns the process exit code."""
-    heap_policy, blas_threads = _heap_policy(), _blas_threads()
+    heap_policy, blas_threads = apply_process_policy()
     usage = _usage()
     try:
         try:
@@ -600,6 +621,8 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         _require_keys(cfg, "config", ("command", "problem"), ("output_dir",) + _COMMANDS[command].sections)
         if seed_override is not None:
             _as_int(seed_override, "--seed-override", 0)
+            if not _COMMANDS[command].reads_seed:
+                raise ConfigError(f"--seed-override: {command} has no single seed to replace")
         target = out_dir or _as_str(cfg.get("output_dir", ""), "config.output_dir")
         if not target:
             raise ConfigError("no output directory: set output_dir in the config or pass --out")

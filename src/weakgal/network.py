@@ -53,6 +53,7 @@ __all__ = [
     "forward_dual_batch",
     "backprop_params_batch",
     "clip_weights",
+    "scale_output_layer",
     "network_bounds",
     "WeightMoveBound",
     "arch_recipe",
@@ -564,11 +565,18 @@ def backprop_params_batch(
     return backprop_tape(tape, seed_values, seed_grads)
 
 
-def clip_weights(params: NetworkParams, bound: float | None = None) -> NetworkParams:
-    """Entrywise clip to [-bound, bound]; idempotent. Default bound is arch B_theta."""
-    if bound is None:
-        bound = params.arch.b_theta
+def clip_weights(params: NetworkParams) -> NetworkParams:
+    """Entrywise clip to the architecture's box [-B_theta, B_theta]; idempotent."""
+    bound = params.arch.b_theta
     return NetworkParams(params.arch, np.clip(params.flat, -bound, bound))
+
+
+def scale_output_layer(params: NetworkParams, factor: float) -> NetworkParams:
+    """A copy of ``params`` with the final affine layer's A and b times ``factor``."""
+    flat = params.flat.copy()
+    for part in _layer_views(params.arch, flat)[-1]:
+        part *= factor
+    return NetworkParams(params.arch, flat)
 
 
 # ---------------------------------------------------------------------------

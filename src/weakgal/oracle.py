@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import ExprAst
-from .pde import ZERO_BOUNDARY, EllipticProblem
+from .pde import EllipticProblem
 
 __all__ = [
     "SolveError",
@@ -219,10 +219,11 @@ class PenaltyStudy:
 def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> PenaltyStudy:
     """Solve the penalized-Robin family against the Dirichlet limit on one grid.
 
-    ``problem`` supplies the differential data; its own beta is ignored.  Each
-    sweep point solves with alpha = 1, g = 0 and the given beta.  An error that
-    is not finite and positive (a beta below what the grid resolves) has no
-    logarithm to fit, so it is a SolveError.
+    ``problem`` supplies the differential data; its own boundary data and beta
+    are ignored.  Each sweep point solves its penalized-Dirichlet problem at
+    the given beta with the Robin scheme.  An error that is not finite and
+    positive (a beta below what the grid resolves) has no logarithm to fit, so
+    it is a SolveError.
     """
     if problem.dim != 1:
         raise ValueError("penalty study is a 1d experiment")
@@ -232,7 +233,7 @@ def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> Penalt
     u_dir = fd_solve_1d(problem, n, bc_kind="dirichlet")
     errors = []
     for beta in betas:
-        penalized = dataclasses.replace(problem, g=ZERO_BOUNDARY, alpha=1.0, beta=beta, bc_kind="robin")
+        penalized = dataclasses.replace(problem, beta=beta, bc_kind="dirichlet")
         error = grid_h1_error(fd_solve_1d(penalized, n, bc_kind="robin"), u_dir)
         if not (math.isfinite(error) and error > 0.0):
             raise SolveError(f"penalty error {error!r} at beta = {beta!r} is not finite and positive")

@@ -6,9 +6,10 @@ The strong form is
     alpha u + beta sum_ij a_ij d_i u n_j = g              on the boundary,
 
 with beta > 0.  Neumann data is alpha = 0; Dirichlet conditions are imposed by
-penalization (alpha = 1, g = 0, small beta).  Domains are the unit hypercube
-[0,1]^d and balls contained in it; both come with exact uniform samplers and
-closed-form volume/surface measures, which the Monte Carlo weak form relies on.
+penalization (alpha = 1, g = 0, small beta), and ``EllipticProblem`` applies
+both rules itself.  Domains are the unit hypercube [0,1]^d and balls contained
+in it; both come with exact uniform samplers and closed-form volume/surface
+measures, which the Monte Carlo weak form relies on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,10 +32,7 @@ __all__ = [
     "sample_boundary",
     "sample_batch",
     "EmpiricalBatch",
-    "BoundaryFunction",
-    "ExprBoundary",
     "RobinTraceBoundary",
-    "ZERO_BOUNDARY",
     "EllipticProblem",
     "CoercivityReport",
     "CoeffSupNorms",
@@ -183,36 +181,12 @@ def sample_batch(domain: Domain, n: int, m: int, seed) -> EmpiricalBatch:
 # boundary data
 
 
-class BoundaryFunction:
-    """Boundary data g evaluated at points with outward normals."""
-
-    def values(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ExprBoundary(BoundaryFunction):
-    """g given as a closed-form expression of position (normals unused)."""
-
-    def __init__(self, ast: ExprAst):
-        self.ast = ast
-
-    def values(self, points, normals):
-        return expr.evaluate_many(self.ast, points)
-
-
-class _ZeroBoundary(BoundaryFunction):
-    def values(self, points, normals):
-        return np.zeros(points.shape[0])
-
-
-ZERO_BOUNDARY: BoundaryFunction = _ZeroBoundary()
-
-
-class RobinTraceBoundary(BoundaryFunction):
+class RobinTraceBoundary:
     """g = alpha u* + beta sum_ij a_ij d_i u* n_j for a known solution u*.
 
     This is the Robin trace of u*, so the problem it closes is solved exactly
     by u*.  Needs normals, hence not representable as a plain expression.
+    ``du[i]`` is the expression of d_{i+1} u*.
     """
 
     def __init__(self, u_exact: ExprAst, a: Sequence[Sequence[ExprAst]], alpha: float, beta: float):
@@ -220,13 +194,13 @@ class RobinTraceBoundary(BoundaryFunction):
         self.a = a
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self._du = [expr.diff(u_exact, i + 1) for i in range(u_exact.dim)]
+        self.du = [expr.diff(u_exact, i + 1) for i in range(u_exact.dim)]
 
-    def values(self, points, normals):
+    def __call__(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         d = self.u_exact.dim
         out = self.alpha * expr.evaluate_many(self.u_exact, points)
         for i in range(d):
-            du_i = expr.evaluate_many(self._du[i], points)
+            du_i = expr.evaluate_many(self.du[i], points)
             for j in range(d):
                 a_ij = expr.evaluate_many(self.a[i][j], points)
                 out = out + self.beta * a_ij * du_i * normals[:, j]
@@ -239,14 +213,20 @@ class RobinTraceBoundary(BoundaryFunction):
 
 @dataclass
 class EllipticProblem:
-    """Coefficients as expression trees plus Robin data (alpha, beta, g)."""
+    """Coefficients as expression trees plus Robin data (alpha, beta, g).
+
+    ``g`` is None (zero data), an expression of position, or a callable of
+    ``(points, normals)`` such as ``RobinTraceBoundary``.  A dirichlet problem
+    is imposed by penalty: the constructor sets alpha = 1 and g = None, so
+    ``beta`` is the penalty strength, and ``dataclasses.replace`` keeps it so.
+    """
 
     domain: Domain
     a: tuple[tuple[ExprAst, ...], ...]
     b: tuple[ExprAst, ...]
     c: ExprAst
     f: ExprAst
-    g: BoundaryFunction
+    g: ExprAst | Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     alpha: float
     beta: float
     bc_kind: str = "robin"
@@ -264,8 +244,10 @@ class EllipticProblem:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.bc_kind not in ("robin", "neumann", "dirichlet"):
             raise ValueError(f"unknown bc_kind {self.bc_kind!r}")
+        if self.bc_kind == "dirichlet":
+            self.alpha, self.g = 1.0, None
         if self.bc_kind == "neumann" and self.alpha != 0.0:
-            raise ValueError("neumann problems must have alpha = 0")
+            raise ValueError("neumann requires alpha = 0")
         for i in range(d):
             for j in range(i + 1, d):
                 if self.a[i][j] != self.a[j][i]:
@@ -299,7 +281,11 @@ class EllipticProblem:
         return expr.evaluate_many(self.f, points)
 
     def g_values(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-        return np.asarray(self.g.values(points, normals), dtype=np.float64)
+        if self.g is None:
+            return np.zeros(points.shape[0])
+        if isinstance(self.g, ExprAst):
+            return expr.evaluate_many(self.g, points)
+        return np.asarray(self.g(points, normals), dtype=np.float64)
 
 
 def constant_matrix(dim: int, diag: float = 1.0, off: float = 0.0) -> tuple[tuple[ExprAst, ...], ...]:
@@ -331,12 +317,10 @@ class CoercivityReport:
     """
 
     lambda_min: float
-    lambda_max: float
     c_min: float
     b_max: float
     condition: float
     holds: bool
-    n_probes: int
 
 
 def check_coercivity(problem: EllipticProblem, n_probes: int = 512, seed=0) -> CoercivityReport:
@@ -347,19 +331,12 @@ def check_coercivity(problem: EllipticProblem, n_probes: int = 512, seed=0) -> C
     sym = 0.5 * (A + np.transpose(A, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(sym)
     lam_min = float(eigs[:, 0].min())
-    lam_max = float(eigs[:, -1].max())
     c_min = float(problem.c_values(pts).min())
     b_max = float(np.abs(problem.b_values(pts)).max())
     condition = 4.0 * lam_min * c_min - problem.dim * b_max * b_max
     holds = bool(condition > 0.0 and lam_min > 0.0)
     return CoercivityReport(
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        c_min=c_min,
-        b_max=b_max,
-        condition=condition,
-        holds=holds,
-        n_probes=n_probes,
+        lambda_min=lam_min, c_min=c_min, b_max=b_max, condition=condition, holds=holds,
     )
 
 
@@ -404,21 +381,20 @@ def manufactured_problem(
 ) -> EllipticProblem:
     """Problem whose data is generated from a known solution.
 
-    f is assembled symbolically from the strong form.  For robin/neumann the
-    boundary data is the Robin trace of u_exact, so u_exact solves the problem
-    exactly.  For dirichlet the boundary data is forced to g = 0 (the penalty
-    formulation): the solved problem tends to u_exact only as beta -> 0, and
-    u_exact must vanish on the boundary.
+    f is assembled symbolically from the strong form, and g is the Robin
+    trace of u_exact, so u_exact solves a robin or neumann problem exactly.  A
+    dirichlet problem drops g for the penalty formulation's zero data (see
+    ``EllipticProblem``): the solved problem tends to u_exact only as
+    beta -> 0, and u_exact must vanish on the boundary.
     """
     d = domain.dim
     if u_exact.dim != d:
         raise ValueError("u_exact dimension must match the domain")
     if len(a) != d or any(len(row) != d for row in a) or len(b) != d:
         raise ValueError(f"a must be {d}x{d} and b must have length {d}")
-    if bc_kind == "neumann" and alpha != 0.0:
-        raise ValueError("neumann requires alpha = 0")
 
-    du = [expr.diff(u_exact, i + 1) for i in range(d)]
+    g = RobinTraceBoundary(u_exact, a, alpha, beta)
+    du = g.du
     f_node = expr.const(0.0)
     for i in range(d):
         for j in range(d):
@@ -430,12 +406,7 @@ def manufactured_problem(
     f = ExprAst(f_node, d)
 
     if bc_kind == "dirichlet":
-        alpha = 1.0
-        g: BoundaryFunction = ZERO_BOUNDARY
         _warn_if_nonzero_trace(u_exact, domain)
-    else:
-        g = RobinTraceBoundary(u_exact, a, alpha, beta)
-
     return EllipticProblem(
         domain=domain, a=a, b=b, c=c, f=f, g=g,
         alpha=alpha, beta=beta, bc_kind=bc_kind, u_exact=u_exact,

@@ -49,6 +49,7 @@ __all__ = [
     "TrainingAborted",
     "minimax_train",
     "ProbeResult",
+    "APPROX_PROBE_FIELDS",
     "approx_error_probe",
 ]
 
@@ -79,7 +80,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     resample_every: int = 1  # 0 = never resample after the first batch
-    clip_b_theta: float | None = None  # None: use each architecture's own bound
     grad_clip_norm: float = 10.0  # 0 disables
     h1_ball_radius: float = 2.0  # inf disables the soft projection
     h1_quad_points: int = 4096
@@ -95,7 +95,7 @@ class TrainConfig:
                 raise ValueError(f"{fld.name} must be an integer, got {value!r}")
             if fld.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{fld.name} must be true or false, got {value!r}")
-            if fld.type.startswith("float") and not (value is None and fld.type == "float | None"):
+            if fld.type == "float":
                 if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                     raise ValueError(f"{fld.name} must be a number, got {value!r}")
                 # h1_ball_radius = inf disables the projection; an int beyond the
@@ -119,8 +119,6 @@ class TrainConfig:
             raise ValueError("adam_eps must be > 0")
         if self.grad_clip_norm < 0:
             raise ValueError("grad_clip_norm must be >= 0 (0 disables)")
-        if self.clip_b_theta is not None and not self.clip_b_theta > 0:
-            raise ValueError("clip_b_theta must be > 0 (or null for each architecture's own bound)")
         if self.resample_every < 0 or self.v_restart_every < 0:
             raise ValueError("period fields must be >= 0")
         if self.eval_every < 1:
@@ -222,9 +220,7 @@ def _soft_project(
     h1 = zero.distance_of(*ev).h1
     if not math.isfinite(radius) or h1 <= radius or h1 == 0.0:
         return params, h1, ev
-    flat = params.flat.copy()
-    flat[-(params.arch.widths[-2] + 1) :] *= radius / h1  # the output layer's A and b end the vector
-    return NetworkParams(params.arch, flat), radius, None
+    return net.scale_output_layer(params, radius / h1), radius, None
 
 
 # relative slack below the radius that a proved bound must leave, covering the
@@ -307,8 +303,8 @@ def minimax_train(
 
     ss = np.random.SeedSequence(config.seed)
     ss_u, ss_v, ss_quad, ss_batches, ss_restarts = ss.spawn(5)
-    u = net.clip_weights(net.init(u_arch, ss_u), config.clip_b_theta)
-    v = net.clip_weights(net.init(v_arch, ss_v), config.clip_b_theta)
+    u = net.init(u_arch, ss_u)
+    v = net.init(v_arch, ss_v)
 
     # h1_u, h1_v and h1_error are all estimated on one quadrature set
     quad = sample_interior(problem.domain, config.h1_quad_points, ss_quad)
@@ -337,7 +333,7 @@ def minimax_train(
                 problem.domain, config.n_interior, config.m_boundary, ss_batches.spawn(1)[0]
             )
         if config.v_restart_every > 0 and step > 0 and step % config.v_restart_every == 0:
-            v = net.clip_weights(net.init(v_arch, ss_restarts.spawn(1)[0]), config.clip_b_theta)
+            v = net.init(v_arch, ss_restarts.spawn(1)[0])
             opt_v.reset()
 
         is_row = (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1
@@ -347,14 +343,14 @@ def minimax_train(
                     u, v, problem, batch, config.boundary_alpha_half, need_u=False, cache=cache
                 )
                 gv, grad_v_norm = _clip_grad(gv, config.grad_clip_norm, "grad_v")
-                v = net.clip_weights(NetworkParams(v_arch, opt_v.step(v.flat, gv, +1.0)), config.clip_b_theta)
+                v = net.clip_weights(NetworkParams(v_arch, opt_v.step(v.flat, gv, +1.0)))
 
             gu, _, value = loss_mod.loss_gradients(
                 u, v, problem, batch, config.boundary_alpha_half, need_v=False, cache=cache
             )
             last_loss = value
             gu, grad_u_norm = _clip_grad(gu, config.grad_clip_norm, "grad_u")
-            u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)), config.clip_b_theta)
+            u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)))
             # a history row before the averaging window reports the iterate's h1
             u, h1_u, ev_u = projector.iterate(u, need_h1=is_row and step < avg_start)
         except NonFiniteLossError as err:
@@ -366,7 +362,7 @@ def minimax_train(
         if is_row:
             u_out, h1_out, ev_out = u, h1_u, ev_u
             if step >= avg_start:
-                u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg), config.clip_b_theta)
+                u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg))
                 u_out, h1_out, ev_out = projector.exact_project(u_out)
             h1_error = math.nan
             if ref is not None:  # u_out needs its own forward only if the projection rescaled it
@@ -406,6 +402,13 @@ class ProbeResult:
     history: list[tuple[int, float]]  # (step, held-out H^1 distance)
 
 
+# the TrainConfig fields approx_error_probe reads; no other field changes its result
+APPROX_PROBE_FIELDS = (
+    "n_interior", "outer_steps", "optimizer", "lr_u", "adam_beta1", "adam_beta2", "adam_eps",
+    "resample_every", "grad_clip_norm", "h1_quad_points", "eval_every", "seed",
+)
+
+
 def approx_error_probe(
     u_target,
     arch: NetworkArch,
@@ -413,11 +416,11 @@ def approx_error_probe(
 ) -> ProbeResult:
     """Minimize the Monte Carlo H^1 distance to ``u_target`` over the class.
 
-    Supervised proxy for the approximation error: reuses TrainConfig's
-    optimizer/learning-rate (lr_u), batch (n_interior), resampling, and seed
-    fields.  The reported distance is evaluated on a held-out quadrature set;
-    the returned params are the best-scoring iterate, weights kept inside the
-    architecture's box throughout.
+    Supervised proxy for the approximation error: reads only the TrainConfig
+    fields in ``APPROX_PROBE_FIELDS``, with ``lr_u`` as its learning rate and
+    ``n_interior`` as its batch size.  The reported distance is evaluated on a
+    held-out quadrature set; the returned params are the best-scoring iterate,
+    weights kept inside the architecture's box throughout.
     """
     target = loss_mod.as_evaluator(u_target, arch.dim)
     ss = np.random.SeedSequence(config.seed)
@@ -446,7 +449,7 @@ def approx_error_probe(
             g, _ = _clip_grad(g, config.grad_clip_norm, "fit gradient")
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
-        params = net.clip_weights(NetworkParams(arch, opt.step(params.flat, g, -1.0)), arch.b_theta)
+        params = net.clip_weights(NetworkParams(arch, opt.step(params.flat, g, -1.0)))
         if (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1:
             dist = held_out.distance(params).h1
             history.append((step + 1, dist))

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weakgal
 from weakgal import cli, expr, network as net, theory
 
 
@@ -47,7 +50,8 @@ def solve_config(**overrides):
 
 
 _PROBLEM = solve_config()["problem"]
-_TINY_TRAIN = {"n_interior": 4, "m_boundary": 4, "outer_steps": 2, "eval_every": 1, "h1_quad_points": 8}
+_TINY_STEPS = {"outer_steps": 2, "eval_every": 1, "h1_quad_points": 8}
+_TINY_TRAIN = {"n_interior": 4, "m_boundary": 4, **_TINY_STEPS}
 
 # the smallest valid config of each command, carrying every section it reads
 TINY = {
@@ -60,7 +64,7 @@ TINY = {
     },
     "convergence-study": {
         "command": "convergence-study", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1]},
-        "v_arch": {"widths": [1, 3, 1]}, "train": _TINY_TRAIN,
+        "v_arch": {"widths": [1, 3, 1]}, "train": _TINY_STEPS,
         "sweep": {"n_values": [4], "seeds": [0], "eval_quad": 8},
     },
     "theory-check": {
@@ -68,7 +72,8 @@ TINY = {
         "theory": {"probes": 2, "rademacher_sets": 1, "sta_trials": 1, "sta_n": 4, "sta_probes": 1},
     },
     "approx-probe": {
-        "command": "approx-probe", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1]}, "train": _TINY_TRAIN,
+        "command": "approx-probe", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1]},
+        "train": {"n_interior": 4, **_TINY_STEPS},
     },
 }
 SECTIONS = ("u_arch", "v_arch", "train", "sweep", "theory", "write_checkpoints")
@@ -184,8 +189,6 @@ class TestConfigValidation:
             ("problem", "beta", math.inf),
             ("train", "lr_u", math.nan),
             ("train", "lr_v", -math.inf),
-            ("train", "clip_b_theta", math.nan),
-            ("train", "clip_b_theta", 0.0),
             ("train", "grad_clip_norm", math.nan),
             ("train", "grad_clip_norm", -1.0),
             ("train", "adam_eps", -1.0),
@@ -196,7 +199,6 @@ class TestConfigValidation:
             ("train", "h1_ball_radius", math.nan),
             ("train", "lr_u", True),
             ("train", "lr_u", "fast"),
-            ("train", "clip_b_theta", True),
             ("train", "grad_clip_norm", True),
             ("train", "lr_u", 10**400),  # an integer beyond the float range
             ("problem", "alpha", 10**400),
@@ -248,7 +250,7 @@ class TestConfigValidation:
         doc = solve_config()
         doc["train"].update(
             outer_steps=2, eval_every=2, adam_beta1=0.0, adam_beta2=0.9, adam_eps=3e-3,
-            h1_ball_radius=math.inf, grad_clip_norm=0.0, clip_b_theta=None,
+            h1_ball_radius=math.inf, grad_clip_norm=0.0,
         )
         assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 0
 
@@ -285,6 +287,34 @@ class TestConfigValidation:
             assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / str(i)), quiet=True) == 2
             err = capsys.readouterr().err
             assert err.count(named) == 1 and fragment in err, err
+
+    @pytest.mark.parametrize("command, keys", [
+        # the fields approx_error_probe does not read
+        ("approx-probe", {"m_boundary": 4, "inner_steps": 1, "lr_v": 1e-3, "h1_ball_radius": 2.0,
+                          "v_restart_every": 0, "boundary_alpha_half": False}),
+        # the fields each sweep point sets
+        ("convergence-study", {"n_interior": 4, "m_boundary": 4, "seed": 0}),
+    ])
+    def test_train_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, keys):
+        for key, value in keys.items():
+            doc = copy.deepcopy(TINY[command])
+            doc["train"][key] = value
+            out = tmp_path / key
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, key
+            assert f"config error: train.{key}: {command} does not read it" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
+    def test_seed_override_without_a_seed_to_replace_exits_2(self, tmp_path, capsys):
+        for command in TINY:
+            out = tmp_path / command
+            code = cli.run(write_config(tmp_path, TINY[command]), out_dir=str(out), seed_override=3, quiet=True)
+            if command in ("convergence-study", "penalty-study"):
+                assert code == 2, command
+                assert f"config error: --seed-override: {command} has" in capsys.readouterr().err
+                assert not (out / "manifest.json").exists()
+            else:
+                assert code == 0, command
+                assert json.loads((out / "manifest.json").read_text())["seed_override"] == 3
 
     def test_out_naming_a_regular_file_exits_2(self, tmp_path, capsys):
         target = tmp_path / "taken"
@@ -667,11 +697,9 @@ class TestResources:
     def fresh_policy(self):
         # the process policies are applied once per process; each test starts
         # over, and the next caller re-applies the real ones
-        cli._heap_policy.cache_clear()
-        cli._blas_threads.cache_clear()
+        cli.apply_process_policy.cache_clear()
         yield
-        cli._heap_policy.cache_clear()
-        cli._blas_threads.cache_clear()
+        cli.apply_process_policy.cache_clear()
 
     def run_tiny(self, tmp_path, name="out"):
         cfg = write_config(tmp_path, TINY["solve"])
@@ -718,6 +746,25 @@ class TestResources:
         assert self.run_tiny(tmp_path, "b")["blas_threads"] == 1
         assert calls == [1]
 
+    def test_a_second_call_reports_the_same_and_sets_nothing(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli, "_mallopt", lambda: mallopt)
+        monkeypatch.setattr(cli, "_blas_setter", lambda: calls.append)
+        assert weakgal.apply_process_policy() == (True, 1)
+        assert calls == [*cli._HEAP_POLICY, 1]
+        assert weakgal.apply_process_policy() == (True, 1)
+        assert calls == [*cli._HEAP_POLICY, 1]
+
+    def test_importing_weakgal_applies_no_policy(self):
+        code = "import weakgal; assert weakgal.apply_process_policy.cache_info().currsize == 0"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
     def test_blas_threads_without_a_setter_is_a_no_op(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_blas_setter", lambda: None)
         assert self.run_tiny(tmp_path)["blas_threads"] is None
@@ -731,7 +778,7 @@ class TestResources:
 # key names an inserted key is drawn from: those of the tiny configs and the optional ones
 _CONFIG_KEYS = sorted(
     {"a", "b", "f", "g", "bc_kind", "center", "radius", "activation", "recipe", "epsilon", "mu",
-     "seed", "optimizer", "lr_u", "clip_b_theta", "h1_ball_radius", "output_dir", "bogus"}
+     "seed", "optimizer", "lr_u", "h1_ball_radius", "output_dir", "bogus"}
     | set(SECTIONS) | {k for doc in TINY.values() for k in doc}
     | {k for doc in TINY.values() for sec in doc.values() if isinstance(sec, dict) for k in sec}
 )

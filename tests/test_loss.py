@@ -19,7 +19,6 @@ from weakgal.loss import (
 from weakgal.network import NetworkArch, NetworkParams, TANH, flat_to_params, init, params_to_flat
 from weakgal.pde import (
     EmpiricalBatch,
-    ZERO_BOUNDARY,
     constant_vector,
     identity_matrix,
     manufactured_problem,
@@ -37,7 +36,7 @@ def _affine(a, b):
 def _neumann_problem(c="0", f="1"):
     return pde.EllipticProblem(
         domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse(c, 1), f=parse(f, 1), g=ZERO_BOUNDARY,
+        c=parse(c, 1), f=parse(f, 1), g=None,
         alpha=0.0, beta=1.0, bc_kind="neumann",
     )
 
@@ -62,7 +61,7 @@ def test_boundary_term_weighting():
     # alpha=1, beta=0.5, g=0: boundary = |dOmega|/(beta m) sum alpha u v
     prob = pde.EllipticProblem(
         domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse("0", 1), f=parse("0", 1), g=ZERO_BOUNDARY,
+        c=parse("0", 1), f=parse("0", 1), g=None,
         alpha=1.0, beta=0.5, bc_kind="robin",
     )
     u = _affine(1, 1)  # u(0)=1, u(1)=2
@@ -75,12 +74,12 @@ def test_boundary_term_weighting():
 def test_beta_halving_doubles_boundary_component():
     prob1 = pde.EllipticProblem(
         domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse("1", 1), f=parse("1", 1), g=ZERO_BOUNDARY,
+        c=parse("1", 1), f=parse("1", 1), g=None,
         alpha=1.0, beta=1.0, bc_kind="robin",
     )
     prob2 = pde.EllipticProblem(
         domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse("1", 1), f=parse("1", 1), g=ZERO_BOUNDARY,
+        c=parse("1", 1), f=parse("1", 1), g=None,
         alpha=1.0, beta=0.5, bc_kind="robin",
     )
     arch = NetworkArch(widths=(1, 6, 1), activation=TANH, b_theta=3.0)
@@ -95,7 +94,7 @@ def test_beta_halving_doubles_boundary_component():
 def test_boundary_alpha_half_switch():
     prob = pde.EllipticProblem(
         domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse("0", 1), f=parse("0", 1), g=ZERO_BOUNDARY,
+        c=parse("0", 1), f=parse("0", 1), g=None,
         alpha=1.0, beta=1.0, bc_kind="robin",
     )
     u, v = _affine(1, 1), _affine(0, 1)
@@ -236,7 +235,7 @@ def test_need_flags_skip_outputs():
 def test_non_finite_loss_reports_component_and_sample():
     prob = pde.EllipticProblem(
         domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse("0", 1), f=parse("1/(x1 - 0.25)", 1), g=ZERO_BOUNDARY,
+        c=parse("0", 1), f=parse("1/(x1 - 0.25)", 1), g=None,
         alpha=0.0, beta=1.0, bc_kind="neumann",
     )
     batch = _endpoint_batch([0.25, 0.75])

@@ -196,11 +196,21 @@ def test_clip_weights():
     assert q.layers[0][0][0, 0] == 2.0
     assert q.layers[0][0][1, 0] == -2.0
     assert q.layers[1][1][0] == 2.0
-    r = clip_weights(p, 1.0)
-    assert r.layers[0][0][1, 0] == -1.0
     # idempotence
     q2 = clip_weights(q)
     np.testing.assert_array_equal(params_to_flat(q), params_to_flat(q2))
+
+
+def test_scale_output_layer_scales_only_the_last_layer():
+    arch = NetworkArch(widths=(2, 3, 4, 1), activation=TANH, b_theta=2.0)
+    p = flat_to_params(arch, np.random.default_rng(3).normal(size=arch.n_params()))
+    before = params_to_flat(p).copy()
+    q = net.scale_output_layer(p, 0.375)
+    np.testing.assert_array_equal(params_to_flat(p), before)
+    for k, ((A, b), (qA, qb)) in enumerate(zip(p.layers, q.layers)):
+        factor = 0.375 if k == arch.depth - 1 else 1.0
+        np.testing.assert_array_equal(qA, A * factor)
+        np.testing.assert_array_equal(qb, b * factor)
 
 
 def test_count_nonzero():

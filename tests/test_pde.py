@@ -1,5 +1,6 @@
 """Domain sampling, problem assembly, and coercivity tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,7 @@ from weakgal.expr import parse
 from weakgal.pde import (
     CoeffSupNorms,
     EllipticProblem,
-    ExprBoundary,
     RobinTraceBoundary,
-    ZERO_BOUNDARY,
     ball,
     check_coercivity,
     constant_matrix,
@@ -112,14 +111,20 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         EllipticProblem(
             domain=dom, a=identity_matrix(1), b=constant_vector(1, 0.0),
-            c=parse("1", 1), f=parse("1", 1), g=ZERO_BOUNDARY,
+            c=parse("1", 1), f=parse("1", 1), g=None,
             alpha=1.0, beta=0.0, bc_kind="robin",
         )
-    with pytest.raises(ValueError):
+    # one rule, one message, whichever constructor meets it
+    with pytest.raises(ValueError, match="^neumann requires alpha = 0$"):
         EllipticProblem(
             domain=dom, a=identity_matrix(1), b=constant_vector(1, 0.0),
-            c=parse("1", 1), f=parse("1", 1), g=ZERO_BOUNDARY,
-            alpha=1.0, beta=1.0, bc_kind="neumann",  # neumann needs alpha == 0
+            c=parse("1", 1), f=parse("1", 1), g=None,
+            alpha=1.0, beta=1.0, bc_kind="neumann",
+        )
+    with pytest.raises(ValueError, match="^neumann requires alpha = 0$"):
+        manufactured_problem(
+            parse("x1", 1), identity_matrix(1), constant_vector(1, 0.0), parse("1", 1),
+            1.0, 1.0, dom, "neumann",
         )
     one = parse("1", 2)
     for a, b in ((((one,),), (one, one)), (identity_matrix(2), (one,))):
@@ -202,10 +207,33 @@ def test_manufactured_dirichlet_warns_on_nonzero_trace():
 
 
 def test_expr_boundary():
-    g = ExprBoundary(parse("x1 + x2", 2))
+    g = parse("x1 + x2", 2)
+    prob = EllipticProblem(
+        domain=unit_hypercube(2), a=identity_matrix(2), b=constant_vector(2, 0.0),
+        c=parse("1", 2), f=parse("1", 2), g=g, alpha=1.0, beta=1.0,
+    )
     Y = np.array([[0.0, 0.5], [1.0, 0.25]])
     normals = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_allclose(g.values(Y, normals), [0.5, 1.25])
+    np.testing.assert_allclose(prob.g_values(Y, normals), [0.5, 1.25])
+    # an expression g is evaluated as the expression, bit for bit
+    Y, normals = sample_boundary(prob.domain, 257, 4)
+    got = prob.g_values(Y, normals)
+    assert got.dtype == np.float64 and got.tobytes() == expr.evaluate_many(g, Y).tobytes()
+
+
+def test_dirichlet_problem_applies_the_penalty_rule():
+    dom = unit_hypercube(2)
+    prob = EllipticProblem(
+        domain=dom, a=identity_matrix(2), b=constant_vector(2, 0.0),
+        c=parse("1", 2), f=parse("1", 2), g=parse("x1 + 3*x2", 2),
+        alpha=0.3, beta=0.1, bc_kind="dirichlet",
+    )
+    Y, normals = sample_boundary(dom, 64, 7)
+    replaced = dataclasses.replace(prob, beta=1e-3)
+    assert replaced.beta == 1e-3
+    for p in (prob, replaced):
+        assert p.alpha == 1.0 and p.g is None
+        np.testing.assert_array_equal(p.g_values(Y, normals), np.zeros(64))
 
 
 def test_robin_trace_boundary_matches_manual():
@@ -216,7 +244,7 @@ def test_robin_trace_boundary_matches_manual():
     Y = np.array([[0.0], [1.0]])
     normals = np.array([[-1.0], [1.0]])
     # alpha u + beta a u' n = x^2 + 2 * 2x * n
-    np.testing.assert_allclose(g.values(Y, normals), [0.0, 1.0 + 4.0])
+    np.testing.assert_allclose(g(Y, normals), [0.0, 1.0 + 4.0])
 
 
 def test_coercivity_holds_for_poisson_mass():
@@ -233,7 +261,7 @@ def test_coercivity_fails_with_strong_advection():
         prob = EllipticProblem(
             domain=unit_hypercube(1), a=identity_matrix(1),
             b=(parse(b, 1),), c=parse("0.1", 1), f=parse("1", 1),
-            g=ZERO_BOUNDARY, alpha=1.0, beta=1.0, bc_kind="robin",
+            g=None, alpha=1.0, beta=1.0, bc_kind="robin",
         )
         rep = check_coercivity(prob)
         # 4 * 1 * 0.1 - 1 * 100 < 0
@@ -245,11 +273,10 @@ def test_coercivity_variable_diffusion():
     prob = EllipticProblem(
         domain=unit_hypercube(1), a=((parse("1 + x1", 1),),),
         b=constant_vector(1, 0.0), c=parse("2", 1), f=parse("1", 1),
-        g=ZERO_BOUNDARY, alpha=1.0, beta=1.0, bc_kind="robin",
+        g=None, alpha=1.0, beta=1.0, bc_kind="robin",
     )
     rep = check_coercivity(prob, n_probes=4000, seed=11)
     assert rep.lambda_min >= 1.0
-    assert rep.lambda_max <= 2.0
     assert rep.holds
 
 

@@ -75,8 +75,8 @@ class TestMinimaxTrain:
         res = train.minimax_train(prob, ua, va, cfg)
         assert res.history == []
         ss_u, ss_v = np.random.SeedSequence(11).spawn(5)[:2]
-        exp_u = net.clip_weights(net.init(ua, ss_u), 1.0)
-        exp_v = net.clip_weights(net.init(va, ss_v), 1.0)
+        exp_u = net.clip_weights(net.init(ua, ss_u))
+        exp_v = net.clip_weights(net.init(va, ss_v))
         np.testing.assert_array_equal(flat(res.u), flat(exp_u))
         np.testing.assert_array_equal(flat(res.v), flat(exp_v))
 
@@ -182,16 +182,6 @@ class TestMinimaxTrain:
         assert max(m for m, _ in seen) <= b + 1e-15
         assert max(m for _, m in seen) <= b + 1e-15
 
-    def test_clip_b_theta_overrides_arch_box(self):
-        _, prob = robin_problem_1d()
-        cfg = train.TrainConfig(
-            n_interior=16, m_boundary=16, outer_steps=5, eval_every=5,
-            clip_b_theta=0.05, seed=9,
-        )
-        res = train.minimax_train(prob, small_arch(b_theta=10.0), small_arch(b_theta=10.0), cfg)
-        assert np.abs(flat(res.u)).max() <= 0.05 + 1e-15
-        assert np.abs(flat(res.v)).max() <= 0.05 + 1e-15
-
     def test_zero_lr_u_keeps_trial_network_fixed(self):
         _, prob = robin_problem_1d()
         ua = small_arch()
@@ -200,7 +190,7 @@ class TestMinimaxTrain:
             lr_u=0.0, lr_v=1e-3, h1_ball_radius=math.inf, seed=6,
         )
         res = train.minimax_train(prob, ua, small_arch(), cfg)
-        exp_u = net.clip_weights(net.init(ua, np.random.SeedSequence(6).spawn(5)[0]), ua.b_theta)
+        exp_u = net.clip_weights(net.init(ua, np.random.SeedSequence(6).spawn(5)[0]))
         np.testing.assert_array_equal(flat(res.u), flat(exp_u))
 
     def test_returns_projected_final_quarter_average(self):
@@ -227,7 +217,7 @@ class TestMinimaxTrain:
         ss_quad = np.random.SeedSequence(2).spawn(5)[2]
         quad = pde.sample_interior(prob.domain, 4096, ss_quad)
         zero = loss_mod.H1Reference(None, quad, prob.domain.volume)
-        mean = net.clip_weights(net.flat_to_params(ua, np.mean(window, axis=0)), 1.0)
+        mean = net.clip_weights(net.flat_to_params(ua, np.mean(window, axis=0)))
         expected, _, _ = train._soft_project(mean, zero, 0.2)
         np.testing.assert_allclose(flat(res.u), flat(expected), rtol=1e-12, atol=1e-14)
 
@@ -416,7 +406,7 @@ class TestMinimaxTrain:
             b=pde.constant_vector(1, 10.0),
             c=expr.parse("0.1", 1),
             f=expr.parse("1", 1),
-            g=pde.ZERO_BOUNDARY,
+            g=None,
             alpha=1.0,
             beta=1.0,
             bc_kind="robin",
@@ -494,3 +484,20 @@ class TestApproxErrorProbe:
         )
         res = train.approx_error_probe(expr.parse("sin(pi*x1)", 1), arch, cfg)
         assert np.abs(flat(res.params)).max() <= 1.0 + 1e-15
+
+    def test_fields_outside_the_read_list_change_nothing(self):
+        # the CLI rejects every other TrainConfig field for approx-probe, so
+        # none of them may change the probe's result
+        arch = small_arch(widths=(1, 6, 1))
+        base = train.TrainConfig(n_interior=16, outer_steps=12, lr_u=1e-2, eval_every=4, seed=2)
+        ref = train.approx_error_probe(expr.parse("x1^2", 1), arch, base)
+        others = {
+            "m_boundary": 3, "inner_steps": 4, "lr_v": 0.5, "h1_ball_radius": 0.01,
+            "boundary_alpha_half": True, "v_restart_every": 1,
+        }
+        fields = {f.name for f in dataclasses.fields(train.TrainConfig)}
+        assert set(others) == fields - set(train.APPROX_PROBE_FIELDS)
+        for name, value in others.items():
+            res = train.approx_error_probe(expr.parse("x1^2", 1), arch, dataclasses.replace(base, **{name: value}))
+            assert res.history == ref.history, name
+            np.testing.assert_array_equal(flat(res.params), flat(ref.params))
