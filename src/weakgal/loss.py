@@ -242,10 +242,10 @@ def loss_gradients(
 ) -> tuple[np.ndarray | None, np.ndarray | None, LossValue]:
     """Exact gradients of the sampled objective in both networks' weights.
 
-    Returns (grad_u, grad_v, loss) with flat gradients in params_to_flat
-    layout.  The objective is an explicit finite sum, so these are the exact
-    derivatives of ``empirical_loss`` on the same batch.  ``need_u``/``need_v``
-    skip one side's backprop (the corresponding entry is None); alternating
+    Returns (grad_u, grad_v, loss) with flat gradients in the
+    ``NetworkParams.flat`` layout.  The objective is an explicit finite sum,
+    so these are the exact derivatives of ``empirical_loss`` on the same
+    batch.  ``need_u``/``need_v`` skip one side's backprop (the corresponding entry is None); alternating
     optimizers use this to avoid paying for gradients they discard.  A
     ``cache`` shared by consecutive calls evaluates the coefficients once per
     batch and the trial network's kept forward pass once per ``u``.

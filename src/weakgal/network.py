@@ -324,12 +324,6 @@ def zeros_like_arch(arch: NetworkArch) -> NetworkParams:
 # evaluation
 
 
-def _identity_tangents(shape: tuple[int, ...]) -> np.ndarray:
-    """Tangents of points of ``shape`` (..., n, d) themselves, stacked as (d, ..., n, d)."""
-    d = shape[-1]
-    return np.broadcast_to(np.eye(d).reshape((d,) + (1,) * (len(shape) - 1) + (d,)), (d,) + shape)
-
-
 def _first_tangents(A: np.ndarray) -> np.ndarray:
     """Tangents of A x at any points x, stacked as (d, ..., 1, q) for A (..., q, d).
 
@@ -473,7 +467,12 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
 
     Reverse sweep over a kept tape; the spatial-gradient path runs through
     rho' and so needs rho''.  ``seed_grads`` needs a tape with tangents.
-    Returns a flat vector in params_to_flat layout.  Linear in (w, s).
+    Returns a flat vector in the ``NetworkParams.flat`` layout.  Linear in (w, s).
+
+    The adjoints of a layer's value and its d tangents sweep as one C-ordered
+    (m, n, q) stack, m = 1 + d with ``seed_grads`` and 1 without.  Its seed is
+    a C-ordered copy of (w, s^T), and the first layer's input tangents stay a
+    zero-stride identity broadcast; both keep the bits of separate sweeps.
     """
     params = tape.params
     if params.ensemble:
@@ -487,49 +486,43 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
     w = np.asarray(seed_values, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"seed_values must be ({n},), got {w.shape}")
-    S = None  # seed gradients, stacked like the tangents: (d, n)
+    G = np.empty((1 if seed_grads is None else 1 + d, n))  # adjoints of the output: w, then s^T
+    G[0] = w
     if seed_grads is not None:
         if tape.grads is None:
             raise ValueError("a value-only tape takes no seed_grads")
         s = np.asarray(seed_grads, dtype=np.float64)
         if s.shape != (n, d):
             raise ValueError(f"seed_grads must be ({n}, {d}), got {s.shape}")
-        S = np.ascontiguousarray(s.T)
-
-    def tangent_in(k, d1):  # tangents of layer k's input, (d, n, q) flattened to (d*n, q)
-        T = _identity_tangents((n, d)) if k == 0 else tape.tangents[k - 1] * d1
-        return T.reshape(d * n, -1)
-
+        G[1:] = s.T
+    m = len(G)
     grad = np.empty_like(params.flat)
     out = _layer_views(params.arch, grad)  # each layer's (dA, db), written in place
-    a = params.layers[-1][0][0]
-    dA, db = out[-1]
-    np.matmul(w, ins[-1], out=dA[0])
-    d1 = act.d1(ins[-1]) if depth > 1 else None  # rho' at the current layer's input
-    if S is not None:
-        dA[0] += S.reshape(-1) @ tangent_in(depth - 1, d1)
-    db[0] = w.sum()
-    # adjoints of the previous layer's value (n, q) and tangent (d, n, q)
-    u = np.outer(w, a)
-    V = None if S is None else S[:, :, None] * a
 
-    for k in range(depth - 2, -1, -1):
-        A = params.layers[k][0]
-        zeta = np.multiply(u, d1, out=u)
-        if V is not None:
-            d2 = act.d2(ins[k + 1], d1)
-            zeta += np.multiply(d2, (V * tape.tangents[k]).sum(axis=0), out=d2)
-            W = np.multiply(V, d1, out=V)
-        d1 = act.d1(ins[k]) if k > 0 else None
+    def weight_grad(k, adj, d1):
+        """Layer k's (dA, db) from the adjoints ``adj`` of its outputs, (m, n)
+        at the top and (m, n, q) below; ``d1`` is rho' at the layer's input."""
         dA, db = out[k]
-        np.matmul(zeta.T, ins[k], out=dA)
-        if V is not None:
-            dA += W.reshape(d * n, -1).T @ tangent_in(k, d1)
-        zeta.sum(axis=0, out=db)
+        np.matmul(adj[0].T, ins[k], out=dA)
+        if m > 1:
+            T = np.broadcast_to(np.eye(d)[:, None], (d, n, d)) if k == 0 else tape.tangents[k - 1] * d1
+            dA += adj[1:].reshape((d * n,) + adj.shape[2:]).T @ T.reshape(d * n, -1)
+        db[...] = adj[0].sum(axis=0)
+
+    d1 = act.d1(ins[-1]) if depth > 1 else None  # rho' at the current layer's input
+    weight_grad(depth - 1, G, d1)
+    U = G[..., None] * params.layers[-1][0][0]  # adjoints of the top layer's input
+    for k in range(depth - 2, -1, -1):
+        if m > 1:  # rho'' carries the tangents' adjoints into the value's
+            d2 = act.d2(ins[k + 1], d1)
+            d2 *= (U[1:] * tape.tangents[k]).sum(axis=0)
+        U *= d1
+        if m > 1:
+            U[0] += d2
+        d1 = act.d1(ins[k]) if k > 0 else None
+        weight_grad(k, U, d1)
         if k > 0:
-            u = _dot(zeta, A)
-            if V is not None:
-                V = _dot(W, A)
+            U = _dot(U, params.layers[k][0])
     return grad
 
 
@@ -559,7 +552,7 @@ def backprop_params_batch(
     """Gradient in the weights of sum_k [w_k f(x_k) + s_k . grad f(x_k)].
 
     A forward_tape followed by backprop_tape; ``seed_grads=None`` takes the
-    value-only path.  Returns a flat vector in params_to_flat layout.
+    value-only path.  Returns a flat vector in the ``NetworkParams.flat`` layout.
     """
     tape = forward_tape(params, points, grads=seed_grads is not None)
     return backprop_tape(tape, seed_values, seed_grads)

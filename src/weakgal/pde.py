@@ -248,6 +248,12 @@ class EllipticProblem:
             self.alpha, self.g = 1.0, None
         if self.bc_kind == "neumann" and self.alpha != 0.0:
             raise ValueError("neumann requires alpha = 0")
+        fields = [(f"a[{i}][{j}]", e) for i, row in enumerate(self.a) for j, e in enumerate(row)]
+        fields += [(f"b[{i}]", e) for i, e in enumerate(self.b)]
+        fields += [("c", self.c), ("f", self.f), ("g", self.g), ("u_exact", self.u_exact)]
+        for name, e in fields:
+            if isinstance(e, ExprAst) and e.dim != d:
+                raise ValueError(f"{name} is an expression in dim {e.dim}, the domain's dim is {d}")
         for i in range(d):
             for j in range(i + 1, d):
                 if self.a[i][j] != self.a[j][i]:

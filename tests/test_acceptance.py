@@ -5,6 +5,7 @@ Each test prints one ``[acceptance] criterion N ...: PASS`` line (visible under
 fixed here on purpose; loosening them is a contract change, not a test fix.
 """
 
+import csv
 import json
 import math
 import time
@@ -311,31 +312,38 @@ def test_criterion_7_solver_regressions():
 
 
 @pytest.mark.slow
-def test_criterion_8_convergence_study_property():
+def test_criterion_8_convergence_study_property(tmp_path):
+    # the ten trainings and their scoring at 65,536 points are one
+    # convergence-study run (eval_quad's default), on the command's worker pool
     t0 = time.perf_counter()
-    u_star = expr.parse("sin(pi*x1)", 1)
-    problem = _poisson_mass_problem(1, "sin(pi*x1)")
     cs = CONV_STUDY
-    arch_u = net.NetworkArch(widths=cs["widths"], activation=net.TANH, b_theta=10.0)
-    arch_v = net.NetworkArch(widths=cs["widths"], activation=net.TANH, b_theta=2.0)
+    doc = {
+        "command": "convergence-study",
+        "problem": {
+            "dim": 1, "domain": {"kind": "hypercube"}, "c": "1",
+            "alpha": 1.0, "beta": 1.0, "u_exact": "sin(pi*x1)",
+        },
+        "u_arch": {"widths": list(cs["widths"]), "activation": "tanh", "b_theta": 10.0},
+        "v_arch": {"widths": list(cs["widths"]), "activation": "tanh", "b_theta": 2.0},
+        "train": {
+            "outer_steps": cs["outer_steps"], "inner_steps": 2, "lr_u": 1e-3, "lr_v": 1e-3,
+            "eval_every": cs["outer_steps"], **cs["knobs"],
+        },
+        "sweep": {"n_values": [cs["n_small"], cs["n_large"]], "seeds": list(cs["seeds"])},
+    }
+    cfg_path = tmp_path / "convergence.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.run(str(cfg_path), out_dir=str(out), quiet=True) == 0
+    assert json.loads((out / "manifest.json").read_text())["results"]["eval_quad"] == 65536
+    errs = {}
+    with open(out / "convergence.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            errs.setdefault(int(row["n_samples"]), []).append(float(row["h1_error"]))
+    assert {n: len(e) for n, e in errs.items()} == {cs["n_small"]: 5, cs["n_large"]: 5}
 
-    def median_err(n):
-        errs = []
-        for seed in cs["seeds"]:
-            cfg = train.TrainConfig(
-                n_interior=n, m_boundary=n, outer_steps=cs["outer_steps"],
-                inner_steps=2, lr_u=1e-3, lr_v=1e-3, eval_every=cs["outer_steps"],
-                seed=seed, **cs["knobs"],
-            )
-            result = train.minimax_train(problem, arch_u, arch_v, cfg)
-            errs.append(
-                loss_mod.h1_error(result.u, u_star, problem.domain, n_quad=65536,
-                                  seed=[12345, 0]).h1
-            )
-        return float(np.median(errs))
-
-    med_small = median_err(cs["n_small"])
-    med_large = median_err(cs["n_large"])
+    med_small = float(np.median(errs[cs["n_small"]]))
+    med_large = float(np.median(errs[cs["n_large"]]))
     assert med_large <= med_small, (
         f"median H1 error did not improve: N={cs['n_small']} gives {med_small:.4f}, "
         f"N={cs['n_large']} gives {med_large:.4f}"

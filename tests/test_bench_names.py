@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` wraps every ``TARGETS`` entry on every benchmark run, and
 ``bench/checks.py`` calls the package directly; a deleted or renamed name makes
-every benchmark run fail.  The Tier-1 suite does not collect ``bench/``, so
-these tests pin the names here.  The bench files are read, never edited.
+every benchmark run fail.  The Tier-1 suite also runs ``bench/test_smoke.py``,
+which then fails with the whole smoke run's output; these tests pin the names
+and say which one went.  The bench files are read, never edited.
 """
 
 import ast

@@ -680,6 +680,35 @@ def test_kernels_keep_the_bits_of_the_reference_order(monkeypatch, activation, d
     _assert_same_bits(got.grads, want.grads)
 
 
+@pytest.mark.parametrize("activation", [TANH, LOGISTIC, activation_by_name("relu2")])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(), (1,), (6,), (5, 1, 3), (7, 6)])
+def test_sweep_bits_do_not_depend_on_the_seed_layout(activation, dim, hidden):
+    rng = np.random.default_rng([dim, len(hidden), sum(hidden), 1])
+    arch = NetworkArch(widths=(dim,) + hidden + (1,), activation=activation, b_theta=3.0)
+    p = _params_with_negative_zeros(arch, rng)
+    n = 37
+    X = rng.uniform(-1.0, 1.0, size=(n, dim))
+    w, s = rng.normal(size=n), rng.normal(size=(n, dim))
+    w[::6], s[::5] = -0.0, -0.0
+    values = {"contiguous": w, "strided": np.stack([w, -w], axis=1)[:, 0]}
+    grads = {
+        "C-ordered": s,
+        "F-ordered": np.asfortranarray(s),
+        "transposed view": np.ascontiguousarray(s.T).T,
+        "strided": np.repeat(s, 2, axis=0)[::2],
+    }
+    assert not values["strided"].flags.c_contiguous and grads["F-ordered"].flags.f_contiguous
+    tape, value_tape = net.forward_tape(p, X), net.forward_tape(p, X, grads=False)
+    for t in (tape, value_tape):
+        want = net.backprop_tape(t, w)
+        _assert_same_bits(net.backprop_tape(t, values["strided"]), want)
+    want = net.backprop_tape(tape, w, s)
+    for w_in in values.values():
+        for s_in in grads.values():
+            _assert_same_bits(net.backprop_tape(tape, w_in, s_in), want)
+
+
 def _traced_peak(fn):
     """Peak bytes numpy allocates while ``fn`` runs, its result included."""
     tracemalloc.start()

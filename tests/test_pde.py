@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ def test_problem_validation():
     for a, b in ((((one,),), (one, one)), (identity_matrix(2), (one,))):
         with pytest.raises(ValueError, match="a must be 2x2"):
             manufactured_problem(parse("x1", 2), a, b, one, 1.0, 1.0, unit_hypercube(2))
+
+
+def test_expressions_must_have_the_domain_dimension():
+    # checked at construction, naming the field, not at the first evaluation
+    ok = dict(
+        domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
+        c=parse("1", 1), f=parse("1", 1), g=parse("x1", 1), alpha=1.0, beta=1.0,
+        u_exact=parse("x1", 1),
+    )
+    EllipticProblem(**ok)
+    two = parse("x1 + x2", 2)
+    for name, field in (("a[0][0]", {"a": ((two,),)}), ("b[0]", {"b": (two,)}), ("c", {"c": two}),
+                        ("f", {"f": two}), ("g", {"g": two}), ("u_exact", {"u_exact": two})):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} is an expression in dim 2"):
+            EllipticProblem(**{**ok, **field})
+    # a dirichlet problem drops g before it is checked
+    assert EllipticProblem(**{**ok, "g": two, "bc_kind": "dirichlet"}).g is None
 
 
 def test_coefficient_evaluation_shapes():
