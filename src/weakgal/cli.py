@@ -71,7 +71,9 @@ def _worker_count() -> int:
             return max(1, int(env))
         except ValueError as err:
             raise ConfigError(f"WG_THREADS must be an integer, got {env!r}") from err
-    return max(1, min(4, os.cpu_count() or 1))
+    # the cores this process may run on, which taskset or a cpuset can narrow
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(4, cores or 1))
 
 
 def _atomic_write_text(path: str, text: str) -> None:

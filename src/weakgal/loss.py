@@ -9,9 +9,16 @@ The bilinear objective for trial network u and test network v is
 with the boundary weight ``alpha`` optionally halved (``boundary_alpha_half``)
 to match the alternative convention for the penalty term.  The objective is
 linear in the test network's output, which the gradient computation exploits:
-both parameter gradients come from one taped forward pass per network plus
-per-sample seed vectors fed to the reverse sweep over that tape.  One function
-assembles the integrand and the seeds for the value and the gradients alike.
+both parameter gradients come from taped forward passes per network plus
+per-sample seed vectors fed to the reverse sweeps over those tapes.  One
+function assembles the integrand and the seeds for the value and the gradients
+alike.
+
+A network is taped at the interior points and, value-only, at the boundary
+points: two forwards and two sweeps.  A batch that names its distinct boundary
+points (the 1D cube's, whose boundary is {0, 1}) takes one forward over the
+interior points stacked over the distinct ones, gathered back to the boundary
+rows, and one sweep seeded with the boundary seeds summed per distinct point.
 
 Sums use numpy's pairwise float64 accumulation, so values are reproducible
 bit-for-bit for a fixed batch.  Any non-finite intermediate raises
@@ -109,6 +116,9 @@ class _BatchTerms:
         self.X, self.Y = X, Y = batch.interior, batch.boundary
         if X.shape[0] == 0 or Y.shape[0] == 0:
             raise ValueError("batch must contain interior and boundary points")
+        # networks are evaluated at the interior points, then the distinct boundary points
+        self.index = batch.boundary_index
+        self.stacked = None if self.index is None else np.concatenate([X, batch.boundary_distinct])
         self.A, self.B, self.c, self.f = coeffs = (
             problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
         )
@@ -123,21 +133,26 @@ class _BatchTerms:
 
 class _Eval(NamedTuple):
     """One network on a batch: interior values and gradients, boundary values,
-    and the (interior, boundary) tapes when its weight gradient is wanted."""
+    and, when its weight gradient is wanted, its tapes: the (interior,
+    boundary) pair, or one tape of the stacked points."""
 
     vals: np.ndarray
     grads: np.ndarray
     bdy: np.ndarray
-    tapes: tuple[net.Tape, net.Tape] | None = None
+    tapes: tuple[net.Tape, ...] | None = None
 
 
 def _evaluate(name: str, obj, terms: _BatchTerms, keep: bool = False) -> _Eval:
     """Checked values of ``u`` or ``v`` on the batch; networks are taped,
-    value-only at the boundary, and keep their tapes with ``keep``."""
-    if isinstance(obj, NetworkParams):
+    value-only at the boundary unless its distinct points are stacked under
+    the interior ones, and keep their tapes with ``keep``."""
+    if isinstance(obj, NetworkParams) and terms.stacked is None:
         inner = net.forward_tape(obj, terms.X, keep=keep)
         outer = net.forward_tape(obj, terms.Y, grads=False, keep=keep)
         ev = _Eval(inner.values, inner.grads, outer.values, (inner, outer) if keep else None)
+    elif isinstance(obj, NetworkParams):
+        tape, n = net.forward_tape(obj, terms.stacked, keep=keep), terms.X.shape[0]
+        ev = _Eval(tape.values[:n], tape.grads[:n], tape.values[n:][terms.index], (tape,) if keep else None)
     else:
         fn = as_evaluator(obj, terms.X.shape[1])
         ev = _Eval(*fn(terms.X), fn(terms.Y)[0])
@@ -180,9 +195,15 @@ def _assemble(terms: _BatchTerms, u: _Eval, v: _Eval, need_u: bool, need_v: bool
     return value, seeds_u, seeds_v
 
 
-def _backprop(ev: _Eval, seeds, component: str) -> np.ndarray:
-    inner, outer = ev.tapes
-    grad = net.backprop_tape(inner, seeds[0], seeds[1]) + net.backprop_tape(outer, seeds[2])
+def _backprop(ev: _Eval, seeds, terms: _BatchTerms, component: str) -> np.ndarray:
+    if len(ev.tapes) == 2:
+        inner, outer = ev.tapes
+        grad = net.backprop_tape(inner, seeds[0], seeds[1]) + net.backprop_tape(outer, seeds[2])
+    else:  # a distinct boundary point's value seed sums its rows'; its gradient seed is 0
+        k = terms.stacked.shape[0] - terms.X.shape[0]
+        w = np.concatenate([seeds[0], np.bincount(terms.index, seeds[2], minlength=k)])
+        s = np.concatenate([seeds[1], np.zeros((k, terms.X.shape[1]))])
+        grad = net.backprop_tape(ev.tapes[0], w, s)
     _check_finite(grad[None, :], component)
     return grad
 
@@ -255,8 +276,8 @@ def loss_gradients(
     terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half, keep=True)
     ev = _evaluate("v", v, terms, keep=need_v)
     value, seeds_u, seeds_v = _assemble(terms, eu, ev, need_u, need_v)
-    grad_u = _backprop(eu, seeds_u, "grad_u") if need_u else None
-    grad_v = _backprop(ev, seeds_v, "grad_v") if need_v else None
+    grad_u = _backprop(eu, seeds_u, terms, "grad_u") if need_u else None
+    grad_v = _backprop(ev, seeds_v, terms, "grad_v") if need_v else None
     return grad_u, grad_v, value
 
 

@@ -551,6 +551,19 @@ class TestConvergenceStudy:
         monkeypatch.setenv("WG_THREADS", "many")
         assert cli.run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 2
 
+    def test_pool_size_follows_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("WG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert cli._worker_count() == 2  # the affinity mask, not the machine
+        monkeypatch.setenv("WG_THREADS", "3")
+        assert cli._worker_count() == 3
+        monkeypatch.delenv("WG_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._worker_count() == 4  # no affinity call: the machine's cores, capped at 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._worker_count() == 1
+
     def test_requires_manufactured_problem(self, tmp_path, capsys):
         doc = {
             "command": "convergence-study",

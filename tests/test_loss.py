@@ -1,5 +1,6 @@
 """Empirical loss values, gradients, and Monte Carlo H^1 estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from weakgal.loss import (
     h1_error,
     loss_gradients,
 )
-from weakgal.network import NetworkArch, NetworkParams, TANH, flat_to_params, init, params_to_flat
+from weakgal.network import LOGISTIC, NetworkArch, NetworkParams, TANH, flat_to_params, init, params_to_flat
 from weakgal.pde import (
     EmpiricalBatch,
     constant_vector,
@@ -33,10 +34,10 @@ def _affine(a, b):
     return NetworkParams(LIN, np.array([float(a), float(b)]))
 
 
-def _neumann_problem(c="0", f="1"):
+def _neumann_problem(c="0", f="1", dim=1):
     return pde.EllipticProblem(
-        domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0),
-        c=parse(c, 1), f=parse(f, 1), g=None,
+        domain=unit_hypercube(dim), a=identity_matrix(dim), b=constant_vector(dim, 0.0),
+        c=parse(c, dim), f=parse(f, dim), g=None,
         alpha=0.0, beta=1.0, bc_kind="neumann",
     )
 
@@ -200,14 +201,20 @@ def test_cached_empirical_loss_matches_uncached(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cache_keeps_u_tapes_only_for_gradients(monkeypatch):
-    prob = _neumann_problem()
-    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
-    u, v = init(arch, 5), init(arch, 6)
-    batch = sample_batch(prob.domain, 8, 8, 1)
-    kept = []  # the keep flag of every forward, u's and v's, interior then boundary
+def _record_keep_flags(monkeypatch) -> list:
+    kept = []  # the keep flag of every forward, in call order
     original = net.forward_tape
     monkeypatch.setattr(net, "forward_tape", lambda *a, keep=True, **k: kept.append(keep) or original(*a, keep=keep, **k))
+    return kept
+
+
+def test_cache_keeps_u_tapes_only_for_gradients(monkeypatch):
+    # a 2D batch: each network takes an interior and a boundary forward
+    prob = _neumann_problem(dim=2)
+    arch = NetworkArch(widths=(2, 4, 1), activation=TANH, b_theta=2.0)
+    u, v = init(arch, 5), init(arch, 6)
+    batch = sample_batch(prob.domain, 8, 8, 1)
+    kept = _record_keep_flags(monkeypatch)  # u's and v's, interior then boundary
     cache = loss.GradientCache()
     value = empirical_loss(u, v, prob, batch, cache=cache)
     assert kept == [False] * 4
@@ -216,6 +223,23 @@ def test_cache_keeps_u_tapes_only_for_gradients(monkeypatch):
     loss_gradients(u, v, prob, batch, cache=cache)
     assert empirical_loss(u, v, prob, batch, cache=cache) == value  # u's tapes reused: v only
     assert kept[8:] == [True, True, False, False]
+
+
+def test_cache_keeps_one_u_tape_per_batch_in_1d(monkeypatch):
+    # a 1D batch: one forward per network over the interior and the distinct boundary points
+    prob = _neumann_problem()
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    u, v = init(arch, 5), init(arch, 6)
+    batch = sample_batch(prob.domain, 8, 8, 1)
+    kept = _record_keep_flags(monkeypatch)  # u's, then v's
+    cache = loss.GradientCache()
+    value = empirical_loss(u, v, prob, batch, cache=cache)
+    assert kept == [False] * 2
+    assert loss_gradients(u, v, prob, batch, cache=cache)[2] == value  # u taped now, then v
+    assert kept[2:] == [True] * 2
+    loss_gradients(u, v, prob, batch, cache=cache)
+    assert empirical_loss(u, v, prob, batch, cache=cache) == value  # u's tape reused: v only
+    assert kept[4:] == [True, False]
 
 
 def test_need_flags_skip_outputs():
@@ -242,6 +266,102 @@ def test_non_finite_loss_reports_component_and_sample():
     with pytest.raises((NonFiniteLossError, Exception)) as err:
         empirical_loss(_affine(1, 0), _affine(1, 0), prob, batch)
     assert err.value is not None
+
+
+# The 1D cube's batches name their two boundary points, and networks are then
+# evaluated once over the interior points stacked over those points.  Each case
+# is (problem, boundary_alpha_half, boundary rows M).
+_MERGED_CASES = {
+    "robin": lambda: (manufactured_problem(
+        parse("sin(pi*x1) + x1", 1), identity_matrix(1), (parse("0.3", 1),),
+        parse("1 + x1", 1), 0.7, 0.5, unit_hypercube(1), "robin"), False, 24),
+    "neumann": lambda: (manufactured_problem(
+        parse("cos(pi*x1) + x1^2", 1), identity_matrix(1), constant_vector(1, 0.0),
+        parse("1", 1), 0.0, 1.0, unit_hypercube(1), "neumann"), False, 24),
+    "dirichlet-alpha-half": lambda: (manufactured_problem(
+        parse("sin(pi*x1)", 1), identity_matrix(1), constant_vector(1, 0.0),
+        parse("1", 1), 1.0, 0.1, unit_hypercube(1), "dirichlet"), True, 24),
+    "one-face": lambda: (manufactured_problem(
+        parse("sin(pi*x1) + x1", 1), identity_matrix(1), (parse("-0.4", 1),),
+        parse("2", 1), 1.0, 1.0, unit_hypercube(1), "robin"), False, 1),
+}
+_ARCH_U = NetworkArch(widths=(1, 6, 5, 1), activation=TANH, b_theta=3.0)
+_ARCH_V = NetworkArch(widths=(1, 7, 1), activation=LOGISTIC, b_theta=3.0)
+
+
+def _two_call(batch):
+    """The same batch without its distinct boundary points."""
+    return dataclasses.replace(batch, boundary_distinct=None, boundary_index=None)
+
+
+def _merged_case(name, seed):
+    prob, half, m = _MERGED_CASES[name]()
+    batch = sample_batch(prob.domain, 32, m, seed)
+    assert batch.boundary_distinct.shape == ((2 if m > 1 else 1), 1)
+    return prob, half, batch
+
+
+@pytest.mark.parametrize("name", sorted(_MERGED_CASES))
+def test_merged_1d_path_matches_the_two_call_path(name):
+    prob, half, batch = _merged_case(name, 4)
+    split = _two_call(batch)
+    for k in range(3):
+        u, v = init(_ARCH_U, 10 + k), init(_ARCH_V, 20 + k)
+        merged_value = empirical_loss(u, v, prob, batch, half)
+        split_value = empirical_loss(u, v, prob, split, half)
+        for field in ("total", "interior", "boundary"):
+            assert getattr(merged_value, field) == pytest.approx(getattr(split_value, field), rel=1e-12)
+        merged = loss_gradients(u, v, prob, batch, half)
+        two_call = loss_gradients(u, v, prob, split, half)
+        assert merged[2] == merged_value and two_call[2] == split_value
+        for got, want in zip(merged[:2], two_call[:2]):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", sorted(_MERGED_CASES))
+def test_merged_1d_gradients_match_fd(name):
+    # criterion 1's step and tolerance
+    prob, half, batch = _merged_case(name, 9)
+    rng = np.random.default_rng(31)
+    h = 1e-5
+    u, v = init(_ARCH_U, 3), init(_ARCH_V, 4)
+    gu, gv, _ = loss_gradients(u, v, prob, batch, half)
+
+    def value(pu, pv):
+        return empirical_loss(pu, pv, prob, batch, half).total
+
+    for params, grad, other, is_u in ((u, gu, v, True), (v, gv, u, False)):
+        flat0 = params.flat
+        for i in rng.choice(flat0.size, size=8, replace=False):
+            fp, fm = flat0.copy(), flat0.copy()
+            fp[i] += h
+            fm[i] -= h
+            pp, pm = flat_to_params(params.arch, fp), flat_to_params(params.arch, fm)
+            lp, lm = (value(pp, other), value(pm, other)) if is_u else (value(other, pp), value(other, pm))
+            fd = (lp - lm) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-4 * (1.0 + abs(fd))
+
+
+def _blows_up_at_one() -> NetworkParams:
+    """A relu^2 network that is 0 on [0, 0.999] and overflows to inf at x = 1."""
+    arch = NetworkArch(widths=(1, 1, 1), activation=net.activation_by_name("relu2"), b_theta=1.0)
+    return NetworkParams(arch, np.array([1e200, -0.999e200, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_merged_1d_path_names_the_non_finite_boundary_row(name):
+    prob = _neumann_problem()
+    batch = sample_batch(prob.domain, 16, 12, 17)
+    assert batch.interior.max() < 0.999
+    row = int(np.argmax(batch.boundary[:, 0] == 1.0))
+    assert row > 1  # a boundary row, not a distinct point's index
+    finite = init(NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0), 0)
+    u, v = (_blows_up_at_one(), finite) if name == "u" else (finite, _blows_up_at_one())
+    for b in (batch, _two_call(batch)):
+        for call in (empirical_loss, loss_gradients):
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError) as err:
+                call(u, v, prob, b)
+            assert (err.value.component, err.value.sample_index) == (f"boundary {name}", row)
 
 
 def test_h1_error_closed_form():

@@ -1,6 +1,7 @@
 """Domain sampling, problem assembly, and coercivity tests."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -105,6 +106,31 @@ def test_sample_batch_deterministic_and_split():
     assert b1.interior.shape == (64, 2) and b1.boundary.shape == b1.normals.shape == (32, 2)
     b3 = sample_batch(dom, 64, 32, 124)
     assert not np.array_equal(b1.interior, b3.interior)
+
+
+def test_sample_batch_names_the_1d_boundary_points():
+    dom = unit_hypercube(1)
+    for n, m, seed in ((64, 32, 123), (8, 1, 5), (16, 256, [3, 7])):
+        batch = sample_batch(dom, n, m, seed)
+        # the same draws as without the new fields
+        s_int, s_bdy = np.random.SeedSequence(seed).spawn(2)
+        pts, normals = sample_boundary(dom, m, s_bdy)
+        assert batch.interior.tobytes() == sample_interior(dom, n, s_int).tobytes()
+        assert batch.boundary.tobytes() == pts.tobytes()
+        assert batch.normals.tobytes() == normals.tobytes()
+        assert batch.boundary_index.shape == (m,)
+        assert batch.boundary_distinct.shape[0] <= 2 and batch.boundary_distinct.shape[1] == 1
+        assert batch.boundary_distinct[batch.boundary_index].tobytes() == batch.boundary.tobytes()
+    # one seed's arrays, pinned: naming the boundary points draws nothing more
+    batch = sample_batch(dom, 64, 32, 123)
+    digest = hashlib.sha256(batch.interior.tobytes() + batch.boundary.tobytes() + batch.normals.tobytes())
+    assert digest.hexdigest()[:16] == "9714e555b483a897"
+
+
+def test_sample_batch_names_no_boundary_points_beyond_1d():
+    for dom in (unit_hypercube(2), unit_hypercube(3), ball((0.5, 0.5), 0.3), ball((0.5, 0.5, 0.5), 0.2)):
+        batch = sample_batch(dom, 16, 16, 0)
+        assert batch.boundary_distinct is None and batch.boundary_index is None
 
 
 def test_problem_validation():
