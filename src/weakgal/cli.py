@@ -502,7 +502,7 @@ def _cmd_theory_check(out_dir, quiet, cfg_hash, problem, u_arch, theory) -> dict
 
 
 def _cmd_approx_probe(out_dir, quiet, cfg_hash, problem, u_arch, train) -> dict:
-    result = train_mod.approx_error_probe(problem.u_exact, u_arch, train)
+    result = train_mod.approx_error_probe(problem.u_exact, u_arch, train, problem.domain)
     _write_csv(
         os.path.join(out_dir, "fit_history.csv"),
         ["step", "h1_distance"],
@@ -599,6 +599,8 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
         raise ConfigError(f"problem.u_exact: {command} needs a manufactured problem")
     if spec.needs_1d and problem.dim != 1:
         raise ConfigError(f"problem.dim: {command} is a 1d experiment, got dim {problem.dim}")
+    if spec.needs_1d and problem.domain.kind != "hypercube":
+        raise ConfigError(f"problem.domain: {command} solves on the unit interval, got a {problem.domain.kind}")
     return built
 
 

@@ -15,10 +15,11 @@ function assembles the integrand and the seeds for the value and the gradients
 alike.
 
 A network is taped at the interior points and, value-only, at the boundary
-points: two forwards and two sweeps.  A batch that names its distinct boundary
-points (the 1D cube's, whose boundary is {0, 1}) takes one forward over the
-interior points stacked over the distinct ones, gathered back to the boundary
-rows, and one sweep seeded with the boundary seeds summed per distinct point.
+points: two forwards and two sweeps.  Points with one coordinate (any 1D
+domain, whose boundary has at most two points, or a hand-built 1D batch) take
+one forward over the interior points stacked over the distinct boundary
+points, gathered back to the boundary rows, and one sweep seeded with the
+boundary seeds summed per distinct point.
 
 Sums use numpy's pairwise float64 accumulation, so values are reproducible
 bit-for-bit for a fixed batch.  Any non-finite intermediate raises
@@ -110,15 +111,18 @@ def _check_finite(arr: np.ndarray, component: str) -> None:
 
 
 class _BatchTerms:
-    """Checked coefficient values and quadrature weights of one batch."""
+    """Checked coefficient values and quadrature weights of one batch and, in
+    1D, the interior points stacked over the distinct boundary points, to
+    which ``index`` maps each boundary row."""
 
     def __init__(self, problem: EllipticProblem, batch: EmpiricalBatch, boundary_alpha_half: bool):
         self.X, self.Y = X, Y = batch.interior, batch.boundary
         if X.shape[0] == 0 or Y.shape[0] == 0:
             raise ValueError("batch must contain interior and boundary points")
-        # networks are evaluated at the interior points, then the distinct boundary points
-        self.index = batch.boundary_index
-        self.stacked = None if self.index is None else np.concatenate([X, batch.boundary_distinct])
+        self.index = self.stacked = None
+        if X.shape[1] == 1:
+            distinct, self.index = np.unique(Y[:, 0], return_inverse=True)
+            self.stacked = np.concatenate([X, distinct[:, None]])
         self.A, self.B, self.c, self.f = coeffs = (
             problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
         )
@@ -134,7 +138,7 @@ class _BatchTerms:
 class _Eval(NamedTuple):
     """One network on a batch: interior values and gradients, boundary values,
     and, when its weight gradient is wanted, its tapes: the (interior,
-    boundary) pair, or one tape of the stacked points."""
+    boundary) pair, or in 1D one tape of the stacked points."""
 
     vals: np.ndarray
     grads: np.ndarray
@@ -145,7 +149,7 @@ class _Eval(NamedTuple):
 def _evaluate(name: str, obj, terms: _BatchTerms, keep: bool = False) -> _Eval:
     """Checked values of ``u`` or ``v`` on the batch; networks are taped,
     value-only at the boundary unless its distinct points are stacked under
-    the interior ones, and keep their tapes with ``keep``."""
+    the interior ones (1D), and keep their tapes with ``keep``."""
     if isinstance(obj, NetworkParams) and terms.stacked is None:
         inner = net.forward_tape(obj, terms.X, keep=keep)
         outer = net.forward_tape(obj, terms.Y, grads=False, keep=keep)
@@ -208,33 +212,10 @@ def _backprop(ev: _Eval, seeds, terms: _BatchTerms, component: str) -> np.ndarra
     return grad
 
 
-def empirical_loss(
-    u,
-    v,
-    problem: EllipticProblem,
-    batch: EmpiricalBatch,
-    boundary_alpha_half: bool = False,
-    cache: GradientCache | None = None,
-) -> LossValue:
-    """Evaluate the sampled weak-form objective on one batch.
-
-    ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.  A
-    ``cache`` shared with other calls on the same batch (see ``loss_gradients``)
-    evaluates the coefficients once per batch and ``u`` once per object; a
-    value needs no tapes, so this call keeps none.
-    """
-    if cache is None:
-        terms = _BatchTerms(problem, batch, boundary_alpha_half)
-        eu = _evaluate("u", u, terms)
-    else:
-        terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half, keep=False)
-    return _assemble(terms, eu, _evaluate("v", v, terms), False, False)[0]
-
-
 class GradientCache:
-    """Per-batch state shared by consecutive ``loss_gradients`` calls: the
-    checked coefficients of one (problem, batch, alpha convention), rebuilt when
-    any of them is another object, and the trial network's evaluation, redone
+    """Per-batch state shared by consecutive loss calls: the checked
+    coefficients of one (problem, batch, alpha convention), rebuilt when any
+    of them is another object, and the trial network's evaluation, redone
     when ``u`` is another object or its tapes are wanted and were not kept."""
 
     def __init__(self):
@@ -249,6 +230,36 @@ class GradientCache:
         if u is not self._u or (keep and not self._kept):
             self._u_eval, self._u, self._kept = _evaluate("u", u, self._terms, keep=keep), u, keep
         return self._terms, self._u_eval
+
+
+def _loss(u, v, problem, batch, boundary_alpha_half, need_u, need_v, cache):
+    """(grad_u, grad_v, value) on one batch; ``u`` is taped when any gradient
+    is wanted, so a value alone keeps no tapes."""
+    if cache is None:
+        cache = GradientCache()
+    terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half, keep=need_u or need_v)
+    ev = _evaluate("v", v, terms, keep=need_v)
+    value, seeds_u, seeds_v = _assemble(terms, eu, ev, need_u, need_v)
+    grad_u = _backprop(eu, seeds_u, terms, "grad_u") if need_u else None
+    grad_v = _backprop(ev, seeds_v, terms, "grad_v") if need_v else None
+    return grad_u, grad_v, value
+
+
+def empirical_loss(
+    u,
+    v,
+    problem: EllipticProblem,
+    batch: EmpiricalBatch,
+    boundary_alpha_half: bool = False,
+    cache: GradientCache | None = None,
+) -> LossValue:
+    """Evaluate the sampled weak-form objective on one batch.
+
+    ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.  A
+    ``cache`` shared with other calls on the same batch (see ``loss_gradients``)
+    evaluates the coefficients once per batch and ``u`` once per object.
+    """
+    return _loss(u, v, problem, batch, boundary_alpha_half, False, False, cache)[2]
 
 
 def loss_gradients(
@@ -271,14 +282,7 @@ def loss_gradients(
     ``cache`` shared by consecutive calls evaluates the coefficients once per
     batch and the trial network's kept forward pass once per ``u``.
     """
-    if cache is None:
-        cache = GradientCache()
-    terms, eu = cache.lookup(u, problem, batch, boundary_alpha_half, keep=True)
-    ev = _evaluate("v", v, terms, keep=need_v)
-    value, seeds_u, seeds_v = _assemble(terms, eu, ev, need_u, need_v)
-    grad_u = _backprop(eu, seeds_u, terms, "grad_u") if need_u else None
-    grad_v = _backprop(ev, seeds_v, terms, "grad_v") if need_v else None
-    return grad_u, grad_v, value
+    return _loss(u, v, problem, batch, boundary_alpha_half, need_u, need_v, cache)
 
 
 class H1Reference:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import ExprAst
-from .pde import EllipticProblem
+from .pde import EllipticProblem, unit_hypercube
 
 __all__ = [
     "SolveError",
@@ -110,8 +110,8 @@ def fd_solve_1d(problem: EllipticProblem, n: int, bc_kind: str | None = None) ->
     while building or solving the system (a beta so small that the ghost rows
     blow up) is a SolveError.
     """
-    if problem.dim != 1:
-        raise ValueError("fd_solve_1d needs a 1d problem")
+    if problem.domain != unit_hypercube(1):
+        raise ValueError(f"fd_solve_1d solves on the unit interval, not on {problem.domain}")
     if n < 2:
         raise ValueError("n must be >= 2")
     kind = bc_kind or problem.bc_kind
@@ -219,14 +219,12 @@ class PenaltyStudy:
 def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> PenaltyStudy:
     """Solve the penalized-Robin family against the Dirichlet limit on one grid.
 
-    ``problem`` supplies the differential data; its own boundary data and beta
-    are ignored.  Each sweep point solves its penalized-Dirichlet problem at
-    the given beta with the Robin scheme.  An error that is not finite and
-    positive (a beta below what the grid resolves) has no logarithm to fit, so
-    it is a SolveError.
+    ``problem`` supplies the differential data on the unit interval (see
+    ``fd_solve_1d``); its own boundary data and beta are ignored.  Each sweep
+    point solves its penalized-Dirichlet problem at the given beta with the
+    Robin scheme.  An error that is not finite and positive (a beta below what
+    the grid resolves) has no logarithm to fit, so it is a SolveError.
     """
-    if problem.dim != 1:
-        raise ValueError("penalty study is a 1d experiment")
     betas = tuple(float(b) for b in betas)
     if len(betas) < 2:
         raise ValueError("need at least two beta values")

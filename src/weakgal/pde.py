@@ -154,25 +154,20 @@ def sample_boundary(domain: Domain, m: int, seed) -> tuple[np.ndarray, np.ndarra
 class EmpiricalBatch:
     """One draw of quadrature points: interior (N, d), boundary (M, d) + normals.
 
-    When the boundary rows repeat a few points, ``boundary_distinct`` (k, d)
-    holds those points and ``boundary_index`` (M,) maps each boundary row to
-    one of them, so that ``boundary_distinct[boundary_index]`` is ``boundary``;
-    the loss then evaluates networks once per distinct point.
+    A batch built by hand serves as well as a drawn one; in 1D the loss finds
+    the distinct boundary points itself and evaluates each network once per
+    batch.
     """
 
     interior: np.ndarray
     boundary: np.ndarray
     normals: np.ndarray
-    boundary_distinct: np.ndarray | None = None
-    boundary_index: np.ndarray | None = None
 
 
 def sample_batch(domain: Domain, n: int, m: int, seed) -> EmpiricalBatch:
     """Interior and boundary samples from independent child streams of ``seed``.
 
-    ``seed`` may be entropy (int or sequence of ints) or a SeedSequence.  The
-    boundary of the unit interval is the two points {0, 1}, so a 1D cube's
-    batch also carries the distinct boundary points and each row's index.
+    ``seed`` may be entropy (int or sequence of ints) or a SeedSequence.
     """
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
@@ -180,16 +175,10 @@ def sample_batch(domain: Domain, n: int, m: int, seed) -> EmpiricalBatch:
         ss = np.random.SeedSequence(seed)
     s_int, s_bdy = ss.spawn(2)
     pts, normals = sample_boundary(domain, m, s_bdy)
-    distinct = index = None
-    if domain.kind == "hypercube" and domain.dim == 1:
-        coords, index = np.unique(pts[:, 0], return_inverse=True)
-        distinct = coords[:, None]
     return EmpiricalBatch(
         interior=sample_interior(domain, n, s_int),
         boundary=pts,
         normals=normals,
-        boundary_distinct=distinct,
-        boundary_index=index,
     )
 
 

@@ -39,7 +39,7 @@ from . import loss as loss_mod
 from . import network as net
 from .loss import NonFiniteLossError
 from .network import NetworkArch, NetworkParams
-from .pde import EllipticProblem, check_coercivity, sample_batch, sample_interior, unit_hypercube
+from .pde import Domain, EllipticProblem, check_coercivity, sample_batch, sample_interior, unit_hypercube
 
 __all__ = [
     "TrainConfig",
@@ -413,11 +413,13 @@ def approx_error_probe(
     u_target,
     arch: NetworkArch,
     config: TrainConfig,
+    domain: Domain | None = None,
 ) -> ProbeResult:
     """Minimize the Monte Carlo H^1 distance to ``u_target`` over the class.
 
-    Supervised proxy for the approximation error: reads only the TrainConfig
-    fields in ``APPROX_PROBE_FIELDS``, with ``lr_u`` as its learning rate and
+    Supervised proxy for the approximation error over ``domain`` (by default
+    the unit hypercube): reads only the TrainConfig fields in
+    ``APPROX_PROBE_FIELDS``, with ``lr_u`` as its learning rate and
     ``n_interior`` as its batch size.  The reported distance is evaluated on a
     held-out quadrature set; the returned params are the best-scoring iterate,
     weights kept inside the architecture's box throughout.
@@ -425,7 +427,7 @@ def approx_error_probe(
     target = loss_mod.as_evaluator(u_target, arch.dim)
     ss = np.random.SeedSequence(config.seed)
     ss_init, ss_quad, ss_batches = ss.spawn(3)
-    domain = unit_hypercube(arch.dim)
+    domain = domain or unit_hypercube(arch.dim)
     volume = domain.volume
     params = net.init(arch, ss_init)  # already inside [-B_theta, B_theta]
     opt = _Optimizer(config, arch.n_params(), config.lr_u)

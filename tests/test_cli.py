@@ -487,6 +487,16 @@ class TestPenaltyStudy:
             blobs.append((out / "penalty.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_ball_domain_exits_2_naming_it(self, tmp_path, capsys):
+        with open(self.config(tmp_path), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["problem"].update(domain={"kind": "ball", "center": [0.5], "radius": 0.25},
+                              u_exact="sin(2*pi*(x1 - 0.25))")  # zero trace on the ball
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
+        assert "config error: problem.domain: penalty-study solves on the unit interval" in capsys.readouterr().err
+        assert not (out / "penalty.csv").exists()
+
     @pytest.mark.parametrize("betas", [
         (1e-310, 1e-300),  # 2h / (beta a) overflows: 0 * inf in the end rows
         (1e-300, 1e-310),
@@ -691,6 +701,16 @@ class TestApproxProbe:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["h1_distance"] == min(float(r[1]) for r in rows)
         assert net.load_checkpoint(str(out / "fit.json")).arch.widths == (1, 8, 1)
+
+    def test_fits_and_scores_over_the_problems_domain(self, tmp_path):
+        # u* = 1/(x1 - 0.2) has H1 norm 6.58 over the ball; it is singular at
+        # 0.2, and this fit scored over the unit interval reads 191
+        problem = dict(_PROBLEM, u_exact="1/(x1 - 0.2)", domain={"kind": "ball", "center": [0.5], "radius": 0.1})
+        doc = dict(TINY["approx-probe"], problem=problem)
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 0
+        _, rows = read_rows(out / "fit_history.csv")
+        assert all(float(d) < 20.0 for _, d in rows)
 
     def test_requires_manufactured_problem(self, tmp_path, capsys):
         doc = {

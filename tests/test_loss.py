@@ -1,6 +1,5 @@
 """Empirical loss values, gradients, and Monte Carlo H^1 estimates."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,9 +33,9 @@ def _affine(a, b):
     return NetworkParams(LIN, np.array([float(a), float(b)]))
 
 
-def _neumann_problem(c="0", f="1", dim=1):
+def _neumann_problem(c="0", f="1", dim=1, domain=None):
     return pde.EllipticProblem(
-        domain=unit_hypercube(dim), a=identity_matrix(dim), b=constant_vector(dim, 0.0),
+        domain=domain or unit_hypercube(dim), a=identity_matrix(dim), b=constant_vector(dim, 0.0),
         c=parse(c, dim), f=parse(f, dim), g=None,
         alpha=0.0, beta=1.0, bc_kind="neumann",
     )
@@ -226,20 +225,26 @@ def test_cache_keeps_u_tapes_only_for_gradients(monkeypatch):
 
 
 def test_cache_keeps_one_u_tape_per_batch_in_1d(monkeypatch):
-    # a 1D batch: one forward per network over the interior and the distinct boundary points
-    prob = _neumann_problem()
+    # 1D batches drawn on the cube and on a ball, and one built by hand: one
+    # forward per network over the interior and the distinct boundary points
+    cube, ball = _neumann_problem(), _neumann_problem(domain=pde.ball([0.5], 0.25))
     arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
     u, v = init(arch, 5), init(arch, 6)
-    batch = sample_batch(prob.domain, 8, 8, 1)
     kept = _record_keep_flags(monkeypatch)  # u's, then v's
-    cache = loss.GradientCache()
-    value = empirical_loss(u, v, prob, batch, cache=cache)
-    assert kept == [False] * 2
-    assert loss_gradients(u, v, prob, batch, cache=cache)[2] == value  # u taped now, then v
-    assert kept[2:] == [True] * 2
-    loss_gradients(u, v, prob, batch, cache=cache)
-    assert empirical_loss(u, v, prob, batch, cache=cache) == value  # u's tape reused: v only
-    assert kept[4:] == [True, False]
+    for prob, batch in (
+        (cube, sample_batch(cube.domain, 8, 8, 1)),
+        (ball, sample_batch(ball.domain, 8, 8, 1)),
+        (cube, _endpoint_batch([0.25, 0.5, 0.75])),
+    ):
+        kept.clear()
+        cache = loss.GradientCache()
+        value = empirical_loss(u, v, prob, batch, cache=cache)
+        assert kept == [False] * 2
+        assert loss_gradients(u, v, prob, batch, cache=cache)[2] == value  # u taped now, then v
+        assert kept[2:] == [True] * 2
+        loss_gradients(u, v, prob, batch, cache=cache)
+        assert empirical_loss(u, v, prob, batch, cache=cache) == value  # u's tape reused: v only
+        assert kept[4:] == [True, False]
 
 
 def test_need_flags_skip_outputs():
@@ -268,9 +273,9 @@ def test_non_finite_loss_reports_component_and_sample():
     assert err.value is not None
 
 
-# The 1D cube's batches name their two boundary points, and networks are then
-# evaluated once over the interior points stacked over those points.  Each case
-# is (problem, boundary_alpha_half, boundary rows M).
+# A 1D boundary has at most two points, and networks are evaluated once over
+# the interior points stacked over those points.  Each case is (problem,
+# boundary_alpha_half, boundary rows M).
 _MERGED_CASES = {
     "robin": lambda: (manufactured_problem(
         parse("sin(pi*x1) + x1", 1), identity_matrix(1), (parse("0.3", 1),),
@@ -284,37 +289,55 @@ _MERGED_CASES = {
     "one-face": lambda: (manufactured_problem(
         parse("sin(pi*x1) + x1", 1), identity_matrix(1), (parse("-0.4", 1),),
         parse("2", 1), 1.0, 1.0, unit_hypercube(1), "robin"), False, 1),
+    "ball": lambda: (manufactured_problem(
+        parse("sin(pi*x1) + x1", 1), identity_matrix(1), (parse("0.3", 1),),
+        parse("1 + x1", 1), 0.7, 0.5, pde.ball([0.45], 0.3), "robin"), False, 24),
 }
 _ARCH_U = NetworkArch(widths=(1, 6, 5, 1), activation=TANH, b_theta=3.0)
 _ARCH_V = NetworkArch(widths=(1, 7, 1), activation=LOGISTIC, b_theta=3.0)
 
 
-def _two_call(batch):
-    """The same batch without its distinct boundary points."""
-    return dataclasses.replace(batch, boundary_distinct=None, boundary_index=None)
+def _two_call(u, v, prob, batch, half):
+    """(value, grad_u, grad_v) from a tape of each network at the interior
+    points and a value-only tape at the boundary points, each swept once."""
+    X, Y = batch.interior, batch.boundary
+    iu, iv = net.forward_tape(u, X), net.forward_tape(v, X)
+    bu, bv = net.forward_tape(u, Y, grads=False), net.forward_tape(v, Y, grads=False)
+    A, B, c, f = prob.a_values(X), prob.b_values(X), prob.c_values(X), prob.f_values(X)
+    alpha = 0.5 * prob.alpha if half else prob.alpha
+    w_int = prob.domain.volume / X.shape[0]
+    w_bdy = prob.domain.surface / (prob.beta * Y.shape[0])
+    a_u = np.einsum("nij,ni->nj", A, iu.grads)
+    r_u = np.einsum("ni,ni->n", B, iu.grads) + c * iu.values - f
+    r_y = alpha * bu.values - prob.g_values(Y, batch.normals)
+    interior = w_int * float(np.sum(np.einsum("ni,ni->n", a_u, iv.grads) + r_u * iv.values))
+    boundary = w_bdy * float(np.sum(r_y * bv.values))
+    grad_u = net.backprop_tape(
+        iu, w_int * c * iv.values, w_int * (np.einsum("nij,nj->ni", A, iv.grads) + B * iv.values[:, None])
+    ) + net.backprop_tape(bu, w_bdy * alpha * bv.values)
+    grad_v = net.backprop_tape(iv, w_int * r_u, w_int * a_u) + net.backprop_tape(bv, w_bdy * r_y)
+    return loss.LossValue(interior + boundary, interior, boundary), grad_u, grad_v
 
 
 def _merged_case(name, seed):
     prob, half, m = _MERGED_CASES[name]()
     batch = sample_batch(prob.domain, 32, m, seed)
-    assert batch.boundary_distinct.shape == ((2 if m > 1 else 1), 1)
+    assert np.unique(batch.boundary).size == (2 if m > 1 else 1)
     return prob, half, batch
 
 
 @pytest.mark.parametrize("name", sorted(_MERGED_CASES))
 def test_merged_1d_path_matches_the_two_call_path(name):
     prob, half, batch = _merged_case(name, 4)
-    split = _two_call(batch)
     for k in range(3):
         u, v = init(_ARCH_U, 10 + k), init(_ARCH_V, 20 + k)
         merged_value = empirical_loss(u, v, prob, batch, half)
-        split_value = empirical_loss(u, v, prob, split, half)
+        split_value, *two_call = _two_call(u, v, prob, batch, half)
         for field in ("total", "interior", "boundary"):
             assert getattr(merged_value, field) == pytest.approx(getattr(split_value, field), rel=1e-12)
         merged = loss_gradients(u, v, prob, batch, half)
-        two_call = loss_gradients(u, v, prob, split, half)
-        assert merged[2] == merged_value and two_call[2] == split_value
-        for got, want in zip(merged[:2], two_call[:2]):
+        assert merged[2] == merged_value
+        for got, want in zip(merged[:2], two_call):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -342,25 +365,26 @@ def test_merged_1d_gradients_match_fd(name):
             assert abs(grad[i] - fd) <= 1e-4 * (1.0 + abs(fd))
 
 
-def _blows_up_at_one() -> NetworkParams:
-    """A relu^2 network that is 0 on [0, 0.999] and overflows to inf at x = 1."""
-    arch = NetworkArch(widths=(1, 1, 1), activation=net.activation_by_name("relu2"), b_theta=1.0)
-    return NetworkParams(arch, np.array([1e200, -0.999e200, 1.0, 0.0]))
+def _blows_up_at_one(dim) -> NetworkParams:
+    """A relu^2 network that is 0 where x1 <= 0.999 and overflows to inf at x1 = 1."""
+    arch = NetworkArch(widths=(dim, 1, 1), activation=net.activation_by_name("relu2"), b_theta=1.0)
+    return NetworkParams(arch, np.array([1e200] + [0.0] * (dim - 1) + [-0.999e200, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("name", ["u", "v"])
 def test_merged_1d_path_names_the_non_finite_boundary_row(name):
-    prob = _neumann_problem()
-    batch = sample_batch(prob.domain, 16, 12, 17)
-    assert batch.interior.max() < 0.999
-    row = int(np.argmax(batch.boundary[:, 0] == 1.0))
-    assert row > 1  # a boundary row, not a distinct point's index
-    finite = init(NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0), 0)
-    u, v = (_blows_up_at_one(), finite) if name == "u" else (finite, _blows_up_at_one())
-    for b in (batch, _two_call(batch)):
+    # the 1D batch takes the merged path, the 2D batch two forwards per network
+    for dim, seed in ((1, 17), (2, 24)):
+        prob = _neumann_problem(dim=dim)
+        batch = sample_batch(prob.domain, 16, 12, seed)
+        assert batch.interior[:, 0].max() < 0.999
+        row = int(np.argmax(batch.boundary[:, 0] > 0.999))
+        assert row > 1  # a boundary row, not a distinct point's index
+        finite = init(NetworkArch(widths=(dim, 4, 1), activation=TANH, b_theta=2.0), 0)
+        u, v = (_blows_up_at_one(dim), finite) if name == "u" else (finite, _blows_up_at_one(dim))
         for call in (empirical_loss, loss_gradients):
             with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError) as err:
-                call(u, v, prob, b)
+                call(u, v, prob, batch)
             assert (err.value.component, err.value.sample_index) == (f"boundary {name}", row)
 
 

@@ -1,5 +1,6 @@
 """Finite-difference reference solvers and the penalty-rate study."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from weakgal.oracle import (
     penalty_rate_study,
 )
 from weakgal.pde import (
+    ball,
     constant_vector,
     identity_matrix,
     manufactured_problem,
@@ -123,6 +125,14 @@ def test_penalty_study_rejects_2d():
     )
     with pytest.raises(ValueError):
         penalty_rate_study(prob, [1e-1, 1e-2], n=64)
+
+
+def test_fd_solve_rejects_a_domain_other_than_the_unit_interval():
+    prob = dataclasses.replace(_problem_1d("sin(pi*x1)", "dirichlet"), domain=ball([0.5], 0.25))
+    with pytest.raises(ValueError, match="unit interval"):
+        fd_solve_1d(prob, 16)
+    with pytest.raises(ValueError, match="unit interval"):
+        penalty_rate_study(prob, [1e-1, 1e-2], n=16)
 
 
 def test_penalty_study_requires_two_betas():

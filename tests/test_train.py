@@ -485,6 +485,17 @@ class TestApproxErrorProbe:
         res = train.approx_error_probe(expr.parse("sin(pi*x1)", 1), arch, cfg)
         assert np.abs(flat(res.params)).max() <= 1.0 + 1e-15
 
+    def test_domain_defaults_to_the_unit_cube(self):
+        arch = small_arch(widths=(1, 6, 1))
+        cfg = train.TrainConfig(n_interior=16, outer_steps=12, lr_u=1e-2, eval_every=4, seed=2)
+        target = expr.parse("x1^2", 1)
+        default = train.approx_error_probe(target, arch, cfg)
+        cube = train.approx_error_probe(target, arch, cfg, pde.unit_hypercube(1))
+        assert cube.history == default.history
+        np.testing.assert_array_equal(flat(cube.params), flat(default.params))
+        on_ball = train.approx_error_probe(target, arch, cfg, pde.ball([0.5], 0.1))
+        assert on_ball.history[0][1] < default.history[0][1]
+
     def test_fields_outside_the_read_list_change_nothing(self):
         # the CLI rejects every other TrainConfig field for approx-probe, so
         # none of them may change the probe's result
