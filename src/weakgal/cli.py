@@ -246,6 +246,21 @@ def _as_list(value, path: str, item, min_items: int = 0) -> list:
     return [item(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
 
 
+def _check_rows(rows: int, dim: int, path: str) -> None:
+    """Reject a size that sets the row count of a (rows, dim) float64 array
+    the run allocates before its first step, when that array alone would not
+    fit in physical memory, so the run fails here instead of in numpy."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name: no bound
+        return
+    if memory > 0 and rows * dim * 8 > memory:
+        raise ConfigError(
+            f"{path}: a ({rows}, {dim}) float64 array needs {rows * dim * 8} bytes,"
+            f" more than the {memory} bytes of physical memory"
+        )
+
+
 def _parse_expr(text, path: str, dim: int) -> expr_mod.ExprAst:
     try:
         return expr_mod.parse(_as_str(text, path), dim)
@@ -310,7 +325,11 @@ def _build_problem(cfg, path: str = "problem") -> pde.EllipticProblem:
 def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) -> net.NetworkArch:
     """``b_theta`` is the command's bound, used when ``cfg`` gives none."""
     _require_keys(cfg, path, (), ("widths", "activation", "b_theta", "recipe"))
-    activation = net.activation_by_name(_as_str(cfg.get("activation", "tanh"), f"{path}.activation"))
+    name = _as_str(cfg.get("activation", "tanh"), f"{path}.activation")
+    try:
+        activation = net.activation_by_name(name)
+    except ValueError as err:
+        raise ConfigError(f"{path}.activation: {err}") from err
     if "recipe" in cfg:
         if "widths" in cfg or "b_theta" in cfg:
             raise ConfigError(f"{path}: give either widths/b_theta or recipe, not both")
@@ -338,9 +357,11 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
 
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
+# the TrainConfig fields that set the row count of a batch or quadrature set
+_TRAIN_ROWS = ("n_interior", "m_boundary", "h1_quad_points")
 
 
-def _build_train_config(cfg, seed_override: int | None, command: str) -> train_mod.TrainConfig:
+def _build_train_config(cfg, seed_override: int | None, command: str, dim: int) -> train_mod.TrainConfig:
     """A ``TrainConfig`` from the fields that ``command`` reads; a field it
     does not read is a config error, since setting it would change nothing."""
     _require_keys(cfg, "train", (), _TRAIN_FIELDS)
@@ -352,29 +373,40 @@ def _build_train_config(cfg, seed_override: int | None, command: str) -> train_m
         kwargs["h1_ball_radius"] = math.inf
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    return train_mod.TrainConfig(**kwargs)
+    config = train_mod.TrainConfig(**kwargs)
+    for key in _TRAIN_ROWS:
+        _check_rows(getattr(config, key), dim, f"train.{key}")
+    return config
 
 
 class _Option(NamedTuple):
     """A sweep/theory option: an integer >= ``minimum`` or, with no default, a
-    required list of ``min_items`` or more of them (numbers > a float minimum)."""
+    required list of ``min_items`` or more distinct ones (numbers > a float
+    minimum).  A nonzero ``rows`` makes each value times ``rows`` the row
+    count of an array of points."""
 
     default: int | None
     minimum: int | float
     min_items: int = 1
+    rows: int = 0
 
 
-def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None) -> dict:
+def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None, dim: int) -> dict:
     _require_keys(cfg, path, tuple(k for k, o in specs.items() if o.default is None), tuple(specs))
     if "seed" in specs and seed_override is not None:
         cfg = dict(cfg, seed=seed_override)
     opts = {}
-    for key, (default, minimum, min_items) in specs.items():
-        def parse(value, key_path, minimum=minimum):
-            return (_as_number if isinstance(minimum, float) else _as_int)(value, key_path, minimum)
+    for key, (default, minimum, min_items, rows) in specs.items():
+        def parse(value, key_path, minimum=minimum, rows=rows):
+            number = (_as_number if isinstance(minimum, float) else _as_int)(value, key_path, minimum)
+            if rows:
+                _check_rows(rows * number, dim, key_path)
+            return number
 
         if default is None:
             opts[key] = _as_list(cfg[key], f"{path}.{key}", parse, min_items)
+            if len(set(opts[key])) < len(opts[key]):  # a repeated sweep point adds nothing
+                raise ConfigError(f"{path}.{key}: entries must be distinct, got {cfg[key]!r}")
         else:
             opts[key] = parse(cfg.get(key, default), f"{path}.{key}")
     return opts
@@ -483,15 +515,11 @@ def _cmd_theory_check(out_dir, quiet, cfg_hash, problem, u_arch, theory) -> dict
     _write_json(
         os.path.join(out_dir, "theory.json"),
         [
-            {
-                "lemma": r.lemma,
-                "theoretical": None if math.isinf(r.theoretical) else r.theoretical,
-                "ln_theoretical": r.ln_theoretical,
-                "empirical": r.empirical,
-                "ratio": r.ratio,
-                "holds": r.holds,
-                "details": r.details,
-            }
+            dict(
+                dataclasses.asdict(r),
+                theoretical=None if math.isinf(r.theoretical) else r.theoretical,
+                holds=r.holds,
+            )
             for r in reports
         ],
     )
@@ -546,18 +574,21 @@ _COMMANDS = {
     ),
     "penalty-study": _Command(
         _cmd_penalty_study, ("sweep",), needs_1d=True,
-        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8)},
+        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8, rows=1)},
     ),
     "convergence-study": _Command(
         _cmd_convergence_study, ("u_arch", "v_arch", "train", "sweep"), needs_u_exact=True,
         train_fields=tuple(f for f in _TRAIN_FIELDS if f not in _SWEPT_FIELDS),
-        options={"n_values": _Option(None, 1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2)},
+        options={
+            "n_values": _Option(None, 1, rows=1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2, rows=1),
+        },
     ),
     "theory-check": _Command(
         _cmd_theory_check, ("u_arch", "theory"), arch=((4,), 2.0),
         options={
-            "probes": _Option(2000, 1), "rademacher_sets": _Option(200, 1), "seed": _Option(0, 0),
-            "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2), "sta_probes": _Option(10, 1),
+            "probes": _Option(2000, 1, rows=1), "rademacher_sets": _Option(200, 1), "seed": _Option(0, 0),
+            "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2, rows=theory_mod._BIG_FACTOR),
+            "sta_probes": _Option(10, 1),
         },
     ),
     "approx-probe": _Command(
@@ -584,13 +615,13 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
                 default = {"widths": [problem.dim, *hidden, 1]}
                 built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
             elif section == "train":
-                built[section] = _build_train_config(cfg.get(section, {}), seed_override, command)
+                built[section] = _build_train_config(cfg.get(section, {}), seed_override, command, problem.dim)
             elif section == "write_checkpoints":
                 built[section] = cfg.get(section, False)
                 if not isinstance(built[section], bool):
                     raise ConfigError(f"config.{section}: expected true or false, got {built[section]!r}")
             else:
-                built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override)
+                built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override, problem.dim)
         except (ConfigError, expr_mod.EvalError):
             raise
         except (ValueError, OverflowError) as err:

@@ -37,10 +37,8 @@ __all__ = [
     "Pow",
     "ExprAst",
     "parse",
-    "evaluate",
     "evaluate_many",
     "diff",
-    "to_string",
     "const",
     "add",
     "sub",
@@ -200,16 +198,17 @@ class ExprAst:
             raise ExprError(f"expression uses x{hi} but dim={self.dim}")
 
     def __call__(self, x):
+        """Values on a batch of points (n, dim), or the value at a single point
+        (a sequence of length dim) as a float."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             return evaluate_many(self, x)
-        return evaluate(self, x)
-
-    def diff(self, i: int) -> "ExprAst":
-        return diff(self, i)
+        return float(evaluate_many(self, x.reshape(1, -1))[0])
 
     def __str__(self) -> str:
-        return to_string(self)
+        """Text that reparses to the same values.  Python's unparser places the
+        parentheses and spaces each binary operator, ``^`` too: ``x1 ^ 2``."""
+        return pyast.unparse(_to_python(self.root)).replace("**", "^")
 
 
 def _max_var_index(node: Node) -> int:
@@ -331,12 +330,6 @@ def evaluate_many(ast: ExprAst, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(ast: ExprAst, x) -> float:
-    """Evaluate at a single point (sequence of length dim)."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(evaluate_many(ast, x)[0])
-
-
 _OPS = {
     "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
     "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
@@ -442,9 +435,3 @@ def _to_python(node: Node) -> pyast.expr:
     if isinstance(node, Pow):
         return pyast.BinOp(_to_python(node.base), pyast.Pow(), _to_python(Const(node.exponent)))
     raise ExprError(f"cannot print {node!r}")
-
-
-def to_string(ast: ExprAst) -> str:
-    """Render to text that reparses to the same values.  Python's unparser places
-    the parentheses and spaces each binary operator, ``^`` too: ``x1 ^ 2``."""
-    return pyast.unparse(_to_python(ast.root)).replace("**", "^")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "LossValue",
     "H1Estimate",
     "NonFiniteLossError",
-    "Evaluator",
     "as_evaluator",
     "empirical_loss",
     "loss_gradients",
@@ -51,9 +50,6 @@ __all__ = [
     "H1Reference",
     "h1_error",
 ]
-
-# an evaluator maps points (n, d) -> (values (n,), gradients (n, d))
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -82,25 +78,28 @@ class H1Estimate:
     h1: float
 
 
-def as_evaluator(obj: Union[NetworkParams, expr_mod.ExprAst, Evaluator, None], dim: int) -> Evaluator:
+def as_evaluator(
+    obj: NetworkParams | expr_mod.ExprAst | None, dim: int
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Evaluator of a network, an expression (gradient by symbolic
-    differentiation), the zero function (``None``), or an evaluator itself."""
+    differentiation) or the zero function (``None``): it maps points (n, d) to
+    values (n,) and gradients (n, d).  Any other type raises TypeError."""
     if obj is None:
         return lambda points: (np.zeros(points.shape[0]), np.zeros((points.shape[0], dim)))
     if isinstance(obj, NetworkParams):
         return lambda points: net.forward_dual_batch(obj, points)
-    if isinstance(obj, expr_mod.ExprAst):
-        grads = [expr_mod.diff(obj, i + 1) for i in range(obj.dim)]
+    if not isinstance(obj, expr_mod.ExprAst):
+        raise TypeError(f"cannot evaluate a {type(obj).__name__}: expected a network, an expression or None")
+    grads = [expr_mod.diff(obj, i + 1) for i in range(obj.dim)]
 
-        def ev(points: np.ndarray):
-            vals = expr_mod.evaluate_many(obj, points)
-            g = np.empty((points.shape[0], obj.dim))
-            for i in range(obj.dim):
-                g[:, i] = expr_mod.evaluate_many(grads[i], points)
-            return vals, g
+    def ev(points: np.ndarray):
+        vals = expr_mod.evaluate_many(obj, points)
+        g = np.empty((points.shape[0], obj.dim))
+        for i in range(obj.dim):
+            g[:, i] = expr_mod.evaluate_many(grads[i], points)
+        return vals, g
 
-        return ev
-    return obj
+    return ev
 
 
 def _check_finite(arr: np.ndarray, component: str) -> None:
@@ -146,20 +145,19 @@ class _Eval(NamedTuple):
     tapes: tuple[net.Tape, ...] | None = None
 
 
-def _evaluate(name: str, obj, terms: _BatchTerms, keep: bool = False) -> _Eval:
-    """Checked values of ``u`` or ``v`` on the batch; networks are taped,
+def _evaluate(name: str, params: NetworkParams, terms: _BatchTerms, keep: bool = False) -> _Eval:
+    """Checked values of the network ``u`` or ``v`` on the batch, taped,
     value-only at the boundary unless its distinct points are stacked under
-    the interior ones (1D), and keep their tapes with ``keep``."""
-    if isinstance(obj, NetworkParams) and terms.stacked is None:
-        inner = net.forward_tape(obj, terms.X, keep=keep)
-        outer = net.forward_tape(obj, terms.Y, grads=False, keep=keep)
+    the interior ones (1D), and keeping its tapes with ``keep``."""
+    if not isinstance(params, NetworkParams):
+        raise TypeError(f"{name} must be a network, got a {type(params).__name__}")
+    if terms.stacked is None:
+        inner = net.forward_tape(params, terms.X, keep=keep)
+        outer = net.forward_tape(params, terms.Y, grads=False, keep=keep)
         ev = _Eval(inner.values, inner.grads, outer.values, (inner, outer) if keep else None)
-    elif isinstance(obj, NetworkParams):
-        tape, n = net.forward_tape(obj, terms.stacked, keep=keep), terms.X.shape[0]
-        ev = _Eval(tape.values[:n], tape.grads[:n], tape.values[n:][terms.index], (tape,) if keep else None)
     else:
-        fn = as_evaluator(obj, terms.X.shape[1])
-        ev = _Eval(*fn(terms.X), fn(terms.Y)[0])
+        tape, n = net.forward_tape(params, terms.stacked, keep=keep), terms.X.shape[0]
+        ev = _Eval(tape.values[:n], tape.grads[:n], tape.values[n:][terms.index], (tape,) if keep else None)
     for where, arr in (("interior", ev.vals), ("interior grad", ev.grads), ("boundary", ev.bdy)):
         _check_finite(arr, f"{where} {name}")
     return ev
@@ -246,8 +244,8 @@ def _loss(u, v, problem, batch, boundary_alpha_half, need_u, need_v, cache):
 
 
 def empirical_loss(
-    u,
-    v,
+    u: NetworkParams,
+    v: NetworkParams,
     problem: EllipticProblem,
     batch: EmpiricalBatch,
     boundary_alpha_half: bool = False,
@@ -255,9 +253,10 @@ def empirical_loss(
 ) -> LossValue:
     """Evaluate the sampled weak-form objective on one batch.
 
-    ``u`` and ``v`` may be NetworkParams, ExprAst, or evaluator callables.  A
-    ``cache`` shared with other calls on the same batch (see ``loss_gradients``)
-    evaluates the coefficients once per batch and ``u`` once per object.
+    ``u`` and ``v`` are networks (NetworkParams); any other type raises
+    TypeError.  A ``cache`` shared with other calls on the same batch (see
+    ``loss_gradients``) evaluates the coefficients once per batch and ``u``
+    once per object.
     """
     return _loss(u, v, problem, batch, boundary_alpha_half, False, False, cache)[2]
 
@@ -290,7 +289,7 @@ class H1Reference:
 
     ``distance(u)`` is the Monte Carlo H^1 distance of ``u`` from it over a
     domain of the given volume, with the points as quadrature nodes.  Either
-    function may be a NetworkParams, an ExprAst, an evaluator, or None (zero).
+    function may be a NetworkParams, an ExprAst, or None (zero).
     The arrays are only read after construction, so threads may share one
     reference.
     """

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -191,10 +192,8 @@ def activation_by_name(name: str) -> ActivationKind:
         return TANH
     if name == "logistic":
         return LOGISTIC
-    if name.startswith("relu"):
-        suffix = name[4:] or "1"
-        if suffix.isdigit() and int(suffix) >= 1:
-            return _relu_k(int(suffix))
+    if re.fullmatch(r"relu([1-9][0-9]*)?", name):  # one name per power: ASCII digits, no leading zero
+        return _relu_k(int(name[4:] or "1"))
     raise ValueError(f"unknown activation {name!r}")
 
 

@@ -173,29 +173,23 @@ def _fd_values_1d(problem: EllipticProblem, n: int, kind: str) -> np.ndarray:
     return _solve_tridiag(lower, diag, upper, rhs)
 
 
-def grid_h1_error(grid_a, grid_b) -> float:
+def grid_h1_error(grid: Grid1D, other: Grid1D | ExprAst) -> float:
     """Discrete H^1 distance: trapezoid L^2 part + forward-difference seminorm.
 
     Homogeneous of degree one in the difference (exactly, up to rounding).
-    One argument anchors the grid; the other may be a grid, an expression, or
-    a callable on points.
+    ``other`` is a grid with the same ``n`` or an expression, read at the
+    grid's nodes.
     """
-    if not isinstance(grid_a, Grid1D):
-        grid_a, grid_b = grid_b, grid_a
-    if not isinstance(grid_a, Grid1D):
-        raise TypeError("at least one argument must be a grid")
-    if isinstance(grid_b, Grid1D):
-        if grid_b.n != grid_a.n:
+    if isinstance(other, Grid1D):
+        if other.n != grid.n:
             raise ValueError("grids must share n")
-        other = grid_b.values
-    elif isinstance(grid_b, ExprAst):
-        other = _eval1(grid_b, grid_a.nodes)
-    elif callable(grid_b):
-        other = np.asarray(grid_b(grid_a.nodes[:, None]), dtype=np.float64)
+        other_values = other.values
+    elif isinstance(other, ExprAst):
+        other_values = _eval1(other, grid.nodes)
     else:
-        raise TypeError(f"cannot interpret {type(grid_b).__name__} as 1d grid data")
-    e = grid_a.values - other
-    h = grid_a.h
+        raise TypeError(f"cannot interpret {type(other).__name__} as 1d grid data")
+    e = grid.values - other_values
+    h = grid.h
     w = np.full(e.size, h)
     w[0] = w[-1] = 0.5 * h
     l2_sq = float(np.sum(w * e * e))
@@ -228,6 +222,8 @@ def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> Penalt
     betas = tuple(float(b) for b in betas)
     if len(betas) < 2:
         raise ValueError("need at least two beta values")
+    if len(set(betas)) < len(betas):  # a repeat re-runs a solve; two equal betas leave no slope to fit
+        raise ValueError(f"beta values must be distinct, got {betas}")
     u_dir = fd_solve_1d(problem, n, bc_kind="dirichlet")
     errors = []
     for beta in betas:

@@ -166,61 +166,46 @@ class TrainResult:
 
 
 class _Optimizer:
-    """Adam or plain SGD on a flat parameter vector; ``direction`` flips sign."""
+    """One network's weight update: the gradient's norm clipped to
+    ``grad_clip_norm`` (0 disables), an Adam or plain SGD step along
+    ``direction`` (+1 ascends, -1 descends), and the weight box applied."""
 
-    def __init__(self, config: TrainConfig, size: int, lr: float):
+    def __init__(self, config: TrainConfig, size: int, lr: float, name: str):
         self.kind = config.optimizer
         self.lr = lr
         self.b1 = config.adam_beta1
         self.b2 = config.adam_beta2
         self.eps = config.adam_eps
+        self.max_norm = config.grad_clip_norm
+        self.name = name  # the gradient a NonFiniteLossError names
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, flat: np.ndarray, grad: np.ndarray, direction: float) -> np.ndarray:
+    def update(self, params: NetworkParams, grad: np.ndarray, direction: float) -> tuple[NetworkParams, float]:
+        """The updated params and the gradient's norm before clipping.  A
+        non-finite norm raises, since ``max_norm / inf`` would zero the step."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(grad))
+        if not math.isfinite(norm):
+            raise NonFiniteLossError(f"{self.name} norm", -1)
+        if self.max_norm > 0 and norm > self.max_norm:
+            grad = grad * (self.max_norm / norm)
         if self.kind == "sgd":
-            return flat + direction * self.lr * grad
-        self.t += 1
-        self.m = self.b1 * self.m + (1.0 - self.b1) * grad
-        self.v = self.b2 * self.v + (1.0 - self.b2) * grad * grad
-        m_hat = self.m / (1.0 - self.b1**self.t)
-        v_hat = self.v / (1.0 - self.b2**self.t)
-        return flat + direction * self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            flat = params.flat + direction * self.lr * grad
+        else:
+            self.t += 1
+            self.m = self.b1 * self.m + (1.0 - self.b1) * grad
+            self.v = self.b2 * self.v + (1.0 - self.b2) * grad * grad
+            m_hat = self.m / (1.0 - self.b1**self.t)
+            v_hat = self.v / (1.0 - self.b2**self.t)
+            flat = params.flat + direction * self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return net.clip_weights(NetworkParams(params.arch, flat)), norm
 
     def reset(self):
         self.m[:] = 0.0
         self.v[:] = 0.0
         self.t = 0
-
-
-def _clip_grad(grad: np.ndarray, max_norm: float, name: str) -> tuple[np.ndarray, float]:
-    """Rescale ``grad`` to norm ``max_norm`` (0 disables); returns it and its
-    norm.  A non-finite norm raises, since ``max_norm / inf`` would zero the step."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(grad))
-    if not math.isfinite(norm):
-        raise NonFiniteLossError(f"{name} norm", -1)
-    if max_norm > 0 and norm > max_norm:
-        return grad * (max_norm / norm), norm
-    return grad, norm
-
-
-# values and gradients of a network at the quadrature points
-_QuadEval = tuple[np.ndarray, np.ndarray]
-
-
-def _soft_project(
-    params: NetworkParams, zero: loss_mod.H1Reference, radius: float
-) -> tuple[NetworkParams, float, _QuadEval | None]:
-    """Rescale the final affine layer so the H^1 norm estimated against the
-    zero reference ``zero`` is <= radius.  Also returns the evaluation the
-    estimate read, which describes the result unless it was rescaled (None)."""
-    ev = net.forward_dual_batch(params, zero.points)
-    h1 = zero.distance_of(*ev).h1
-    if not math.isfinite(radius) or h1 <= radius or h1 == 0.0:
-        return params, h1, ev
-    return net.scale_output_layer(params, radius / h1), radius, None
 
 
 # relative slack below the radius that a proved bound must leave, covering the
@@ -229,7 +214,8 @@ _SKIP_MARGIN = 1e-9
 
 
 class _Projector:
-    """``_soft_project`` that skips the quadrature forward when it cannot fire.
+    """The soft H^1 projection of trial iterates, which skips the quadrature
+    forward when it cannot fire.
 
     The anchor is the last iterate whose exact estimate ``h1_a`` did not fire.
     The estimate is an RMS over the quadrature points, so for any iterate
@@ -245,9 +231,9 @@ class _Projector:
         self.anchor: tuple[net.WeightMoveBound, float] | None = None
         self.exact = self.skipped = self.fired = 0
 
-    def iterate(self, params: NetworkParams, need_h1: bool) -> tuple[NetworkParams, float, _QuadEval | None]:
-        """Project a trial iterate; the estimate is nan and the evaluation None
-        on a skipped call."""
+    def iterate(self, params: NetworkParams, need_h1: bool):
+        """``exact_project``, or on a skipped call the iterate itself with a
+        nan estimate and no evaluation."""
         if not need_h1 and self._cannot_fire(params):
             self.skipped += 1
             return params, math.nan, None
@@ -255,11 +241,18 @@ class _Projector:
         self.anchor = (net.WeightMoveBound(params, self.x_radius), h1) if out is params else None
         return out, h1, ev
 
-    def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float, _QuadEval | None]:
-        out, h1, ev = _soft_project(params, self.zero, self.radius)
+    def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float, tuple[np.ndarray, np.ndarray] | None]:
+        """Rescale the final affine layer so the H^1 norm estimated against the
+        zero reference is <= radius.  Returns the result, its estimate, and the
+        values and gradients at the quadrature points that the estimate read,
+        which describe the result unless it was rescaled (None)."""
+        ev = net.forward_dual_batch(params, self.zero.points)
+        h1 = self.zero.distance_of(*ev).h1
         self.exact += 1
-        self.fired += out is not params
-        return out, h1, ev
+        if not math.isfinite(self.radius) or h1 <= self.radius or h1 == 0.0:
+            return params, h1, ev
+        self.fired += 1
+        return net.scale_output_layer(params, self.radius / h1), self.radius, None
 
     def _cannot_fire(self, params: NetworkParams) -> bool:
         if not math.isfinite(self.radius):
@@ -285,8 +278,8 @@ def minimax_train(
     Returns as ``u`` the running mean of the trial iterates (after clipping
     and soft projection) over outer steps ``3 * outer_steps // 4`` onwards,
     itself clipped and softly projected; a constant trajectory returns its
-    iterate bitwise.  ``u_ref`` (NetworkParams, ExprAst, evaluator, or None)
-    is only used for error telemetry.  ``on_eval`` fires at every recorded
+    iterate bitwise.  ``u_ref`` (NetworkParams, ExprAst, or None) is only
+    used for error telemetry.  ``on_eval`` fires at every recorded
     history row.  Inside the averaging window the ``u`` it receives and the
     row's ``h1_u``/``h1_error`` describe the projected running average, so
     the last row describes the returned ``u``; loss and gradient-norm columns
@@ -312,8 +305,8 @@ def minimax_train(
     projector = _Projector(zero, config.h1_ball_radius)
     ref = None if u_ref is None else loss_mod.H1Reference(u_ref, quad, problem.domain.volume)
 
-    opt_u = _Optimizer(config, u_arch.n_params(), config.lr_u)
-    opt_v = _Optimizer(config, v_arch.n_params(), config.lr_v)
+    opt_u = _Optimizer(config, u_arch.n_params(), config.lr_u, "grad_u")
+    opt_v = _Optimizer(config, v_arch.n_params(), config.lr_v, "grad_v")
 
     # running mean of the trial iterates over the final quarter of the steps
     avg_start = (3 * config.outer_steps) // 4
@@ -342,15 +335,13 @@ def minimax_train(
                 _, gv, _ = loss_mod.loss_gradients(
                     u, v, problem, batch, config.boundary_alpha_half, need_u=False, cache=cache
                 )
-                gv, grad_v_norm = _clip_grad(gv, config.grad_clip_norm, "grad_v")
-                v = net.clip_weights(NetworkParams(v_arch, opt_v.step(v.flat, gv, +1.0)))
+                v, grad_v_norm = opt_v.update(v, gv, +1.0)
 
             gu, _, value = loss_mod.loss_gradients(
                 u, v, problem, batch, config.boundary_alpha_half, need_v=False, cache=cache
             )
             last_loss = value
-            gu, grad_u_norm = _clip_grad(gu, config.grad_clip_norm, "grad_u")
-            u = net.clip_weights(NetworkParams(u_arch, opt_u.step(u.flat, gu, -1.0)))
+            u, grad_u_norm = opt_u.update(u, gu, -1.0)
             # a history row before the averaging window reports the iterate's h1
             u, h1_u, ev_u = projector.iterate(u, need_h1=is_row and step < avg_start)
         except NonFiniteLossError as err:
@@ -415,7 +406,8 @@ def approx_error_probe(
     config: TrainConfig,
     domain: Domain | None = None,
 ) -> ProbeResult:
-    """Minimize the Monte Carlo H^1 distance to ``u_target`` over the class.
+    """Minimize the Monte Carlo H^1 distance to ``u_target`` (NetworkParams,
+    ExprAst, or None for zero) over the class.
 
     Supervised proxy for the approximation error over ``domain`` (by default
     the unit hypercube): reads only the TrainConfig fields in
@@ -430,9 +422,9 @@ def approx_error_probe(
     domain = domain or unit_hypercube(arch.dim)
     volume = domain.volume
     params = net.init(arch, ss_init)  # already inside [-B_theta, B_theta]
-    opt = _Optimizer(config, arch.n_params(), config.lr_u)
+    opt = _Optimizer(config, arch.n_params(), config.lr_u, "fit gradient")
     quad = sample_interior(domain, config.h1_quad_points, ss_quad)
-    held_out = loss_mod.H1Reference(target, quad, volume)
+    held_out = loss_mod.H1Reference(u_target, quad, volume)
 
     best = held_out.distance(params).h1
     best_params = params
@@ -448,10 +440,9 @@ def approx_error_probe(
         seed_grad = 2.0 * w * (tape.grads - t_grads)
         g = net.backprop_tape(tape, seed_val, seed_grad)
         try:  # a non-finite entry makes the norm non-finite too
-            g, _ = _clip_grad(g, config.grad_clip_norm, "fit gradient")
+            params, _ = opt.update(params, g, -1.0)
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
-        params = net.clip_weights(NetworkParams(arch, opt.step(params.flat, g, -1.0)))
         if (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1:
             dist = held_out.distance(params).h1
             history.append((step + 1, dist))

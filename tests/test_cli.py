@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weakgal
-from weakgal import cli, expr, network as net, theory
+from weakgal import cli, expr, network as net, oracle, theory
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -253,6 +254,41 @@ class TestConfigValidation:
             h1_ball_radius=math.inf, grad_clip_norm=0.0,
         )
         assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 0
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("solve", "train", "n_interior", 10**12),
+        ("solve", "train", "m_boundary", 10**12),
+        ("solve", "train", "h1_quad_points", 10**12),
+        ("approx-probe", "train", "n_interior", 10**12),
+        ("convergence-study", "sweep", "n_values", [4, 10**12]),
+        ("convergence-study", "sweep", "eval_quad", 10**12),
+        ("theory-check", "theory", "probes", 10**12),
+        ("theory-check", "theory", "sta_n", 10**12),
+        ("penalty-study", "sweep", "grid_n", 10**12),
+    ])
+    def test_size_beyond_physical_memory_exits_2_allocating_nothing(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        doc = copy.deepcopy(TINY[command])
+        doc[section][key] = value
+        cfg = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            code = cli.run(cfg, out_dir=str(tmp_path / "out"), quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        path = f"{section}.{key}[1]" if isinstance(value, list) else f"{section}.{key}"
+        assert f"config error: {path}: a (" in capsys.readouterr().err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", ["relu0", "relu01", "relu001", "relu\uff11", "relu\u0662", "relu\u00b2", "relu 2"])
+    def test_activation_other_than_relu_k_in_plain_digits_exits_2(self, tmp_path, capsys, name):
+        doc = copy.deepcopy(TINY["solve"])
+        doc["u_arch"]["activation"] = name
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 2
+        assert "config error: u_arch.activation: unknown activation" in capsys.readouterr().err
 
     def test_penalty_needs_two_betas(self, tmp_path, capsys):
         doc = {
@@ -495,6 +531,16 @@ class TestPenaltyStudy:
         out = tmp_path / "out"
         assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
         assert "config error: problem.domain: penalty-study solves on the unit interval" in capsys.readouterr().err
+        assert not (out / "penalty.csv").exists()
+
+    def test_repeated_beta_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(oracle, "fd_solve_1d", no_solve)
+        out = tmp_path / "out"
+        assert cli.run(self.config(tmp_path, (0.1, 0.1)), out_dir=str(out), quiet=True) == 2
+        assert "config error: sweep.betas: entries must be distinct" in capsys.readouterr().err
         assert not (out / "penalty.csv").exists()
 
     @pytest.mark.parametrize("betas", [

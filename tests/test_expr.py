@@ -370,5 +370,5 @@ def test_trapped_evaluation_matches_scanning_walk(ast, pts):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_TREES, _POINTS)
 def test_printed_tree_reparses_to_the_same_values(ast, pts):
-    again = parse(expr.to_string(ast), 2)
+    again = parse(str(ast), 2)
     assert _outcome(evaluate_many, again, pts) == _outcome(evaluate_many, ast, pts), str(ast)

@@ -519,3 +519,13 @@ def test_as_evaluator_kinds():
     v2, g2 = net.forward_dual_batch(p, X)
     np.testing.assert_array_equal(vals_n, v2)
     np.testing.assert_array_equal(grads_n, g2)
+    with pytest.raises(TypeError, match="expected a network, an expression or None"):
+        as_evaluator(lambda points: (v2, g2), 2)
+
+
+def test_loss_takes_networks_only():
+    prob, batch, e = _neumann_problem(), _endpoint_batch([0.5]), parse("x1", 1)
+    for u, v, name in ((e, _affine(1, 0), "u"), (_affine(1, 0), lambda X: (X[:, 0], X), "v")):
+        for call in (empirical_loss, loss_gradients):
+            with pytest.raises(TypeError, match=f"{name} must be a network"):
+                call(u, v, prob, batch)

@@ -93,6 +93,8 @@ def test_grid_h1_error_closed_form():
     g = Grid1D(n=n, values=np.zeros(n + 1))
     err = grid_h1_error(g, parse("x1", 1))
     assert err == pytest.approx(math.sqrt(1.0 / 3.0 + 1.0), abs=1e-3)
+    with pytest.raises(TypeError):  # a callable on points is not grid data
+        grid_h1_error(g, lambda x: x[:, 0])
 
 
 def test_grid_h1_error_identical_grids():
@@ -170,3 +172,9 @@ def test_penalty_study_rejects_unresolvable_beta(betas):
     prob = _problem_1d("sin(pi*x1)", "dirichlet")
     with pytest.raises(SolveError):
         penalty_rate_study(prob, betas, n=16)
+
+
+def test_penalty_rate_study_rejects_a_repeated_beta():
+    # two equal betas leave np.polyfit a rank-deficient fit
+    with pytest.raises(ValueError, match="distinct"):
+        oracle.penalty_rate_study(_problem_1d("sin(pi*x1)", "dirichlet"), [0.1, 0.1], n=64)

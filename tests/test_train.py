@@ -218,7 +218,7 @@ class TestMinimaxTrain:
         quad = pde.sample_interior(prob.domain, 4096, ss_quad)
         zero = loss_mod.H1Reference(None, quad, prob.domain.volume)
         mean = net.clip_weights(net.flat_to_params(ua, np.mean(window, axis=0)))
-        expected, _, _ = train._soft_project(mean, zero, 0.2)
+        expected, _, _ = train._Projector(zero, 0.2).exact_project(mean)
         np.testing.assert_allclose(flat(res.u), flat(expected), rtol=1e-12, atol=1e-14)
 
         last = res.history[-1]
