@@ -246,18 +246,31 @@ def _as_list(value, path: str, item, min_items: int = 0) -> list:
     return [item(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
 
 
-def _check_rows(rows: int, dim: int, path: str) -> None:
-    """Reject a size that sets the row count of a (rows, dim) float64 array
-    the run allocates before its first step, when that array alone would not
-    fit in physical memory, so the run fails here instead of in numpy."""
+def _memory_bytes() -> int | None:
+    """Bytes this process may hold at most: physical memory, or less under an
+    address-space limit (``ulimit -v``); None where sysconf cannot tell."""
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name: no bound
-        return
-    if memory > 0 and rows * dim * 8 > memory:
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    if resource is not None:
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            memory = min(memory, limit)
+    return memory if memory > 0 else None
+
+
+def _check_rows(rows: int, cols: int, path: str, tangents: int = 0) -> None:
+    """Reject a size that sets the row count of a (rows, cols) float64 array
+    the run allocates, together with ``tangents`` more of its shape (a kept
+    tape's layer outputs and their tangents), when those alone would exceed
+    ``_memory_bytes()``, so the run fails here instead of in numpy."""
+    memory, need = _memory_bytes(), rows * cols * (1 + tangents) * 8
+    if memory is not None and need > memory:
+        more = f", with {tangents} more of its shape for tangents," if tangents else ""
         raise ConfigError(
-            f"{path}: a ({rows}, {dim}) float64 array needs {rows * dim * 8} bytes,"
-            f" more than the {memory} bytes of physical memory"
+            f"{path}: a ({rows}, {cols}) float64 array{more} needs {need} bytes,"
+            f" more than the {memory} bytes this process may hold"
         )
 
 
@@ -357,13 +370,14 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
 
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
-# the TrainConfig fields that set the row count of a batch or quadrature set
-_TRAIN_ROWS = ("n_interior", "m_boundary", "h1_quad_points")
 
 
-def _build_train_config(cfg, seed_override: int | None, command: str, dim: int) -> train_mod.TrainConfig:
+def _build_train_config(
+    cfg, seed_override: int | None, command: str, dim: int, width: int
+) -> train_mod.TrainConfig:
     """A ``TrainConfig`` from the fields that ``command`` reads; a field it
-    does not read is a config error, since setting it would change nothing."""
+    does not read is a config error, since setting it would change nothing.
+    ``width`` is the widest layer of the networks the command trains."""
     _require_keys(cfg, "train", (), _TRAIN_FIELDS)
     for key in cfg:
         if key not in _COMMANDS[command].train_fields:
@@ -374,8 +388,11 @@ def _build_train_config(cfg, seed_override: int | None, command: str, dim: int) 
     if seed_override is not None:
         kwargs["seed"] = seed_override
     config = train_mod.TrainConfig(**kwargs)
-    for key in _TRAIN_ROWS:
-        _check_rows(getattr(config, key), dim, f"train.{key}")
+    # a batch's kept tapes: the interior's with tangents, and the boundary's
+    # value-only, unless its points join the interior's (1D); then quadrature
+    _check_rows(config.n_interior, width, "train.n_interior", tangents=dim)
+    _check_rows(config.m_boundary, max(width, dim) if dim > 1 else dim, "train.m_boundary")
+    _check_rows(config.h1_quad_points, dim, "train.h1_quad_points")
     return config
 
 
@@ -383,23 +400,28 @@ class _Option(NamedTuple):
     """A sweep/theory option: an integer >= ``minimum`` or, with no default, a
     required list of ``min_items`` or more distinct ones (numbers > a float
     minimum).  A nonzero ``rows`` makes each value times ``rows`` the row
-    count of an array of points."""
+    count of an array of points; ``batch`` makes each value a training batch
+    size, the row count of kept tapes."""
 
     default: int | None
     minimum: int | float
     min_items: int = 1
     rows: int = 0
+    batch: bool = False
 
 
-def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None, dim: int) -> dict:
+def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None, dim: int,
+                   width: int) -> dict:
     _require_keys(cfg, path, tuple(k for k, o in specs.items() if o.default is None), tuple(specs))
     if "seed" in specs and seed_override is not None:
         cfg = dict(cfg, seed=seed_override)
     opts = {}
-    for key, (default, minimum, min_items, rows) in specs.items():
-        def parse(value, key_path, minimum=minimum, rows=rows):
+    for key, (default, minimum, min_items, rows, batch) in specs.items():
+        def parse(value, key_path, minimum=minimum, rows=rows, batch=batch):
             number = (_as_number if isinstance(minimum, float) else _as_int)(value, key_path, minimum)
-            if rows:
+            if batch:  # as train.n_interior, whose tape bound covers m_boundary's
+                _check_rows(number, width, key_path, tangents=dim)
+            elif rows:
                 _check_rows(rows * number, dim, key_path)
             return number
 
@@ -474,8 +496,11 @@ def _cmd_convergence_study(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, tr
         result = train_mod.minimax_train(problem, u_arch, v_arch, tcfg, u_ref=None)
         return exact.distance(result.u).h1
 
+    # the largest trainings start first, so the pool does not end on one of
+    # them; errors, and the first failure, are read back in job order
     with concurrent.futures.ThreadPoolExecutor(max_workers=min(_worker_count(), len(jobs))) as pool:
-        errors = list(pool.map(run_point, jobs))
+        futures = {job: pool.submit(run_point, job) for job in sorted(jobs, key=lambda job: -job[0])}
+        errors = [futures[job].result() for job in jobs]
 
     rows = [[n, s, e] for (n, s), e in zip(jobs, errors)]
     _write_csv(os.path.join(out_dir, "convergence.csv"), ["n_samples", "seed", "h1_error"], rows)
@@ -580,7 +605,7 @@ _COMMANDS = {
         _cmd_convergence_study, ("u_arch", "v_arch", "train", "sweep"), needs_u_exact=True,
         train_fields=tuple(f for f in _TRAIN_FIELDS if f not in _SWEPT_FIELDS),
         options={
-            "n_values": _Option(None, 1, rows=1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2, rows=1),
+            "n_values": _Option(None, 1, batch=True), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2, rows=1),
         },
     ),
     "theory-check": _Command(
@@ -605,7 +630,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
     OverflowError) becomes a ConfigError naming the section, but an EvalError
     deriving a manufactured problem stays a numerical failure."""
     spec = _COMMANDS[command]
-    built = {}
+    built, width = {}, 1  # width: the widest layer of the networks built so far
     for section in ("problem",) + spec.sections:
         try:
             if section == "problem":
@@ -614,14 +639,19 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
                 hidden, b_theta = spec.arch
                 default = {"widths": [problem.dim, *hidden, 1]}
                 built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
+                width = max(width, built[section].max_width)
             elif section == "train":
-                built[section] = _build_train_config(cfg.get(section, {}), seed_override, command, problem.dim)
+                built[section] = _build_train_config(
+                    cfg.get(section, {}), seed_override, command, problem.dim, width
+                )
             elif section == "write_checkpoints":
                 built[section] = cfg.get(section, False)
                 if not isinstance(built[section], bool):
                     raise ConfigError(f"config.{section}: expected true or false, got {built[section]!r}")
             else:
-                built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override, problem.dim)
+                built[section] = _build_options(
+                    cfg.get(section, {}), section, spec.options, seed_override, problem.dim, width
+                )
         except (ConfigError, expr_mod.EvalError):
             raise
         except (ValueError, OverflowError) as err:

@@ -204,6 +204,7 @@ class NetworkArch:
     widths: tuple[int, ...]
     activation: ActivationKind
     b_theta: float
+    _n_params: int = field(init=False, repr=False, compare=False)  # summed once, read per NetworkParams
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -217,6 +218,8 @@ class NetworkArch:
             raise ValueError("output width must be 1 (scalar networks)")
         if not (self.b_theta >= 1.0):
             raise ValueError(f"b_theta must be >= 1, got {self.b_theta}")
+        n_params = sum(n_out * n_in + n_out for n_in, n_out in zip(self.widths, self.widths[1:]))
+        object.__setattr__(self, "_n_params", n_params)
 
     @property
     def depth(self) -> int:
@@ -236,10 +239,7 @@ class NetworkArch:
         return self.widths[1:-1]
 
     def n_params(self) -> int:
-        return sum(
-            self.widths[k + 1] * self.widths[k] + self.widths[k + 1]
-            for k in range(self.depth)
-        )
+        return self._n_params
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,7 +471,8 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
     The adjoints of a layer's value and its d tangents sweep as one C-ordered
     (m, n, q) stack, m = 1 + d with ``seed_grads`` and 1 without.  Its seed is
     a C-ordered copy of (w, s^T), and the first layer's input tangents stay a
-    zero-stride identity broadcast; both keep the bits of separate sweeps.
+    zero-stride identity broadcast; both keep the bits of separate sweeps.  In
+    1D the product with that identity is the column sums it would add up.
     """
     params = tape.params
     if params.ensemble:
@@ -502,19 +503,33 @@ def backprop_tape(tape: Tape, seed_values: np.ndarray, seed_grads: np.ndarray | 
         """Layer k's (dA, db) from the adjoints ``adj`` of its outputs, (m, n)
         at the top and (m, n, q) below; ``d1`` is rho' at the layer's input."""
         dA, db = out[k]
+        # einsum adds up two or more columns row by row, as sum(axis=0) and a
+        # product with a zero-stride column of ones do, only faster; sum adds
+        # a single column (the top layer's, or a width of 1) pairwise
+        wide = db.shape[0] > 1
         np.matmul(adj[0].T, ins[k], out=dA)
-        if m > 1:
+        if m > 1 and k == 0 and d == 1 and wide:  # the product with the 1D identity
+            dA += np.einsum("ij->j", adj[1])[:, None]
+        elif m > 1:
             T = np.broadcast_to(np.eye(d)[:, None], (d, n, d)) if k == 0 else tape.tangents[k - 1] * d1
             dA += adj[1:].reshape((d * n,) + adj.shape[2:]).T @ T.reshape(d * n, -1)
-        db[...] = adj[0].sum(axis=0)
+        db[...] = np.einsum("ij->j", adj[0]) if wide else adj[0].sum(axis=0)
 
     d1 = act.d1(ins[-1]) if depth > 1 else None  # rho' at the current layer's input
     weight_grad(depth - 1, G, d1)
-    U = G[..., None] * params.layers[-1][0][0]  # adjoints of the top layer's input
+    # adjoints of the top layer's input, G[..., None] * a: repeating G first
+    # gives the same products with a contiguous inner loop, not a zero-stride one
+    a = params.layers[-1][0][0]
+    U = np.repeat(G[..., None], len(a), axis=-1)
+    U *= a
     for k in range(depth - 2, -1, -1):
         if m > 1:  # rho'' carries the tangents' adjoints into the value's
             d2 = act.d2(ins[k + 1], d1)
-            d2 *= (U[1:] * tape.tangents[k]).sum(axis=0)
+            if d == 1:  # one tangent: its product, which sum would only copy (-0.0 as
+                # +0.0, a sign no output shows: each is a sum that starts from +0.0)
+                d2 *= U[1] * tape.tangents[k][0]
+            else:
+                d2 *= (U[1:] * tape.tangents[k]).sum(axis=0)
         U *= d1
         if m > 1:
             U[0] += d2

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weakgal
-from weakgal import cli, expr, network as net, oracle, theory
+from weakgal import cli, expr, network as net, oracle, theory, train as train_mod
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -282,6 +282,63 @@ class TestConfigValidation:
         path = f"{section}.{key}[1]" if isinstance(value, list) else f"{section}.{key}"
         assert f"config error: {path}: a (" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command, section, key, widths, dim", [
+        ("solve", "train", "n_interior", [1, 8, 1], 1),
+        ("solve", "train", "n_interior", [2, 3, 1], 2),
+        ("solve", "train", "m_boundary", [2, 8, 1], 2),
+        ("approx-probe", "train", "n_interior", [1, 8, 1], 1),
+        ("convergence-study", "sweep", "n_values", [1, 8, 1], 1),
+    ])
+    def test_batch_whose_tape_exceeds_memory_exits_2_allocating_nothing(
+        self, tmp_path, capsys, command, section, key, widths, dim
+    ):
+        memory = cli._memory_bytes()
+        if memory is None:
+            pytest.skip("no memory size to bound by")
+        # a kept tape's (rows, width) layer outputs, with their tangents unless at the
+        # boundary, outgrow memory while the (rows, dim) points would fit
+        per_row = 8 * widths[1] * (1 if key == "m_boundary" else 1 + dim)
+        rows = memory // per_row + 1
+        assert rows * dim * 8 <= memory
+        doc = copy.deepcopy(TINY[command])
+        if dim == 2:
+            doc["problem"] = dict(_PROBLEM, dim=2, u_exact="x1*x2")
+        for arch in ("u_arch", "v_arch"):
+            if arch in doc:
+                doc[arch] = {"widths": widths}
+        doc[section][key] = [4, rows] if section == "sweep" else rows
+        tracemalloc.start()
+        try:
+            code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        path = f"{section}.{key}[1]" if section == "sweep" else f"{section}.{key}"
+        assert f"config error: {path}: a ({rows}, {widths[1]}) float64 array" in capsys.readouterr().err
+        assert peak < 1 << 20
+        # one row fewer fits: the bound is exact
+        doc[section][key] = [4, rows - 1] if section == "sweep" else rows - 1
+        cli._build_sections(doc, command, None)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs an address-space limit (setrlimit RLIMIT_AS)")
+    def test_batch_beyond_the_address_space_limit_exits_2(self, tmp_path):
+        # 40,000,000 rows of 8-wide outputs and their tangents need 5.1 GB: under a
+        # 3 GB `ulimit -v` such a run exited 1 allocating them, whatever the machine
+        import resource
+
+        doc = copy.deepcopy(TINY["solve"])
+        doc["u_arch"] = doc["v_arch"] = {"widths": [1, 8, 1]}
+        doc["train"]["n_interior"] = 40_000_000
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakgal.cli", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error: train.n_interior: a (40000000, 8) float64 array" in proc.stderr
 
     @pytest.mark.parametrize("name", ["relu0", "relu01", "relu001", "relu\uff11", "relu\u0662", "relu\u00b2", "relu 2"])
     def test_activation_other_than_relu_k_in_plain_digits_exits_2(self, tmp_path, capsys, name):
@@ -586,6 +643,47 @@ class TestConvergenceStudy:
             assert cli.run(cfg, out_dir=str(out), quiet=True) == 0
             blobs.append((out / "convergence.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_largest_trainings_start_first_and_results_keep_job_order(self, tmp_path, monkeypatch):
+        started = []
+        minimax_train = train_mod.minimax_train
+
+        def recording(problem, u_arch, v_arch, config, **kwargs):
+            started.append((config.n_interior, config.seed))
+            return minimax_train(problem, u_arch, v_arch, config, **kwargs)
+
+        monkeypatch.setattr(train_mod, "minimax_train", recording)
+        cfg = self.config(tmp_path)
+        blobs = []
+        for sub, threads in (("serial", "1"), ("pool", None)):
+            if threads is None:
+                monkeypatch.delenv("WG_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("WG_THREADS", threads)
+            out = tmp_path / sub
+            assert cli.run(cfg, out_dir=str(out), quiet=True) == 0
+            blobs.append((out / "convergence.csv").read_bytes())
+            header, rows = read_rows(out / "convergence.csv")
+            assert [(r[0], r[1]) for r in rows] == [("16", "0"), ("16", "1"), ("32", "0"), ("32", "1")]
+        assert blobs[0] == blobs[1]
+        assert started[:4] == [(32, 0), (32, 1), (16, 0), (16, 1)]  # one worker: the start order
+
+    def test_abort_reports_the_first_failing_job_in_job_order(self, tmp_path, monkeypatch, capsys):
+        minimax_train = train_mod.minimax_train
+
+        def aborting(problem, u_arch, v_arch, config, **kwargs):
+            if (config.n_interior, config.seed) in ((16, 1), (32, 0)):  # (32, 0) starts first
+                raise train_mod.TrainingAborted(config.n_interior, "test loss", config.seed)
+            return minimax_train(problem, u_arch, v_arch, config, **kwargs)
+
+        monkeypatch.setattr(train_mod, "minimax_train", aborting)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WG_THREADS", threads)
+            out = tmp_path / threads
+            assert cli.run(self.config(tmp_path), out_dir=str(out), quiet=True) == 3
+            err = capsys.readouterr().err
+            assert "training aborted at outer step 16: non-finite test loss (sample 1)" in err, err
+            assert not (out / "convergence.csv").exists()
 
     def test_evaluates_u_exact_once(self, tmp_path, monkeypatch):
         # the evaluation set is sampled and u_exact evaluated before the pool
