@@ -349,7 +349,7 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
         rcfg = cfg["recipe"]
         optional = {"c_user": _as_number, "max_b_theta": _as_number, "max_weights": _as_int}
         _require_keys(rcfg, f"{path}.recipe", ("epsilon", "mu"), tuple(optional))
-        return net.arch_recipe(
+        arch = net.arch_recipe(
             epsilon=_as_number(rcfg["epsilon"], f"{path}.recipe.epsilon"),
             d=problem.dim,
             mu=_as_number(rcfg["mu"], f"{path}.recipe.mu"),
@@ -357,15 +357,24 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
             activation=activation,
             **{key: read(rcfg[key], f"{path}.recipe.{key}") for key, read in optional.items() if key in rcfg},
         ).arch
-    if "widths" not in cfg:
+    elif "widths" not in cfg:
         raise ConfigError(f"{path}.widths: required without a recipe")
-    arch = net.NetworkArch(
-        widths=tuple(_as_list(cfg["widths"], f"{path}.widths", _as_int)),
-        activation=activation,
-        b_theta=_as_number(cfg.get("b_theta", b_theta), f"{path}.b_theta"),
-    )
-    if arch.widths[0] != problem.dim:
-        raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
+    else:
+        arch = net.NetworkArch(
+            widths=tuple(_as_list(cfg["widths"], f"{path}.widths", _as_int)),
+            activation=activation,
+            b_theta=_as_number(cfg.get("b_theta", b_theta), f"{path}.b_theta"),
+        )
+        if arch.widths[0] != problem.dim:
+            raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
+    # the weights and the vectors of their size that a training holds, before any is allocated
+    memory, need = _memory_bytes(), arch.n_params() * train_mod._WEIGHT_VECTORS * 8
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"{path}.widths: {arch.widths} give {arch.n_params()} weights, and the"
+            f" {train_mod._WEIGHT_VECTORS} float64 vectors of that size a training holds need"
+            f" {need} bytes, more than the {memory} bytes this process may hold"
+        )
     return arch
 
 
@@ -451,8 +460,11 @@ def _cmd_solve(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, write_c
     _write_csv(os.path.join(out_dir, "history.csv"), header, rows)
     net.save_checkpoint(result.u, os.path.join(out_dir, "u.json"))
     net.save_checkpoint(result.v, os.path.join(out_dir, "v.json"))
+    # the sampled coercivity numbers behind the flag; a non-finite one is null
+    numbers = dataclasses.asdict(result.coercivity)
     return {
-        "coercivity_holds": result.coercivity_holds,
+        "coercivity_holds": numbers.pop("holds"),
+        **{key: value if math.isfinite(value) else None for key, value in numbers.items()},
         "final_loss": result.history[-1].loss_total if result.history else None,
         "final_h1_error": (
             None if not result.history or math.isnan(result.history[-1].h1_error)
@@ -511,9 +523,18 @@ def _cmd_convergence_study(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, tr
         medians[str(n)] = float(np.median(vals))
     n_sorted = sorted(n_values)
     improves = medians[str(n_sorted[-1])] <= medians[str(n_sorted[0])]
+    # the least-squares slope of log median error on log n, against the paper's O(n^(-1/d))
+    fitted_slope = paper_rate = None
+    if len(n_sorted) >= 2 and all(0.0 < m < math.inf for m in medians.values()):
+        log_e = [math.log(medians[str(n)]) for n in n_sorted]
+        fitted_slope = float(np.polyfit(np.log(n_sorted), log_e, 1)[0])
+        paper_rate = -1.0 / problem.dim
     if not quiet:
-        print(f"[convergence-study] medians={medians} improves={improves}")
-    return {"medians": medians, "improves_smallest_to_largest": bool(improves), "eval_quad": eval_quad}
+        print(f"[convergence-study] medians={medians} improves={improves} fitted_slope={fitted_slope}")
+    return {
+        "medians": medians, "improves_smallest_to_largest": bool(improves), "eval_quad": eval_quad,
+        "fitted_slope": fitted_slope, "paper_rate": paper_rate,
+    }
 
 
 def _cmd_theory_check(out_dir, quiet, cfg_hash, problem, u_arch, theory) -> dict:

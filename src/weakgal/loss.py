@@ -112,9 +112,13 @@ def _check_finite(arr: np.ndarray, component: str) -> None:
 class _BatchTerms:
     """Checked coefficient values and quadrature weights of one batch and, in
     1D, the interior points stacked over the distinct boundary points, to
-    which ``index`` maps each boundary row."""
+    which ``index`` maps each boundary row.
 
-    def __init__(self, problem: EllipticProblem, batch: EmpiricalBatch, boundary_alpha_half: bool):
+    ``constants`` keeps the values of each field with no variable across the
+    batches of one problem, per number of points, so they are evaluated once."""
+
+    def __init__(self, problem: EllipticProblem, batch: EmpiricalBatch, boundary_alpha_half: bool,
+                 constants: dict):
         self.X, self.Y = X, Y = batch.interior, batch.boundary
         if X.shape[0] == 0 or Y.shape[0] == 0:
             raise ValueError("batch must contain interior and boundary points")
@@ -122,27 +126,47 @@ class _BatchTerms:
         if X.shape[1] == 1:
             distinct, self.index = np.unique(Y[:, 0], return_inverse=True)
             self.stacked = np.concatenate([X, distinct[:, None]])
-        self.A, self.B, self.c, self.f = coeffs = (
-            problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
+        interior = (
+            ("a", problem.a_values, [e for row in problem.a for e in row]),
+            ("b", problem.b_values, problem.b), ("c", problem.c_values, [problem.c]),
+            ("f", problem.f_values, [problem.f]),
         )
-        for name, arr in zip("abcf", coeffs):
-            _check_finite(arr, f"interior coefficient {name}")
-        self.g = problem.g_values(Y, batch.normals)
-        _check_finite(self.g, "boundary g")
+        self.A, self.B, self.c, self.f = (
+            _field(values, exprs, X, f"interior coefficient {name}", constants)
+            for name, values, exprs in interior
+        )
+        g = [] if problem.g is None else [problem.g]  # None is the zero field
+        self.g = _field(lambda pts: problem.g_values(pts, batch.normals), g, Y, "boundary g", constants)
         self.alpha = 0.5 * problem.alpha if boundary_alpha_half else problem.alpha
         self.w_int = problem.domain.volume / X.shape[0]
         self.w_bdy = problem.domain.surface / (problem.beta * Y.shape[0])
 
 
+def _field(values: Callable, exprs, points: np.ndarray, component: str, constants: dict) -> np.ndarray:
+    """``values(points)``, checked finite; a field of constant expressions is
+    kept read-only in ``constants`` and reused for as many points."""
+    key = (component, points.shape[0])
+    if key in constants:
+        return constants[key]
+    arr = values(points)
+    _check_finite(arr, component)
+    if all(isinstance(e, expr_mod.ExprAst) and e.constant for e in exprs):
+        arr.flags.writeable = False
+        constants[key] = arr
+    return arr
+
+
 class _Eval(NamedTuple):
     """One network on a batch: interior values and gradients, boundary values,
-    and, when its weight gradient is wanted, its tapes: the (interior,
-    boundary) pair, or in 1D one tape of the stacked points."""
+    when its weight gradient is wanted its tapes (the (interior, boundary)
+    pair, or in 1D one tape of the stacked points), and the integrand's
+    factors that ``_assemble`` computes from it alone as the trial network."""
 
     vals: np.ndarray
     grads: np.ndarray
     bdy: np.ndarray
-    tapes: tuple[net.Tape, ...] | None = None
+    tapes: tuple[net.Tape, ...] | None
+    factors: dict
 
 
 def _evaluate(name: str, params: NetworkParams, terms: _BatchTerms, keep: bool = False) -> _Eval:
@@ -154,10 +178,10 @@ def _evaluate(name: str, params: NetworkParams, terms: _BatchTerms, keep: bool =
     if terms.stacked is None:
         inner = net.forward_tape(params, terms.X, keep=keep)
         outer = net.forward_tape(params, terms.Y, grads=False, keep=keep)
-        ev = _Eval(inner.values, inner.grads, outer.values, (inner, outer) if keep else None)
+        ev = _Eval(inner.values, inner.grads, outer.values, (inner, outer) if keep else None, {})
     else:
         tape, n = net.forward_tape(params, terms.stacked, keep=keep), terms.X.shape[0]
-        ev = _Eval(tape.values[:n], tape.grads[:n], tape.values[n:][terms.index], (tape,) if keep else None)
+        ev = _Eval(tape.values[:n], tape.grads[:n], tape.values[n:][terms.index], (tape,) if keep else None, {})
     for where, arr in (("interior", ev.vals), ("interior grad", ev.grads), ("boundary", ev.bdy)):
         _check_finite(arr, f"{where} {name}")
     return ev
@@ -168,12 +192,19 @@ def _assemble(terms: _BatchTerms, u: _Eval, v: _Eval, need_u: bool, need_v: bool
 
     Seeds are (interior value, interior gradient, boundary value) seeds: the
     partial derivatives of the objective in that network's values and
-    gradients at the sample points.
+    gradients at the sample points.  The factors that depend on ``u`` alone,
+    and ``v``'s seeds, which are built from them, are kept in ``u.factors``
+    on first use: the calls that share ``u``'s evaluation compute them once.
     """
-    # the objective is linear in v: w_int sum (a_u . grad v + r_u v) + w_bdy sum (r_y v)
-    a_u = np.einsum("nij,ni->nj", terms.A, u.grads)
-    r_u = np.einsum("ni,ni->n", terms.B, u.grads) + terms.c * u.vals - terms.f
-    r_y = terms.alpha * u.bdy - terms.g
+    memo = u.factors
+    if "u" not in memo:
+        # the objective is linear in v: w_int sum (a_u . grad v + r_u v) + w_bdy sum (r_y v)
+        memo["u"] = (
+            np.einsum("nij,ni->nj", terms.A, u.grads),
+            np.einsum("ni,ni->n", terms.B, u.grads) + terms.c * u.vals - terms.f,
+            terms.alpha * u.bdy - terms.g,
+        )
+    a_u, r_u, r_y = memo["u"]
     integrand = np.einsum("ni,ni->n", a_u, v.grads) + r_u * v.vals
     _check_finite(integrand, "interior integrand")
     interior = terms.w_int * float(np.sum(integrand))
@@ -193,7 +224,9 @@ def _assemble(terms: _BatchTerms, u: _Eval, v: _Eval, need_u: bool, need_v: bool
             terms.w_bdy * terms.alpha * v.bdy,
         )
     if need_v:
-        seeds_v = (terms.w_int * r_u, terms.w_int * a_u, terms.w_bdy * r_y)
+        if "v" not in memo:
+            memo["v"] = (terms.w_int * r_u, terms.w_int * a_u, terms.w_bdy * r_y)
+        seeds_v = memo["v"]
     return value, seeds_u, seeds_v
 
 
@@ -214,17 +247,22 @@ class GradientCache:
     """Per-batch state shared by consecutive loss calls: the checked
     coefficients of one (problem, batch, alpha convention), rebuilt when any
     of them is another object, and the trial network's evaluation, redone
-    when ``u`` is another object or its tapes are wanted and were not kept."""
+    when ``u`` is another object or its tapes are wanted and were not kept.
+    The values of constant fields are kept for as long as the problem is
+    the same object."""
 
     def __init__(self):
         self._key = self._terms = self._u = self._u_eval = None
         self._kept = False
+        self._constants = {}
 
     def lookup(self, u, problem, batch, boundary_alpha_half, keep: bool) -> tuple[_BatchTerms, _Eval]:
         key = (problem, batch, bool(boundary_alpha_half))
         if self._key is None or any(a is not b for a, b in zip(key, self._key)):
-            self._terms, self._u = _BatchTerms(problem, batch, boundary_alpha_half), None
-            self._key = key
+            if self._key is None or problem is not self._key[0]:
+                self._constants = {}
+            self._terms = _BatchTerms(problem, batch, boundary_alpha_half, self._constants)
+            self._key, self._u = key, None
         if u is not self._u or (keep and not self._kept):
             self._u_eval, self._u, self._kept = _evaluate("u", u, self._terms, keep=keep), u, keep
         return self._terms, self._u_eval

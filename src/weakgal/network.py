@@ -330,17 +330,24 @@ def _first_tangents(A: np.ndarray) -> np.ndarray:
     broadcasts a C-ordered copy of A^T over the points; products with it come
     out C-ordered, as products with a full array do.  Adding +0.0 gives the
     bits of ``I @ A^T``, whose sums start from +0.0 and so turn -0.0 into +0.0."""
-    return np.add(np.moveaxis(A, -1, 0), 0.0, order="C")[..., None, :]
+    At = A.transpose((A.ndim - 1,) + tuple(range(A.ndim - 1)))
+    return np.add(At, 0.0, order="C")[..., None, :]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, taking a product over one term as a broadcast multiply.
+    """a @ b, taking a product over one term as a multiply.
 
     A GEMM over one term adds its one rounded product to +0.0; the multiply
-    plus +0.0 gives the same bits, -0.0 products turned to +0.0 included."""
+    plus +0.0 gives the same bits, -0.0 products turned to +0.0 included.
+    Over q >= 2 output columns, repeating ``a`` along them first gives the
+    multiply a contiguous inner loop, where a broadcast reads one entry q times."""
     if a.shape[-1] != 1:
         return a @ b
-    c = a * b
+    if b.shape[-1] == 1:
+        c = a * b
+    else:
+        c = np.repeat(a, b.shape[-1], axis=-1)
+        c *= b
     c += 0.0
     return c
 
@@ -676,15 +683,21 @@ class WeightMoveBound:
         act = params.arch.activation
         delta = eps = 0.0  # moves of the layer input and of its Jacobian in x
         g = 1.0  # bound on the current network's Jacobian
-        layers = zip(self.anchor.layers, params.layers, self.norms, self.inputs, self.jacobians)
-        for (A_a, b_a), (A, b), a_a, h_a, g_a in layers:
-            dA, db = A - A_a, b - b_a
-            rows = np.linalg.norm(dA, axis=1)
-            d_a = float(np.linalg.norm(rows))
+        # the norms np.linalg.norm takes, without its wrapper: a row's is
+        # sqrt(add.reduce(x * x)), a vector's sqrt(x.dot(x))
+        moves = _layer_views(params.arch, params.flat - self.anchor.flat)
+        layers = zip(params.layers, moves, self.norms, self.inputs, self.jacobians)
+        for (A, _), (dA, db), a_a, h_a, g_a in layers:
+            rows = np.sqrt(np.add.reduce(dA * dA, axis=1))
+            d_a = math.sqrt(rows.dot(rows))
             a = a_a + d_a
-            z = a * delta + d_a * h_a + float(np.linalg.norm(db))
+            z = a * delta + d_a * h_a + math.sqrt(db.dot(db))
             grad_move = a * eps + d_a * g_a
-            z_max = float(np.max(np.linalg.norm(A, axis=1) * delta + rows * h_a + np.abs(db)))
+            reach = np.sqrt(np.add.reduce(A * A, axis=1))
+            reach *= delta
+            reach += rows * h_a
+            reach += np.abs(db)
+            z_max = float(reach.max())
             eps = act.l_rho_prime * z_max * a * g + act.b_rho_prime * grad_move
             delta = act.l_rho * z
             g *= act.b_rho_prime * a

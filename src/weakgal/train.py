@@ -39,7 +39,9 @@ from . import loss as loss_mod
 from . import network as net
 from .loss import NonFiniteLossError
 from .network import NetworkArch, NetworkParams
-from .pde import Domain, EllipticProblem, check_coercivity, sample_batch, sample_interior, unit_hypercube
+from .pde import (
+    CoercivityReport, Domain, EllipticProblem, check_coercivity, sample_batch, sample_interior, unit_hypercube,
+)
 
 __all__ = [
     "TrainConfig",
@@ -161,14 +163,24 @@ class TrainResult:
     u: NetworkParams
     v: NetworkParams
     history: list[HistoryRow]
-    coercivity_holds: bool
+    coercivity: CoercivityReport
     projection: ProjectionCounts
+
+
+# float64 vectors of a network's weight count that its training holds at once:
+# the weights before and after an update, the gradient, the two Adam moments,
+# the optimizer's two work vectors and the tail average
+_WEIGHT_VECTORS = 8
 
 
 class _Optimizer:
     """One network's weight update: the gradient's norm clipped to
     ``grad_clip_norm`` (0 disables), an Adam or plain SGD step along
-    ``direction`` (+1 ascends, -1 descends), and the weight box applied."""
+    ``direction`` (+1 ascends, -1 descends), and the weight box applied.
+
+    The moments and the step are built in place in two work vectors kept
+    across updates, each operation rounding as the plain expression does:
+    the Adam step is ``direction * lr * m_hat / (sqrt(v_hat) + eps)``."""
 
     def __init__(self, config: TrainConfig, size: int, lr: float, name: str):
         self.kind = config.optimizer
@@ -181,26 +193,40 @@ class _Optimizer:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._step = np.empty(size)
+        self._den = np.empty(size)  # the clipped gradient, then Adam's denominator
 
     def update(self, params: NetworkParams, grad: np.ndarray, direction: float) -> tuple[NetworkParams, float]:
         """The updated params and the gradient's norm before clipping.  A
         non-finite norm raises, since ``max_norm / inf`` would zero the step."""
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(grad))
+        # np.linalg.norm's sqrt(x . x), by the same BLAS dot; vdot warns of no overflow
+        norm = math.sqrt(np.vdot(grad, grad))
         if not math.isfinite(norm):
             raise NonFiniteLossError(f"{self.name} norm", -1)
+        step, den, rate = self._step, self._den, direction * self.lr
         if self.max_norm > 0 and norm > self.max_norm:
-            grad = grad * (self.max_norm / norm)
+            grad = np.multiply(grad, self.max_norm / norm, out=den)
         if self.kind == "sgd":
-            flat = params.flat + direction * self.lr * grad
+            np.multiply(grad, rate, out=step)
         else:
             self.t += 1
-            self.m = self.b1 * self.m + (1.0 - self.b1) * grad
-            self.v = self.b2 * self.v + (1.0 - self.b2) * grad * grad
-            m_hat = self.m / (1.0 - self.b1**self.t)
-            v_hat = self.v / (1.0 - self.b2**self.t)
-            flat = params.flat + direction * self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return net.clip_weights(NetworkParams(params.arch, flat)), norm
+            m, v = self.m, self.v
+            m *= self.b1
+            m += np.multiply(grad, 1.0 - self.b1, out=step)
+            v *= self.b2
+            np.multiply(grad, 1.0 - self.b2, out=step)
+            step *= grad
+            v += step  # the last read of grad
+            np.divide(m, 1.0 - self.b1**self.t, out=step)
+            step *= rate
+            np.divide(v, 1.0 - self.b2**self.t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+        flat = np.add(params.flat, step)
+        bound = params.arch.b_theta
+        np.clip(flat, -bound, bound, out=flat)
+        return NetworkParams(params.arch, flat), norm
 
     def reset(self):
         self.m[:] = 0.0
@@ -375,7 +401,7 @@ def minimax_train(
                 on_eval(step + 1, u_out, v, row)
 
     return TrainResult(
-        u=u_out, v=v, history=history, coercivity_holds=report.holds,
+        u=u_out, v=v, history=history, coercivity=report,
         projection=ProjectionCounts(projector.exact, projector.skipped, projector.fired),
     )
 

@@ -322,6 +322,46 @@ class TestConfigValidation:
         doc[section][key] = [4, rows - 1] if section == "sweep" else rows - 1
         cli._build_sections(doc, command, None)
 
+    @pytest.mark.parametrize("section, arch", [
+        ("u_arch", {"widths": [1, 1_000_000_000, 1]}),
+        ("v_arch", {"widths": [1, 1_000_000_000, 1]}),
+        ("u_arch", "recipe"),
+    ])
+    def test_weights_beyond_memory_exit_2_before_init(self, tmp_path, capsys, monkeypatch, section, arch):
+        memory = cli._memory_bytes()
+        if memory is None:
+            pytest.skip("no memory size to bound by")
+        if arch == "recipe":
+            # depth 3 in 1D, (1, w, w, 1) with about w^2 weights for a budget of
+            # 3 eps^-2 weights, twice what the bound lets through
+            budget = 2 * memory // (8 * train_mod._WEIGHT_VECTORS)
+            recipe = {"epsilon": math.sqrt(3 / budget), "mu": 0.5, "c_user": 3, "max_weights": 2 * budget}
+            arch = {"recipe": recipe}
+        doc = copy.deepcopy(TINY["solve"])
+        doc[section] = arch
+        monkeypatch.setattr(net, "init", lambda *args: pytest.fail("a network was initialized"))
+        tracemalloc.start()
+        try:
+            code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {section}.widths: " in err and "float64 vectors of that size a training holds" in err
+        assert peak < 1 << 20
+
+    def test_weight_bound_is_exact(self):
+        memory = cli._memory_bytes()
+        if memory is None:
+            pytest.skip("no memory size to bound by")
+        # (1, w, 1) has 3 w + 1 weights; the widest that fits, then one more
+        width = (memory // (8 * train_mod._WEIGHT_VECTORS) - 1) // 3
+        problem = cli._build_problem(_PROBLEM)
+        cli._build_arch({"widths": [1, width, 1]}, problem, "u_arch", 10.0)
+        with pytest.raises(cli.ConfigError, match=r"^u_arch\.widths: "):
+            cli._build_arch({"widths": [1, width + 1, 1]}, problem, "u_arch", 10.0)
+
     @pytest.mark.skipif(sys.platform != "linux", reason="needs an address-space limit (setrlimit RLIMIT_AS)")
     def test_batch_beyond_the_address_space_limit_exits_2(self, tmp_path):
         # 40,000,000 rows of 8-wide outputs and their tangents need 5.1 GB: under a
@@ -449,6 +489,11 @@ class TestSolve:
         assert manifest["seed_override"] is None
         assert manifest["results"]["coercivity_holds"] is True
         assert manifest["results"]["final_h1_error"] == float(rows[-1][6])
+        # the sampled numbers behind the flag: a = 1, b = 0, c = 1 in 1D
+        report = weakgal.pde.check_coercivity(cli._build_problem(solve_config()["problem"]))
+        for key in ("lambda_min", "c_min", "b_max", "condition"):
+            assert manifest["results"][key] == getattr(report, key)
+        assert manifest["results"]["condition"] == 4.0
         # 20 iterates and, at step 20 inside the averaging window, the average
         projection = manifest["results"]["projection"]
         assert sorted(projection) == ["exact", "fired", "skipped"]
@@ -633,6 +678,33 @@ class TestConvergenceStudy:
         assert [(r[0], r[1]) for r in rows] == [("16", "0"), ("16", "1"), ("32", "0"), ("32", "1")]
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["results"]["medians"]) == {"16", "32"}
+
+    @staticmethod
+    def fake_errors(monkeypatch, errors):
+        """Each training's H1 error set by its n_samples, with no training run."""
+        monkeypatch.setattr(cli.train_mod, "minimax_train", lambda problem, u_arch, v_arch, config, u_ref=None:
+                            train_mod.TrainResult(config.n_interior, None, [], None, None))
+        monkeypatch.setattr(cli.loss_mod.H1Reference, "distance",
+                            lambda self, u: weakgal.loss.H1Estimate(0.0, 0.0, errors[u]))
+
+    def test_manifest_fits_the_rate_and_keeps_the_csv(self, tmp_path, monkeypatch):
+        self.fake_errors(monkeypatch, {16: 0.4, 32: 0.2, 64: 0.15})
+        out = tmp_path / "out"
+        assert cli.run(self.config(tmp_path, n_values=[16, 32, 64], seeds=[0]), out_dir=str(out), quiet=True) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        expected = np.polyfit(np.log([16, 32, 64]), np.log([0.4, 0.2, 0.15]), 1)[0]
+        assert results["fitted_slope"] == pytest.approx(expected, rel=1e-12)
+        assert results["paper_rate"] == -1.0
+        _, rows = read_rows(out / "convergence.csv")
+        assert [float(r[2]) for r in rows] == [0.4, 0.2, 0.15]
+
+    @pytest.mark.parametrize("errors", [{16: 0.4}, {16: 0.4, 32: 0.0}])
+    def test_no_rate_from_one_size_or_a_zero_median(self, tmp_path, monkeypatch, errors):
+        self.fake_errors(monkeypatch, errors)
+        out = tmp_path / "out"
+        assert cli.run(self.config(tmp_path, n_values=list(errors), seeds=[0]), out_dir=str(out), quiet=True) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["fitted_slope"] is None and results["paper_rate"] is None
 
     def test_thread_cap_env_does_not_change_results(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)

@@ -200,6 +200,41 @@ def test_cached_empirical_loss_matches_uncached(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_outer_step_computes_the_u_side_factors_once(monkeypatch, dim):
+    """A training step's three calls on one batch and one ``u``, two for v's
+    ascent and one for u's descent, compute the factors that depend on ``u``
+    alone once, and give the bits of calls that share no cache."""
+    u_exact = parse("sin(pi*x1)" if dim == 1 else "sin(pi*x1)*cos(pi*x2)", dim)
+    a = [[parse("1+x1^2" if i == j else "0.25*x1", dim) for j in range(dim)] for i in range(dim)]
+    prob = manufactured_problem(
+        u_exact, a, [parse("0.3*x1", dim)] * dim, parse("1", dim), 1.0, 0.5, unit_hypercube(dim), "robin",
+    )
+    arch = NetworkArch(widths=(dim, 5, 4, 1), activation=TANH, b_theta=3.0)
+    u, vs = init(arch, 1), [init(arch, 2 + k) for k in range(3)]
+    batch = sample_batch(prob.domain, 16, 16, 3)
+    fresh = [loss_gradients(u, v, prob, batch, True, need_u=False) for v in vs[:2]]
+    fresh.append(loss_gradients(u, vs[2], prob, batch, True, need_v=False))
+
+    einsum, a_u = np.einsum, []  # a_u = A grad u is one of the factors
+    monkeypatch.setattr(np, "einsum", lambda spec, *ops, **kw: (
+        a_u.append(1) if spec == "nij,ni->nj" else None) or einsum(spec, *ops, **kw))
+    cache = loss.GradientCache()
+    got = [loss_gradients(u, v, prob, batch, True, need_u=False, cache=cache) for v in vs[:2]]
+    got.append(loss_gradients(u, vs[2], prob, batch, True, need_v=False, cache=cache))
+    assert len(a_u) == 1
+    for (gu, gv, value), (fu, fv, fvalue) in zip(got, fresh):
+        assert value == fvalue
+        for g, f in ((gu, fu), (gv, fv)):
+            if f is None:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, f)
+                np.testing.assert_array_equal(np.signbit(g), np.signbit(f))
+    loss_gradients(init(arch, 9), vs[0], prob, batch, True, need_u=False, cache=cache)
+    assert len(a_u) == 2  # another u: its own factors
+
+
 def _record_keep_flags(monkeypatch) -> list:
     kept = []  # the keep flag of every forward, in call order
     original = net.forward_tape

@@ -279,6 +279,47 @@ def test_weight_move_bound_covers_the_h1_estimate(activation, hidden, d, weight_
     assert h1(vm, gm) <= h1(va, ga) + math.hypot(b_val, b_grad)
 
 
+def _reference_move_bound(bound, params):
+    """``WeightMoveBound.__call__`` as plain per-layer code with np.linalg.norm."""
+    act = params.arch.activation
+    delta = eps = 0.0
+    g = 1.0
+    layers = zip(bound.anchor.layers, params.layers, bound.norms, bound.inputs, bound.jacobians)
+    for (A_a, b_a), (A, b), a_a, h_a, g_a in layers:
+        dA, db = A - A_a, b - b_a
+        rows = np.linalg.norm(dA, axis=1)
+        d_a = float(np.linalg.norm(rows))
+        a = a_a + d_a
+        z = a * delta + d_a * h_a + float(np.linalg.norm(db))
+        grad_move = a * eps + d_a * g_a
+        z_max = float(np.max(np.linalg.norm(A, axis=1) * delta + rows * h_a + np.abs(db)))
+        eps = act.l_rho_prime * z_max * a * g + act.b_rho_prime * grad_move
+        delta = act.l_rho * z
+        g *= act.b_rho_prime * a
+    return z, grad_move
+
+
+def test_weight_move_bound_keeps_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(21)
+    hidden_choices = [(), (1,), (6,), (5, 1, 3), (7, 6), (4, 1), (20, 20)]
+    for case in range(240):
+        d = int(rng.integers(1, 4))
+        hidden = hidden_choices[case % len(hidden_choices)]
+        activation = (TANH, LOGISTIC)[case % 2]
+        arch = NetworkArch(widths=(d,) + hidden + (1,), activation=activation, b_theta=10.0)
+        anchor_flat = rng.uniform(-3.0, 3.0, arch.n_params())
+        anchor_flat[::7] = -0.0
+        move = 10.0 ** rng.uniform(-9.0, 0.0) * rng.standard_normal(arch.n_params())
+        moved_flat = anchor_flat + move
+        moved_flat[::5] = anchor_flat[::5]  # entries that do not move, -0.0 among them
+        moved_flat[3::11] = -0.0
+        bound = WeightMoveBound(NetworkParams(arch, anchor_flat), float(rng.uniform(0.5, 2.0)))
+        for params in (flat_to_params(arch, moved_flat), flat_to_params(arch, anchor_flat)):
+            got, want = bound(params), _reference_move_bound(bound, params)
+            assert got == want, (case, got, want)
+            assert all(type(x) is float for x in got)
+
+
 def test_weight_move_bound_is_zero_without_a_move_and_inf_for_relu():
     arch = NetworkArch(widths=(2, 5, 4, 1), activation=TANH, b_theta=2.0)
     p = init(arch, 3)

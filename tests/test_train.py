@@ -67,6 +67,59 @@ class TestConfigValidation:
         assert cfg.outer_steps == 1000
 
 
+def _reference_update(state, params, grad, direction, config, lr):
+    """``_Optimizer.update`` as plain expressions, each building a new array."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
+    if config.grad_clip_norm > 0 and norm > config.grad_clip_norm:
+        grad = grad * (config.grad_clip_norm / norm)
+    if config.optimizer == "sgd":
+        new = params.flat + direction * lr * grad
+    else:
+        b1, b2 = config.adam_beta1, config.adam_beta2
+        state["t"] += 1
+        state["m"] = b1 * state["m"] + (1.0 - b1) * grad
+        state["v"] = b2 * state["v"] + (1.0 - b2) * grad * grad
+        m_hat = state["m"] / (1.0 - b1 ** state["t"])
+        v_hat = state["v"] / (1.0 - b2 ** state["t"])
+        new = params.flat + direction * lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return net.clip_weights(net.NetworkParams(params.arch, new)), norm
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("grad_clip_norm", [0.0, 0.5])
+@pytest.mark.parametrize("knobs", [{}, {"adam_beta1": 0.0, "adam_beta2": 0.9, "adam_eps": 3e-3}])
+def test_optimizer_update_keeps_the_bits_of_the_plain_expressions(optimizer, grad_clip_norm, knobs):
+    arch = small_arch(b_theta=2.0, widths=(2, 5, 4, 1))
+    config = train.TrainConfig(optimizer=optimizer, grad_clip_norm=grad_clip_norm, **knobs)
+    rng = np.random.default_rng([len(optimizer), int(10 * grad_clip_norm), len(knobs)])
+    start = rng.uniform(-2.0, 2.0, arch.n_params())
+    start[::4], start[1::4], start[2::9] = 2.0, -2.0, -0.0  # on the box's faces, and -0.0
+    for lr, direction in ((0.5, 1.0), (1e-3, -1.0)):  # steps past the box, and small ones
+        opt = train._Optimizer(config, arch.n_params(), lr, "grad")
+        state = {"m": np.zeros(arch.n_params()), "v": np.zeros(arch.n_params()), "t": 0}
+        got = want = net.NetworkParams(arch, start.copy())
+        for k in range(6):
+            grad = rng.standard_normal(arch.n_params()) * (0.05 if k % 2 else 3.0)  # clipped or not
+            grad[::3] = -0.0
+            grad[1::7] = 0.0
+            before = grad.copy()
+            got, got_norm = opt.update(got, grad, direction)
+            want, want_norm = _reference_update(state, want, grad, direction, config, lr)
+            _same_bits(grad, before)  # the caller's gradient is left alone
+            assert got_norm == want_norm
+            _same_bits(got.flat, want.flat)
+            if optimizer == "adam":
+                _same_bits(opt.m, state["m"])
+                _same_bits(opt.v, state["v"])
+        assert np.abs(got.flat).max() <= arch.b_theta and not got.flat.flags.writeable
+
+
 class TestMinimaxTrain:
     def test_zero_steps_returns_clipped_init(self):
         _, prob = robin_problem_1d()
@@ -381,22 +434,29 @@ class TestMinimaxTrain:
             assert r0.grad_v_norm == pytest.approx(r1.grad_v_norm, rel=0, abs=1e-10)
 
     def test_coefficients_evaluated_once_per_batch(self, monkeypatch):
-        _, prob = robin_problem_1d()
-        sizes = []
-        original = pde.EllipticProblem.a_values
+        # a varying field once per batch, a constant one once per problem
+        u_star = expr.parse("sin(pi*x1)", 1)
+        prob = pde.manufactured_problem(
+            u_star, ((expr.parse("1+x1^2", 1),),), pde.constant_vector(1, 0.0), expr.parse("1", 1),
+            1.0, 1.0, pde.unit_hypercube(1), "robin",
+        )
+        sizes = {"a_values": [], "c_values": []}
+        for name in sizes:
+            original = getattr(pde.EllipticProblem, name)
 
-        def counted(self, points):
-            sizes.append(points.shape[0])
-            return original(self, points)
+            def counted(self, points, original=original, name=name):
+                sizes[name].append(points.shape[0])
+                return original(self, points)
 
-        monkeypatch.setattr(pde.EllipticProblem, "a_values", counted)
+            monkeypatch.setattr(pde.EllipticProblem, name, counted)
         cfg = train.TrainConfig(
             n_interior=37, m_boundary=16, outer_steps=6, inner_steps=3,
             resample_every=2, eval_every=6, seed=2,
         )
         train.minimax_train(prob, small_arch(), small_arch(), cfg)
         # three batches; the other calls are the coercivity probe's
-        assert sizes.count(37) == 3
+        assert sizes["a_values"].count(37) == 3
+        assert sizes["c_values"].count(37) == 1
 
     def test_coercivity_warning_and_flag(self):
         dom = pde.unit_hypercube(1)
@@ -414,7 +474,7 @@ class TestMinimaxTrain:
         cfg = train.TrainConfig(n_interior=8, m_boundary=8, outer_steps=1, eval_every=1, seed=0)
         with pytest.warns(UserWarning, match="coercivity"):
             res = train.minimax_train(prob, small_arch(), small_arch(), cfg)
-        assert res.coercivity_holds is False
+        assert res.coercivity.holds is False
 
     def test_nonfinite_blowup_raises_training_aborted(self):
         _, prob = robin_problem_1d()
