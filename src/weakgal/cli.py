@@ -349,7 +349,7 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
         rcfg = cfg["recipe"]
         optional = {"c_user": _as_number, "max_b_theta": _as_number, "max_weights": _as_int}
         _require_keys(rcfg, f"{path}.recipe", ("epsilon", "mu"), tuple(optional))
-        arch = net.arch_recipe(
+        return net.arch_recipe(
             epsilon=_as_number(rcfg["epsilon"], f"{path}.recipe.epsilon"),
             d=problem.dim,
             mu=_as_number(rcfg["mu"], f"{path}.recipe.mu"),
@@ -357,25 +357,29 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
             activation=activation,
             **{key: read(rcfg[key], f"{path}.recipe.{key}") for key, read in optional.items() if key in rcfg},
         ).arch
-    elif "widths" not in cfg:
+    if "widths" not in cfg:
         raise ConfigError(f"{path}.widths: required without a recipe")
-    else:
-        arch = net.NetworkArch(
-            widths=tuple(_as_list(cfg["widths"], f"{path}.widths", _as_int)),
-            activation=activation,
-            b_theta=_as_number(cfg.get("b_theta", b_theta), f"{path}.b_theta"),
-        )
-        if arch.widths[0] != problem.dim:
-            raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
-    # the weights and the vectors of their size that a training holds, before any is allocated
-    memory, need = _memory_bytes(), arch.n_params() * train_mod._WEIGHT_VECTORS * 8
-    if memory is not None and need > memory:
-        raise ConfigError(
-            f"{path}.widths: {arch.widths} give {arch.n_params()} weights, and the"
-            f" {train_mod._WEIGHT_VECTORS} float64 vectors of that size a training holds need"
-            f" {need} bytes, more than the {memory} bytes this process may hold"
-        )
+    arch = net.NetworkArch(
+        widths=tuple(_as_list(cfg["widths"], f"{path}.widths", _as_int)),
+        activation=activation,
+        b_theta=_as_number(cfg.get("b_theta", b_theta), f"{path}.b_theta"),
+    )
+    if arch.widths[0] != problem.dim:
+        raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
     return arch
+
+
+def _check_weights(archs: list[net.NetworkArch], path: str) -> None:
+    """Reject the networks built so far, ``path`` the last, when the vectors
+    of their weight counts that a training holds (``train.weight_bytes``)
+    together exceed ``_memory_bytes()``, before any of them is allocated."""
+    memory, need = _memory_bytes(), sum(train_mod.weight_bytes(arch) for arch in archs)
+    if memory is not None and need > memory:
+        weights = " + ".join(str(arch.n_params()) for arch in archs)
+        raise ConfigError(
+            f"{path}.widths: training networks of {weights} weights holds weight-sized vectors"
+            f" of {need} bytes, more than the {memory} bytes this process may hold"
+        )
 
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
@@ -661,6 +665,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
                 default = {"widths": [problem.dim, *hidden, 1]}
                 built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
                 width = max(width, built[section].max_width)
+                _check_weights([built[key] for key in ("u_arch", "v_arch") if key in built], section)
             elif section == "train":
                 built[section] = _build_train_config(
                     cfg.get(section, {}), seed_override, command, problem.dim, width

@@ -21,7 +21,7 @@ import ast as pyast
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -186,7 +186,6 @@ class ExprAst:
 
     root: Node
     dim: int
-    constant: bool = field(init=False, repr=False, compare=False)  # no variable: one value everywhere
 
     def __post_init__(self):
         if self.dim < 1:
@@ -197,7 +196,6 @@ class ExprAst:
             raise ExprError("expression nests too deeply") from None
         if hi > self.dim:
             raise ExprError(f"expression uses x{hi} but dim={self.dim}")
-        object.__setattr__(self, "constant", hi == 0)
 
     def __call__(self, x):
         """Values on a batch of points (n, dim), or the value at a single point

@@ -112,13 +112,9 @@ def _check_finite(arr: np.ndarray, component: str) -> None:
 class _BatchTerms:
     """Checked coefficient values and quadrature weights of one batch and, in
     1D, the interior points stacked over the distinct boundary points, to
-    which ``index`` maps each boundary row.
+    which ``index`` maps each boundary row."""
 
-    ``constants`` keeps the values of each field with no variable across the
-    batches of one problem, per number of points, so they are evaluated once."""
-
-    def __init__(self, problem: EllipticProblem, batch: EmpiricalBatch, boundary_alpha_half: bool,
-                 constants: dict):
+    def __init__(self, problem: EllipticProblem, batch: EmpiricalBatch, boundary_alpha_half: bool):
         self.X, self.Y = X, Y = batch.interior, batch.boundary
         if X.shape[0] == 0 or Y.shape[0] == 0:
             raise ValueError("batch must contain interior and boundary points")
@@ -126,34 +122,16 @@ class _BatchTerms:
         if X.shape[1] == 1:
             distinct, self.index = np.unique(Y[:, 0], return_inverse=True)
             self.stacked = np.concatenate([X, distinct[:, None]])
-        interior = (
-            ("a", problem.a_values, [e for row in problem.a for e in row]),
-            ("b", problem.b_values, problem.b), ("c", problem.c_values, [problem.c]),
-            ("f", problem.f_values, [problem.f]),
+        self.A, self.B, self.c, self.f = coeffs = (
+            problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
         )
-        self.A, self.B, self.c, self.f = (
-            _field(values, exprs, X, f"interior coefficient {name}", constants)
-            for name, values, exprs in interior
-        )
-        g = [] if problem.g is None else [problem.g]  # None is the zero field
-        self.g = _field(lambda pts: problem.g_values(pts, batch.normals), g, Y, "boundary g", constants)
+        for name, arr in zip("abcf", coeffs):
+            _check_finite(arr, f"interior coefficient {name}")
+        self.g = problem.g_values(Y, batch.normals)
+        _check_finite(self.g, "boundary g")
         self.alpha = 0.5 * problem.alpha if boundary_alpha_half else problem.alpha
         self.w_int = problem.domain.volume / X.shape[0]
         self.w_bdy = problem.domain.surface / (problem.beta * Y.shape[0])
-
-
-def _field(values: Callable, exprs, points: np.ndarray, component: str, constants: dict) -> np.ndarray:
-    """``values(points)``, checked finite; a field of constant expressions is
-    kept read-only in ``constants`` and reused for as many points."""
-    key = (component, points.shape[0])
-    if key in constants:
-        return constants[key]
-    arr = values(points)
-    _check_finite(arr, component)
-    if all(isinstance(e, expr_mod.ExprAst) and e.constant for e in exprs):
-        arr.flags.writeable = False
-        constants[key] = arr
-    return arr
 
 
 class _Eval(NamedTuple):
@@ -247,22 +225,17 @@ class GradientCache:
     """Per-batch state shared by consecutive loss calls: the checked
     coefficients of one (problem, batch, alpha convention), rebuilt when any
     of them is another object, and the trial network's evaluation, redone
-    when ``u`` is another object or its tapes are wanted and were not kept.
-    The values of constant fields are kept for as long as the problem is
-    the same object."""
+    when ``u`` is another object or its tapes are wanted and were not kept."""
 
     def __init__(self):
         self._key = self._terms = self._u = self._u_eval = None
         self._kept = False
-        self._constants = {}
 
     def lookup(self, u, problem, batch, boundary_alpha_half, keep: bool) -> tuple[_BatchTerms, _Eval]:
         key = (problem, batch, bool(boundary_alpha_half))
         if self._key is None or any(a is not b for a, b in zip(key, self._key)):
-            if self._key is None or problem is not self._key[0]:
-                self._constants = {}
-            self._terms = _BatchTerms(problem, batch, boundary_alpha_half, self._constants)
-            self._key, self._u = key, None
+            self._terms, self._u = _BatchTerms(problem, batch, boundary_alpha_half), None
+            self._key = key
         if u is not self._u or (keep and not self._kept):
             self._u_eval, self._u, self._kept = _evaluate("u", u, self._terms, keep=keep), u, keep
         return self._terms, self._u_eval

@@ -339,15 +339,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A GEMM over one term adds its one rounded product to +0.0; the multiply
     plus +0.0 gives the same bits, -0.0 products turned to +0.0 included.
-    Over q >= 2 output columns, repeating ``a`` along them first gives the
-    multiply a contiguous inner loop, where a broadcast reads one entry q times."""
+    Repeating ``a`` along the output columns first gives the multiply a
+    contiguous inner loop, where a broadcast reads one entry per column."""
     if a.shape[-1] != 1:
         return a @ b
-    if b.shape[-1] == 1:
-        c = a * b
-    else:
-        c = np.repeat(a, b.shape[-1], axis=-1)
-        c *= b
+    c = np.repeat(a, b.shape[-1], axis=-1)
+    c *= b
     c += 0.0
     return c
 

@@ -50,6 +50,7 @@ __all__ = [
     "ProjectionCounts",
     "TrainingAborted",
     "minimax_train",
+    "weight_bytes",
     "ProbeResult",
     "APPROX_PROBE_FIELDS",
     "approx_error_probe",
@@ -167,10 +168,11 @@ class TrainResult:
     projection: ProjectionCounts
 
 
-# float64 vectors of a network's weight count that its training holds at once:
-# the weights before and after an update, the gradient, the two Adam moments,
-# the optimizer's two work vectors and the tail average
-_WEIGHT_VECTORS = 8
+def weight_bytes(arch: NetworkArch) -> int:
+    """Bytes of the float64 vectors of ``arch``'s weight count that a training
+    holds at once: the weights before and after an update, the gradient, the
+    two Adam moments, the optimizer's two work vectors and the tail average."""
+    return 8 * 8 * arch.n_params()
 
 
 class _Optimizer:

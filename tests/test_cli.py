@@ -77,6 +77,14 @@ TINY = {
         "train": {"n_interior": 4, **_TINY_STEPS},
     },
 }
+
+
+def _bytes_per_weight():
+    """What a training holds per weight of a network, by ``train.weight_bytes``."""
+    arch = net.NetworkArch((1, 1), net.activation_by_name("tanh"), 1.0)
+    return train_mod.weight_bytes(arch) // arch.n_params()
+
+
 SECTIONS = ("u_arch", "v_arch", "train", "sweep", "theory", "write_checkpoints")
 # a valid value of each section, taken from a command that reads it
 SECTION_VALUES = {
@@ -326,18 +334,24 @@ class TestConfigValidation:
         ("u_arch", {"widths": [1, 1_000_000_000, 1]}),
         ("v_arch", {"widths": [1, 1_000_000_000, 1]}),
         ("u_arch", "recipe"),
+        ("v_arch", "each fits alone"),
     ])
     def test_weights_beyond_memory_exit_2_before_init(self, tmp_path, capsys, monkeypatch, section, arch):
         memory = cli._memory_bytes()
         if memory is None:
             pytest.skip("no memory size to bound by")
+        budget = memory // _bytes_per_weight()  # weights whose training fits
+        doc = copy.deepcopy(TINY["solve"])
         if arch == "recipe":
             # depth 3 in 1D, (1, w, w, 1) with about w^2 weights for a budget of
             # 3 eps^-2 weights, twice what the bound lets through
-            budget = 2 * memory // (8 * train_mod._WEIGHT_VECTORS)
-            recipe = {"epsilon": math.sqrt(3 / budget), "mu": 0.5, "c_user": 3, "max_weights": 2 * budget}
+            recipe = {"epsilon": math.sqrt(1.5 / budget), "mu": 0.5, "c_user": 3, "max_weights": 4 * budget}
             arch = {"recipe": recipe}
-        doc = copy.deepcopy(TINY["solve"])
+        elif arch == "each fits alone":
+            # (1, w, 1) has 3 w + 1 weights: u and v each take two thirds of the budget
+            width = 2 * budget // 9
+            doc["u_arch"] = arch = {"widths": [1, width, 1]}
+            cli._check_weights([cli._build_arch(arch, cli._build_problem(_PROBLEM), "u_arch", 10.0)], "u_arch")
         doc[section] = arch
         monkeypatch.setattr(net, "init", lambda *args: pytest.fail("a network was initialized"))
         tracemalloc.start()
@@ -348,19 +362,23 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert f"config error: {section}.widths: " in err and "float64 vectors of that size a training holds" in err
+        assert f"config error: {section}.widths: training networks of " in err and "weight-sized vectors" in err
         assert peak < 1 << 20
 
-    def test_weight_bound_is_exact(self):
+    def test_weight_bound_is_exact_over_both_networks(self):
         memory = cli._memory_bytes()
         if memory is None:
             pytest.skip("no memory size to bound by")
-        # (1, w, 1) has 3 w + 1 weights; the widest that fits, then one more
-        width = (memory // (8 * train_mod._WEIGHT_VECTORS) - 1) // 3
         problem = cli._build_problem(_PROBLEM)
-        cli._build_arch({"widths": [1, width, 1]}, problem, "u_arch", 10.0)
-        with pytest.raises(cli.ConfigError, match=r"^u_arch\.widths: "):
-            cli._build_arch({"widths": [1, width + 1, 1]}, problem, "u_arch", 10.0)
+        u = cli._build_arch({"widths": [1, 8, 1]}, problem, "u_arch", 10.0)
+        # (1, w, 1) has 3 w + 1 weights; the widest v that fits beside u, then one more
+        width = (memory // _bytes_per_weight() - u.n_params() - 1) // 3
+        v = cli._build_arch({"widths": [1, width, 1]}, problem, "v_arch", 10.0)
+        cli._check_weights([u, v], "v_arch")
+        wider = cli._build_arch({"widths": [1, width + 1, 1]}, problem, "v_arch", 10.0)
+        cli._check_weights([wider], "v_arch")
+        with pytest.raises(cli.ConfigError, match=r"^v_arch\.widths: training networks of 25 \+ "):
+            cli._check_weights([u, wider], "v_arch")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs an address-space limit (setrlimit RLIMIT_AS)")
     def test_batch_beyond_the_address_space_limit_exits_2(self, tmp_path):

@@ -434,29 +434,22 @@ class TestMinimaxTrain:
             assert r0.grad_v_norm == pytest.approx(r1.grad_v_norm, rel=0, abs=1e-10)
 
     def test_coefficients_evaluated_once_per_batch(self, monkeypatch):
-        # a varying field once per batch, a constant one once per problem
-        u_star = expr.parse("sin(pi*x1)", 1)
-        prob = pde.manufactured_problem(
-            u_star, ((expr.parse("1+x1^2", 1),),), pde.constant_vector(1, 0.0), expr.parse("1", 1),
-            1.0, 1.0, pde.unit_hypercube(1), "robin",
-        )
-        sizes = {"a_values": [], "c_values": []}
-        for name in sizes:
-            original = getattr(pde.EllipticProblem, name)
+        _, prob = robin_problem_1d()
+        sizes = []
+        original = pde.EllipticProblem.a_values
 
-            def counted(self, points, original=original, name=name):
-                sizes[name].append(points.shape[0])
-                return original(self, points)
+        def counted(self, points):
+            sizes.append(points.shape[0])
+            return original(self, points)
 
-            monkeypatch.setattr(pde.EllipticProblem, name, counted)
+        monkeypatch.setattr(pde.EllipticProblem, "a_values", counted)
         cfg = train.TrainConfig(
             n_interior=37, m_boundary=16, outer_steps=6, inner_steps=3,
             resample_every=2, eval_every=6, seed=2,
         )
         train.minimax_train(prob, small_arch(), small_arch(), cfg)
         # three batches; the other calls are the coercivity probe's
-        assert sizes["a_values"].count(37) == 3
-        assert sizes["c_values"].count(37) == 1
+        assert sizes.count(37) == 3
 
     def test_coercivity_warning_and_flag(self):
         dom = pde.unit_hypercube(1)
