@@ -260,20 +260,6 @@ def _memory_bytes() -> int | None:
     return memory if memory > 0 else None
 
 
-def _check_rows(rows: int, cols: int, path: str, tangents: int = 0) -> None:
-    """Reject a size that sets the row count of a (rows, cols) float64 array
-    the run allocates, together with ``tangents`` more of its shape (a kept
-    tape's layer outputs and their tangents), when those alone would exceed
-    ``_memory_bytes()``, so the run fails here instead of in numpy."""
-    memory, need = _memory_bytes(), rows * cols * (1 + tangents) * 8
-    if memory is not None and need > memory:
-        more = f", with {tangents} more of its shape for tangents," if tangents else ""
-        raise ConfigError(
-            f"{path}: a ({rows}, {cols}) float64 array{more} needs {need} bytes,"
-            f" more than the {memory} bytes this process may hold"
-        )
-
-
 def _parse_expr(text, path: str, dim: int) -> expr_mod.ExprAst:
     try:
         return expr_mod.parse(_as_str(text, path), dim)
@@ -291,13 +277,23 @@ def _build_domain(cfg, dim: int, path: str) -> pde.Domain:
     )
 
 
-def _build_problem(cfg, path: str = "problem") -> pde.EllipticProblem:
+def _build_problem(cfg, path: str = "problem", memory: int | None = None) -> pde.EllipticProblem:
+    """The problem; ``dim`` is a config error when its (dim, dim) matrix of
+    expressions would exceed ``memory`` bytes, before that matrix is built."""
     _require_keys(
         cfg, path,
         ("dim", "domain", "c", "alpha", "beta"),
         ("a", "b", "bc_kind", "u_exact", "f", "g"),
     )
-    dim = _as_int(cfg["dim"], f"{path}.dim")
+    dim = _as_int(cfg["dim"], f"{path}.dim", 1)
+    # every problem's `a` has dim^2 entries; one entry's objects and their attributes, as built
+    entry = pde.identity_matrix(1)[0][0]
+    need = dim * dim * sum(sys.getsizeof(obj) + sys.getsizeof(vars(obj)) for obj in (entry, entry.root))
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"{path}.dim: a ({dim}, {dim}) matrix of expressions needs {need} bytes,"
+            f" more than the {memory} bytes this process may hold"
+        )
     domain = _build_domain(cfg["domain"], dim, f"{path}.domain")
     bc_kind = _as_str(cfg.get("bc_kind", "robin"), f"{path}.bc_kind")
     alpha = _as_number(cfg["alpha"], f"{path}.alpha")
@@ -369,28 +365,12 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
     return arch
 
 
-def _check_weights(archs: list[net.NetworkArch], path: str) -> None:
-    """Reject the networks built so far, ``path`` the last, when the vectors
-    of their weight counts that a training holds (``train.weight_bytes``)
-    together exceed ``_memory_bytes()``, before any of them is allocated."""
-    memory, need = _memory_bytes(), sum(train_mod.weight_bytes(arch) for arch in archs)
-    if memory is not None and need > memory:
-        weights = " + ".join(str(arch.n_params()) for arch in archs)
-        raise ConfigError(
-            f"{path}.widths: training networks of {weights} weights holds weight-sized vectors"
-            f" of {need} bytes, more than the {memory} bytes this process may hold"
-        )
-
-
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
 
 
-def _build_train_config(
-    cfg, seed_override: int | None, command: str, dim: int, width: int
-) -> train_mod.TrainConfig:
+def _build_train_config(cfg, seed_override: int | None, command: str) -> train_mod.TrainConfig:
     """A ``TrainConfig`` from the fields that ``command`` reads; a field it
-    does not read is a config error, since setting it would change nothing.
-    ``width`` is the widest layer of the networks the command trains."""
+    does not read is a config error, since setting it would change nothing."""
     _require_keys(cfg, "train", (), _TRAIN_FIELDS)
     for key in cfg:
         if key not in _COMMANDS[command].train_fields:
@@ -400,43 +380,27 @@ def _build_train_config(
         kwargs["h1_ball_radius"] = math.inf
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    config = train_mod.TrainConfig(**kwargs)
-    # a batch's kept tapes: the interior's with tangents, and the boundary's
-    # value-only, unless its points join the interior's (1D); then quadrature
-    _check_rows(config.n_interior, width, "train.n_interior", tangents=dim)
-    _check_rows(config.m_boundary, max(width, dim) if dim > 1 else dim, "train.m_boundary")
-    _check_rows(config.h1_quad_points, dim, "train.h1_quad_points")
-    return config
+    return train_mod.TrainConfig(**kwargs)
 
 
 class _Option(NamedTuple):
     """A sweep/theory option: an integer >= ``minimum`` or, with no default, a
     required list of ``min_items`` or more distinct ones (numbers > a float
-    minimum).  A nonzero ``rows`` makes each value times ``rows`` the row
-    count of an array of points; ``batch`` makes each value a training batch
-    size, the row count of kept tapes."""
+    minimum).  The arrays a size option sets are bounded by ``_SIZES``."""
 
     default: int | None
     minimum: int | float
     min_items: int = 1
-    rows: int = 0
-    batch: bool = False
 
 
-def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None, dim: int,
-                   width: int) -> dict:
+def _build_options(cfg, path: str, specs: dict[str, _Option], seed_override: int | None) -> dict:
     _require_keys(cfg, path, tuple(k for k, o in specs.items() if o.default is None), tuple(specs))
     if "seed" in specs and seed_override is not None:
         cfg = dict(cfg, seed=seed_override)
     opts = {}
-    for key, (default, minimum, min_items, rows, batch) in specs.items():
-        def parse(value, key_path, minimum=minimum, rows=rows, batch=batch):
-            number = (_as_number if isinstance(minimum, float) else _as_int)(value, key_path, minimum)
-            if batch:  # as train.n_interior, whose tape bound covers m_boundary's
-                _check_rows(number, width, key_path, tangents=dim)
-            elif rows:
-                _check_rows(rows * number, dim, key_path)
-            return number
+    for key, (default, minimum, min_items) in specs.items():
+        def parse(value, key_path, minimum=minimum):
+            return (_as_number if isinstance(minimum, float) else _as_int)(value, key_path, minimum)
 
         if default is None:
             opts[key] = _as_list(cfg[key], f"{path}.{key}", parse, min_items)
@@ -602,7 +566,10 @@ class _Command:
     hidden widths of an absent ``u_arch``/``v_arch`` and the ``b_theta`` of
     one without that key; ``train_fields`` are the keys its ``train`` section
     may set; ``options`` are the keys of its ``sweep`` or ``theory``
-    section."""
+    section.  ``a_points`` is the number of points at which the run evaluates
+    the (dim, dim) diffusion matrix whatever its sizes (``pde.check_coercivity``'s
+    512 in a training, ``pde.probe_sup_norms``' 2048 in the bound lab), 0 if
+    it never evaluates that matrix."""
 
     run: Callable[..., dict]
     sections: tuple[str, ...]
@@ -611,6 +578,7 @@ class _Command:
     needs_1d: bool = False
     train_fields: tuple[str, ...] = ()
     options: dict[str, _Option] = dataclasses.field(default_factory=dict)
+    a_points: int = 0
 
     @property
     def reads_seed(self) -> bool:
@@ -620,26 +588,25 @@ class _Command:
 
 _COMMANDS = {
     "solve": _Command(
-        _cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints"), train_fields=_TRAIN_FIELDS,
+        _cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints"), train_fields=_TRAIN_FIELDS, a_points=512,
     ),
     "penalty-study": _Command(
         _cmd_penalty_study, ("sweep",), needs_1d=True,
-        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8, rows=1)},
+        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8)},
     ),
     "convergence-study": _Command(
         _cmd_convergence_study, ("u_arch", "v_arch", "train", "sweep"), needs_u_exact=True,
         train_fields=tuple(f for f in _TRAIN_FIELDS if f not in _SWEPT_FIELDS),
-        options={
-            "n_values": _Option(None, 1, batch=True), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2, rows=1),
-        },
+        options={"n_values": _Option(None, 1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2)},
+        a_points=512,
     ),
     "theory-check": _Command(
         _cmd_theory_check, ("u_arch", "theory"), arch=((4,), 2.0),
         options={
-            "probes": _Option(2000, 1, rows=1), "rademacher_sets": _Option(200, 1), "seed": _Option(0, 0),
-            "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2, rows=theory_mod._BIG_FACTOR),
-            "sta_probes": _Option(10, 1),
+            "probes": _Option(2000, 1), "rademacher_sets": _Option(200, 1), "seed": _Option(0, 0),
+            "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2), "sta_probes": _Option(10, 1),
         },
+        a_points=2048,
     ),
     "approx-probe": _Command(
         _cmd_approx_probe, ("u_arch", "train"), arch=((20,), 10.0), needs_u_exact=True,
@@ -648,36 +615,85 @@ _COMMANDS = {
 }
 
 
+def _batch(n: int, d: int, w: int, a: int) -> list:
+    """A training batch of n interior points: its kept tape, and the diffusion
+    matrix at its points where the command evaluates it."""
+    return [((n, w), d)] + [((n, d, d), 0)] * bool(a)
+
+
+# each size key, to the float64 arrays a run allocates for a value n of it, as
+# (shape, tangents), with tangents more of that shape beside it (a kept tape's
+# outputs of the widest layer w of u_arch and v_arch); d is the problem's dim
+# and a the command's a_points.  A list key bounds each entry.
+_SIZES: dict[str, Callable[[int, int, int, int], list]] = {
+    "problem.dim": lambda n, d, w, a: [((a, d, d), 0)],
+    "train.n_interior": _batch,
+    # a value-only tape, unless a 1D boundary's two points join the interior's
+    "train.m_boundary": lambda n, d, w, a: [((n, max(w, d) if d > 1 else d), 0)],
+    "train.h1_quad_points": lambda n, d, w, a: [((n, d), 0)],
+    "sweep.n_values": _batch,  # each sets n_interior and m_boundary
+    "sweep.eval_quad": lambda n, d, w, a: [((n, d), 0)],
+    "sweep.grid_n": lambda n, d, w, a: [((n, d), 0)],
+    "theory.probes": lambda n, d, w, a: [((max(a, n), d, d), 0)],
+    # the reference batch, taped as a training batch
+    "theory.sta_n": lambda n, d, w, a: _batch(theory_mod._BIG_FACTOR * n, d, w, a),
+}
+
+
+def _check_sizes(built: dict, spec: _Command, memory: int | None) -> None:
+    """Reject a config when the weight-sized vectors a training holds for its
+    networks together (``train.weight_bytes``), or any one array ``_SIZES``
+    gives for a size key the command reads, would exceed ``memory`` bytes."""
+    if memory is None:
+        return
+    over = f" more than the {memory} bytes this process may hold"
+    keys = [key for key in ("u_arch", "v_arch") if key in built]
+    archs = [built[key] for key in keys]
+    for i, key in enumerate(keys):
+        need = sum(train_mod.weight_bytes(arch) for arch in archs[: i + 1])
+        if need > memory:
+            weights = " + ".join(str(arch.n_params()) for arch in archs[: i + 1])
+            raise ConfigError(f"{key}.widths: training networks of {weights} weights holds weight-sized vectors"
+                              f" of {need} bytes,{over}")
+    d, w = built["problem"].dim, max((arch.max_width for arch in archs), default=1)
+    read = {"problem.dim": d, **{f"train.{key}": getattr(built["train"], key) for key in spec.train_fields}}
+    read.update((f"{sec}.{key}", v) for sec in ("sweep", "theory") for key, v in built.get(sec, {}).items())
+    for path, arrays in _SIZES.items():
+        value = read.get(path, [])
+        for suffix, n in [(f"[{i}]", n) for i, n in enumerate(value)] if isinstance(value, list) else [("", value)]:
+            for shape, tangents in arrays(n, d, w, spec.a_points):
+                need = 8 * math.prod(shape) * (1 + tangents)
+                if need > memory:
+                    more = f", with {tangents} more of its shape for tangents," if tangents else ""
+                    raise ConfigError(f"{path}{suffix}: a {shape} float64 array{more} needs {need} bytes,{over}")
+
+
 def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
-    """The problem and each section ``command`` reads, built once.
+    """The problem and each section ``command`` reads, built once, then
+    checked against the memory this process may hold (``_check_sizes``).
 
     The constructors check their own ranges and shapes; their ValueError (or
     OverflowError) becomes a ConfigError naming the section, but an EvalError
-    deriving a manufactured problem stays a numerical failure."""
-    spec = _COMMANDS[command]
-    built, width = {}, 1  # width: the widest layer of the networks built so far
+    deriving a manufactured problem stays a numerical failure.  Only
+    ``problem.dim`` is bounded before its section is built, since building
+    the problem allocates dim^2 expressions."""
+    spec, memory, built = _COMMANDS[command], _memory_bytes(), {}
     for section in ("problem",) + spec.sections:
         try:
             if section == "problem":
-                built[section] = problem = _build_problem(cfg[section])
+                built[section] = problem = _build_problem(cfg[section], memory=memory)
             elif section in ("u_arch", "v_arch"):
                 hidden, b_theta = spec.arch
                 default = {"widths": [problem.dim, *hidden, 1]}
                 built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
-                width = max(width, built[section].max_width)
-                _check_weights([built[key] for key in ("u_arch", "v_arch") if key in built], section)
             elif section == "train":
-                built[section] = _build_train_config(
-                    cfg.get(section, {}), seed_override, command, problem.dim, width
-                )
+                built[section] = _build_train_config(cfg.get(section, {}), seed_override, command)
             elif section == "write_checkpoints":
                 built[section] = cfg.get(section, False)
                 if not isinstance(built[section], bool):
                     raise ConfigError(f"config.{section}: expected true or false, got {built[section]!r}")
             else:
-                built[section] = _build_options(
-                    cfg.get(section, {}), section, spec.options, seed_override, problem.dim, width
-                )
+                built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override)
         except (ConfigError, expr_mod.EvalError):
             raise
         except (ValueError, OverflowError) as err:
@@ -688,6 +704,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
         raise ConfigError(f"problem.dim: {command} is a 1d experiment, got dim {problem.dim}")
     if spec.needs_1d and problem.domain.kind != "hypercube":
         raise ConfigError(f"problem.domain: {command} solves on the unit interval, got a {problem.domain.kind}")
+    _check_sizes(built, spec, memory)
     return built
 
 

@@ -237,6 +237,7 @@ class GradientCache:
             self._terms, self._u = _BatchTerms(problem, batch, boundary_alpha_half), None
             self._key = key
         if u is not self._u or (keep and not self._kept):
+            self._u = self._u_eval = None  # the previous evaluation is freed before the next is made
             self._u_eval, self._u, self._kept = _evaluate("u", u, self._terms, keep=keep), u, keep
         return self._terms, self._u_eval
 

@@ -774,13 +774,15 @@ def arch_recipe(
     if depth == 1:
         widths = (d, 1)
     else:
-        # largest equal hidden width whose dense weight count fits the budget
+        # largest equal hidden width whose dense weight count fits the budget,
+        # or 1; the count grows with w and exceeds the budget at w = budget + 1
         def weight_count(w: int) -> int:
             return (d * w + w) + (depth - 2) * (w * w + w) + (w + 1)
 
-        w = 1
-        while weight_count(w + 1) <= budget:
-            w += 1
+        w, above = 1, budget + 1
+        while above - w > 1:
+            mid = (w + above) // 2
+            w, above = (mid, above) if weight_count(mid) <= budget else (w, mid)
         widths = (d,) + (w,) * (depth - 1) + (1,)
 
     arch = NetworkArch(widths=widths, activation=activation, b_theta=b_theta)

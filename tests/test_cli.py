@@ -85,6 +85,27 @@ def _bytes_per_weight():
     return train_mod.weight_bytes(arch) // arch.n_params()
 
 
+def _run_under_address_limit(tmp_path, doc, limit):
+    """``python -m weakgal.cli`` on ``doc`` in a child process whose address
+    space (``ulimit -v``) is ``limit`` bytes."""
+    import resource
+
+    return subprocess.run(
+        [sys.executable, "-m", "weakgal.cli", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def _in_dim(doc, dim, hidden=1):
+    """``doc`` in ``dim`` dimensions, every network ``(dim, hidden, 1)``."""
+    doc = dict(copy.deepcopy(doc), problem=dict(_PROBLEM, dim=dim))
+    for arch in ("u_arch", "v_arch"):
+        if arch in doc:
+            doc[arch] = {"widths": [dim, hidden, 1]}
+    return doc
+
+
 SECTIONS = ("u_arch", "v_arch", "train", "sweep", "theory", "write_checkpoints")
 # a valid value of each section, taken from a command that reads it
 SECTION_VALUES = {
@@ -273,6 +294,7 @@ class TestConfigValidation:
         ("theory-check", "theory", "probes", 10**12),
         ("theory-check", "theory", "sta_n", 10**12),
         ("penalty-study", "sweep", "grid_n", 10**12),
+        ("solve", "problem", "dim", 10**6),  # its (dim, dim) matrix of expressions
     ])
     def test_size_beyond_physical_memory_exits_2_allocating_nothing(
         self, tmp_path, capsys, command, section, key, value
@@ -351,7 +373,7 @@ class TestConfigValidation:
             # (1, w, 1) has 3 w + 1 weights: u and v each take two thirds of the budget
             width = 2 * budget // 9
             doc["u_arch"] = arch = {"widths": [1, width, 1]}
-            cli._check_weights([cli._build_arch(arch, cli._build_problem(_PROBLEM), "u_arch", 10.0)], "u_arch")
+            cli._build_sections(doc, "solve", None)  # u fits beside a small v
         doc[section] = arch
         monkeypatch.setattr(net, "init", lambda *args: pytest.fail("a network was initialized"))
         tracemalloc.start()
@@ -369,34 +391,68 @@ class TestConfigValidation:
         memory = cli._memory_bytes()
         if memory is None:
             pytest.skip("no memory size to bound by")
-        problem = cli._build_problem(_PROBLEM)
-        u = cli._build_arch({"widths": [1, 8, 1]}, problem, "u_arch", 10.0)
-        # (1, w, 1) has 3 w + 1 weights; the widest v that fits beside u, then one more
-        width = (memory // _bytes_per_weight() - u.n_params() - 1) // 3
-        v = cli._build_arch({"widths": [1, width, 1]}, problem, "v_arch", 10.0)
-        cli._check_weights([u, v], "v_arch")
-        wider = cli._build_arch({"widths": [1, width + 1, 1]}, problem, "v_arch", 10.0)
-        cli._check_weights([wider], "v_arch")
+        doc = copy.deepcopy(TINY["solve"])
+        # (1, w, 1) has 3 w + 1 weights; the widest v that fits beside a (1, 8, 1) u, then one more
+        width = (memory // _bytes_per_weight() - 25 - 1) // 3
+        doc.update(u_arch={"widths": [1, 8, 1]}, v_arch={"widths": [1, width, 1]})
+        cli._build_sections(doc, "solve", None)
+        wider = {"widths": [1, width + 1, 1]}
+        cli._build_sections(dict(doc, u_arch={"widths": [1, 1, 1]}, v_arch=wider), "solve", None)
         with pytest.raises(cli.ConfigError, match=r"^v_arch\.widths: training networks of 25 \+ "):
-            cli._check_weights([u, wider], "v_arch")
+            cli._build_sections(dict(doc, v_arch=wider), "solve", None)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs an address-space limit (setrlimit RLIMIT_AS)")
     def test_batch_beyond_the_address_space_limit_exits_2(self, tmp_path):
         # 40,000,000 rows of 8-wide outputs and their tangents need 5.1 GB: under a
         # 3 GB `ulimit -v` such a run exited 1 allocating them, whatever the machine
-        import resource
-
         doc = copy.deepcopy(TINY["solve"])
         doc["u_arch"] = doc["v_arch"] = {"widths": [1, 8, 1]}
         doc["train"]["n_interior"] = 40_000_000
-        limit = 3 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "weakgal.cli", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True, text=True,
-            timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = _run_under_address_limit(tmp_path, doc, 3 << 30)
         assert proc.returncode == 2, proc.stderr
         assert "config error: train.n_interior: a (40000000, 8) float64 array" in proc.stderr
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs an address-space limit (setrlimit RLIMIT_AS)")
+    @pytest.mark.parametrize("case", [
+        # the reference batch of 100 x sta_n points is taped as a training batch
+        "sta_n",
+        # the (rows, dim, dim) diffusion matrix at a training batch's points
+        "n_interior", "n_values",
+        # ... at the bound lab's sup-norm probes
+        "probes",
+        # ... at the fixed 512 coercivity probes of a training, and 2048 sup-norm probes
+        "dim, solve", "dim, theory-check",
+    ])
+    def test_arrays_beyond_the_address_space_limit_exit_2(self, tmp_path, case):
+        # each of these configs passed validation and exited 1 in numpy's allocation
+        limit, theory = 1 << 30, dict(TINY["theory-check"]["theory"], probes=2)
+        doc, message = {
+            "sta_n": (dict(TINY["theory-check"], theory=dict(theory, sta_n=1_000_000)),
+                      "theory.sta_n: a (100000000, 3) float64 array, with 1 more of its shape"),
+            "n_interior": (_in_dim(dict(TINY["solve"], train=dict(_TINY_TRAIN, n_interior=1_000_000)), 20),
+                           "train.n_interior: a (1000000, 20, 20) float64 array"),
+            "n_values": (_in_dim(dict(TINY["convergence-study"], sweep={"n_values": [4, 1_000_000], "seeds": [0]}), 20),
+                         "sweep.n_values[1]: a (1000000, 20, 20) float64 array"),
+            "probes": (_in_dim(dict(TINY["theory-check"], theory=dict(theory, probes=1_000_000)), 20, 3),
+                       "theory.probes: a (1000000, 20, 20) float64 array"),
+            "dim, solve": (_in_dim(TINY["solve"], 600),
+                           "problem.dim: a (512, 600, 600) float64 array"),
+            "dim, theory-check": (_in_dim(dict(TINY["theory-check"], theory=theory), 300, 3),
+                                  "problem.dim: a (2048, 300, 300) float64 array"),
+        }[case]
+        proc = _run_under_address_limit(tmp_path, doc, limit)
+        assert proc.returncode == 2, proc.stderr
+        assert f"config error: {message}" in proc.stderr
+
+    def test_recipe_beyond_memory_exits_2_naming_its_widths(self, tmp_path, capsys):
+        # epsilon 0.03 in 3D asks for about 1.4e9 weights
+        memory = cli._memory_bytes()
+        recipe = {"epsilon": 0.03, "mu": 0.5, "max_weights": 10**10}
+        if memory is None or train_mod.weight_bytes(net.arch_recipe(d=3, beta=1.0, **recipe).arch) <= memory:
+            pytest.skip("the recipe's networks fit in memory")
+        doc = dict(_in_dim(TINY["solve"], 3, 3), u_arch={"recipe": recipe})
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 2
+        assert "config error: u_arch.widths: training networks of " in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["relu0", "relu01", "relu001", "relu\uff11", "relu\u0662", "relu\u00b2", "relu 2"])
     def test_activation_other_than_relu_k_in_plain_digits_exits_2(self, tmp_path, capsys, name):
@@ -1116,3 +1172,35 @@ def test_any_one_key_edit_exits_0_2_or_3(doc):
             warnings.simplefilter("ignore")
             code = cli.run(path, out_dir=os.path.join(tmp, "out"), quiet=True)
     assert code in (0, 2, 3)
+
+
+# small integers, or ones from 2**20 up, where a dim's d^2 expressions outgrow
+# any memory; a dim in between fits, and building its problem takes seconds
+_WIDE_INTEGERS = st.integers(-2, 9) | st.integers(2**20, 2**62)
+
+
+@st.composite
+def _widened_configs(draw):
+    """A command and its tiny config with one value, at any depth, replaced by
+    an integer up to 2**62."""
+    command = draw(st.sampled_from(sorted(TINY)))
+    doc = copy.deepcopy(TINY[command])
+    path, key = draw(st.sampled_from(list(_slots(doc))))
+    _at(doc, path)[key] = draw(_WIDE_INTEGERS)
+    return command, doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_widened_configs())
+def test_any_one_wide_integer_is_validated_without_an_allocation(case):
+    """Validation returns or raises a config or evaluation error whatever
+    size one key holds: every size is bounded before anything it sets is
+    allocated.  Only validation runs, so the sizes need not be small."""
+    command, doc = case
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            cli._build_sections(doc, command, None)
+        except (cli.ConfigError, expr.EvalError):
+            pass
+

@@ -282,6 +282,29 @@ def test_cache_keeps_one_u_tape_per_batch_in_1d(monkeypatch):
         assert kept[4:] == [True, False]
 
 
+def test_cache_frees_the_previous_u_before_evaluating_the_next(monkeypatch):
+    # a new u, or u's tapes wanted after a value-only call, is evaluated with no
+    # earlier evaluation of u still held by the cache
+    prob = _neumann_problem(dim=2)
+    arch = NetworkArch(widths=(2, 4, 1), activation=TANH, b_theta=2.0)
+    u1, u2, v = init(arch, 5), init(arch, 6), init(arch, 7)
+    batch = sample_batch(prob.domain, 8, 8, 1)
+    cache, held = loss.GradientCache(), []
+    original = loss._evaluate
+
+    def evaluate(name, *args, **kwargs):
+        if name == "u":
+            held.append(cache._u_eval)
+        return original(name, *args, **kwargs)
+
+    monkeypatch.setattr(loss, "_evaluate", evaluate)
+    empirical_loss(u1, v, prob, batch, cache=cache)
+    loss_gradients(u1, v, prob, batch, cache=cache)
+    loss_gradients(u2, v, prob, batch, cache=cache)
+    empirical_loss(u1, v, prob, batch, cache=cache)
+    assert held == [None] * 4
+
+
 def test_need_flags_skip_outputs():
     prob = _neumann_problem()
     arch = NetworkArch(widths=(1, 3, 1), activation=TANH, b_theta=2.0)

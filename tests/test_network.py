@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -404,6 +405,33 @@ def test_arch_recipe_budget_respected():
             grown[1:-1] = [w + 1] * (len(grown) - 2)
             bigger = NetworkArch(widths=tuple(grown), activation=TANH, b_theta=2.0)
             assert bigger.n_params() > r.weight_budget
+
+
+def test_arch_recipe_widths_match_a_linear_scan():
+    # the reference: the largest equal hidden width whose weight count fits
+    # the budget, found one width at a time
+    for d in range(1, 5):
+        for eps in (0.9, 0.7, 0.5, 0.35, 0.2):
+            for c_user in (1.0, 2.0, 3.5):
+                r = arch_recipe(epsilon=eps, d=d, mu=0.5, beta=1.0, c_user=c_user, max_weights=10**9)
+                depth = len(r.arch.widths) - 1
+                if depth == 1:
+                    continue
+
+                def count(w):
+                    return (d * w + w) + (depth - 2) * (w * w + w) + (w + 1)
+
+                w = 1
+                while count(w + 1) <= r.weight_budget:
+                    w += 1
+                assert r.arch.widths == (d,) + (w,) * (depth - 1) + (1,), (d, eps, c_user)
+
+
+def test_arch_recipe_finds_a_wide_layer_quickly():
+    start = time.perf_counter()
+    r = arch_recipe(epsilon=0.05, d=3, mu=0.5, beta=1.0, max_weights=10**8)
+    assert r.arch.widths == (3, 12_799_999, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_checkpoint_round_trip(tmp_path):
