@@ -97,8 +97,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _finite_or_null(doc):
+    """``doc`` with tuples as lists and every non-finite float as None."""
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
 def _write_json(path: str, doc) -> None:
-    _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float is written as null."""
+    _atomic_write_text(path, json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -428,16 +438,13 @@ def _cmd_solve(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, train, write_c
     _write_csv(os.path.join(out_dir, "history.csv"), header, rows)
     net.save_checkpoint(result.u, os.path.join(out_dir, "u.json"))
     net.save_checkpoint(result.v, os.path.join(out_dir, "v.json"))
-    # the sampled coercivity numbers behind the flag; a non-finite one is null
+    # the sampled coercivity numbers behind the flag
     numbers = dataclasses.asdict(result.coercivity)
     return {
         "coercivity_holds": numbers.pop("holds"),
-        **{key: value if math.isfinite(value) else None for key, value in numbers.items()},
+        **numbers,
         "final_loss": result.history[-1].loss_total if result.history else None,
-        "final_h1_error": (
-            None if not result.history or math.isnan(result.history[-1].h1_error)
-            else result.history[-1].h1_error
-        ),
+        "final_h1_error": result.history[-1].h1_error if result.history else None,
         "seeds": {"train": train.seed},
         "projection": dataclasses.asdict(result.projection),
     }
@@ -521,22 +528,8 @@ def _cmd_theory_check(out_dir, quiet, cfg_hash, problem, u_arch, theory) -> dict
         ))
 
     rows = [[r.lemma, cfg_hash, r.theoretical, r.empirical, r.ratio] for r in reports]
-    _write_csv(
-        os.path.join(out_dir, "theory.csv"),
-        ["lemma", "config_hash", "theoretical", "empirical", "ratio"],
-        rows,
-    )
-    _write_json(
-        os.path.join(out_dir, "theory.json"),
-        [
-            dict(
-                dataclasses.asdict(r),
-                theoretical=None if math.isinf(r.theoretical) else r.theoretical,
-                holds=r.holds,
-            )
-            for r in reports
-        ],
-    )
+    _write_csv(os.path.join(out_dir, "theory.csv"), ["lemma", "config_hash", "theoretical", "empirical", "ratio"], rows)
+    _write_json(os.path.join(out_dir, "theory.json"), [dict(dataclasses.asdict(r), holds=r.holds) for r in reports])
     all_hold = all(r.holds for r in reports)
     if not quiet:
         print(f"[theory-check] {len(reports)} bounds, all_hold={all_hold}")
@@ -567,9 +560,9 @@ class _Command:
     one without that key; ``train_fields`` are the keys its ``train`` section
     may set; ``options`` are the keys of its ``sweep`` or ``theory``
     section.  ``a_points`` is the number of points at which the run evaluates
-    the (dim, dim) diffusion matrix whatever its sizes (``pde.check_coercivity``'s
-    512 in a training, ``pde.probe_sup_norms``' 2048 in the bound lab), 0 if
-    it never evaluates that matrix."""
+    the (dim, dim) diffusion matrix whatever its sizes (a training's
+    ``pde.COERCIVITY_PROBES``, the bound lab's ``theory.SUP_NORM_POINTS``), 0
+    if it never evaluates that matrix."""
 
     run: Callable[..., dict]
     sections: tuple[str, ...]
@@ -588,17 +581,18 @@ class _Command:
 
 _COMMANDS = {
     "solve": _Command(
-        _cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints"), train_fields=_TRAIN_FIELDS, a_points=512,
+        _cmd_solve, ("u_arch", "v_arch", "train", "write_checkpoints"), train_fields=_TRAIN_FIELDS,
+        a_points=pde.COERCIVITY_PROBES,
     ),
     "penalty-study": _Command(
         _cmd_penalty_study, ("sweep",), needs_1d=True,
-        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(2048, 8)},
+        options={"betas": _Option(None, 0.0, min_items=2), "grid_n": _Option(oracle.PENALTY_GRID_N, 8)},
     ),
     "convergence-study": _Command(
         _cmd_convergence_study, ("u_arch", "v_arch", "train", "sweep"), needs_u_exact=True,
         train_fields=tuple(f for f in _TRAIN_FIELDS if f not in _SWEPT_FIELDS),
         options={"n_values": _Option(None, 1), "seeds": _Option(None, 0), "eval_quad": _Option(65536, 2)},
-        a_points=512,
+        a_points=pde.COERCIVITY_PROBES,
     ),
     "theory-check": _Command(
         _cmd_theory_check, ("u_arch", "theory"), arch=((4,), 2.0),
@@ -606,7 +600,7 @@ _COMMANDS = {
             "probes": _Option(2000, 1), "rademacher_sets": _Option(200, 1), "seed": _Option(0, 0),
             "sta_trials": _Option(5, 1), "sta_n": _Option(64, 2), "sta_probes": _Option(10, 1),
         },
-        a_points=2048,
+        a_points=theory_mod.SUP_NORM_POINTS,
     ),
     "approx-probe": _Command(
         _cmd_approx_probe, ("u_arch", "train"), arch=((20,), 10.0), needs_u_exact=True,
@@ -636,7 +630,7 @@ _SIZES: dict[str, Callable[[int, int, int, int], list]] = {
     "sweep.grid_n": lambda n, d, w, a: [((n, d), 0)],
     "theory.probes": lambda n, d, w, a: [((max(a, n), d, d), 0)],
     # the reference batch, taped as a training batch
-    "theory.sta_n": lambda n, d, w, a: _batch(theory_mod._BIG_FACTOR * n, d, w, a),
+    "theory.sta_n": lambda n, d, w, a: _batch(theory_mod.BIG_FACTOR * n, d, w, a),
 }
 
 

@@ -22,6 +22,7 @@ from .expr import ExprAst
 from .pde import EllipticProblem, unit_hypercube
 
 __all__ = [
+    "PENALTY_GRID_N",
     "SolveError",
     "Grid1D",
     "fd_solve_1d",
@@ -210,7 +211,11 @@ class PenaltyStudy:
     within_half_rate: bool  # error(beta) <= c_fit * sqrt(beta) for all betas
 
 
-def penalty_rate_study(problem: EllipticProblem, betas, n: int = 2048) -> PenaltyStudy:
+# grid intervals of a penalty study unless given
+PENALTY_GRID_N = 2048
+
+
+def penalty_rate_study(problem: EllipticProblem, betas, n: int = PENALTY_GRID_N) -> PenaltyStudy:
     """Solve the penalized-Robin family against the Dirichlet limit on one grid.
 
     ``problem`` supplies the differential data on the unit interval (see

@@ -34,10 +34,10 @@ __all__ = [
     "EmpiricalBatch",
     "RobinTraceBoundary",
     "EllipticProblem",
+    "COERCIVITY_PROBES",
     "CoercivityReport",
     "CoeffSupNorms",
     "check_coercivity",
-    "probe_sup_norms",
     "manufactured_problem",
     "constant_matrix",
     "identity_matrix",
@@ -253,15 +253,19 @@ class EllipticProblem:
             self.alpha, self.g = 1.0, None
         if self.bc_kind == "neumann" and self.alpha != 0.0:
             raise ValueError("neumann requires alpha = 0")
-        fields = [(f"a[{i}][{j}]", e) for i, row in enumerate(self.a) for j, e in enumerate(row)]
-        fields += [(f"b[{i}]", e) for i, e in enumerate(self.b)]
-        fields += [("c", self.c), ("f", self.f), ("g", self.g), ("u_exact", self.u_exact)]
-        for name, e in fields:
-            if isinstance(e, ExprAst) and e.dim != d:
-                raise ValueError(f"{name} is an expression in dim {e.dim}, the domain's dim is {d}")
+
+        def check_dims(name, entries):  # name(k) names entry k, built only for an entry that fails
+            for k, e in enumerate(entries):
+                if isinstance(e, ExprAst) and e.dim != d:
+                    raise ValueError(f"{name(k)} is an expression in dim {e.dim}, the domain's dim is {d}")
+
+        for i, row in enumerate(self.a):
+            check_dims(lambda j: f"a[{i}][{j}]", row)
+        check_dims(lambda i: f"b[{i}]", self.b)
+        check_dims(("c", "f", "g", "u_exact").__getitem__, (self.c, self.f, self.g, self.u_exact))
         for i in range(d):
             for j in range(i + 1, d):
-                if self.a[i][j] != self.a[j][i]:
+                if self.a[i][j] is not self.a[j][i] and self.a[i][j] != self.a[j][i]:
                     warnings.warn(f"diffusion matrix entry a[{i}][{j}] != a[{j}][{i}]; "
                                   "analysis assumes symmetry", stacklevel=2)
 
@@ -270,19 +274,16 @@ class EllipticProblem:
         return self.domain.dim
 
     def a_values(self, points: np.ndarray) -> np.ndarray:
-        d = self.dim
-        n = points.shape[0]
-        out = np.empty((n, d, d))
-        for i in range(d):
-            for j in range(d):
-                out[:, i, j] = expr.evaluate_many(self.a[i][j], points)
+        out = np.empty((points.shape[0], self.dim, self.dim))
+        for i, row in enumerate(self.a):
+            for j, e in enumerate(row):
+                out[:, i, j] = expr.evaluate_many(e, points)
         return out
 
     def b_values(self, points: np.ndarray) -> np.ndarray:
-        d = self.dim
-        out = np.empty((points.shape[0], d))
-        for i in range(d):
-            out[:, i] = expr.evaluate_many(self.b[i], points)
+        out = np.empty((points.shape[0], self.dim))
+        for i, e in enumerate(self.b):
+            out[:, i] = expr.evaluate_many(e, points)
         return out
 
     def c_values(self, points: np.ndarray) -> np.ndarray:
@@ -300,10 +301,10 @@ class EllipticProblem:
 
 
 def constant_matrix(dim: int, diag: float = 1.0, off: float = 0.0) -> tuple[tuple[ExprAst, ...], ...]:
-    return tuple(
-        tuple(ExprAst(expr.const(diag if i == j else off), dim) for j in range(dim))
-        for i in range(dim)
-    )
+    """A (dim, dim) matrix whose diagonal entries are one expression and whose
+    other entries are another."""
+    on, other = ExprAst(expr.const(diag), dim), ExprAst(expr.const(off), dim)
+    return tuple(tuple(on if i == j else other for j in range(dim)) for i in range(dim))
 
 
 def identity_matrix(dim: int) -> tuple[tuple[ExprAst, ...], ...]:
@@ -311,7 +312,8 @@ def identity_matrix(dim: int) -> tuple[tuple[ExprAst, ...], ...]:
 
 
 def constant_vector(dim: int, value: float = 0.0) -> tuple[ExprAst, ...]:
-    return tuple(ExprAst(expr.const(value), dim) for _ in range(dim))
+    """A vector of dim entries, all one expression."""
+    return (ExprAst(expr.const(value), dim),) * dim
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,11 @@ class CoercivityReport:
     holds: bool
 
 
-def check_coercivity(problem: EllipticProblem, n_probes: int = 512, seed=0) -> CoercivityReport:
+# interior points at which a training samples its problem's coercivity
+COERCIVITY_PROBES = 512
+
+
+def check_coercivity(problem: EllipticProblem, n_probes: int = COERCIVITY_PROBES, seed=0) -> CoercivityReport:
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     pts = sample_interior(problem.domain, n_probes, seed)
@@ -353,27 +359,14 @@ def check_coercivity(problem: EllipticProblem, n_probes: int = 512, seed=0) -> C
 
 @dataclass(frozen=True)
 class CoeffSupNorms:
-    """Sampled sup-norms of the problem data (inputs to the class-sup constants)."""
+    """Sup norms of the problem data, the inputs to the class-sup constants
+    (``theory.empirical_class_sups`` samples them)."""
 
     a_max: float
     b_max: float
     c_max: float
     f_max: float
     g_max: float
-
-
-def probe_sup_norms(problem: EllipticProblem, n_probes: int = 2048, seed=0) -> CoeffSupNorms:
-    ss = np.random.SeedSequence(seed)
-    s_int, s_bdy = ss.spawn(2)
-    pts = sample_interior(problem.domain, n_probes, s_int)
-    ypts, normals = sample_boundary(problem.domain, n_probes, s_bdy)
-    return CoeffSupNorms(
-        a_max=float(np.abs(problem.a_values(pts)).max()),
-        b_max=float(np.abs(problem.b_values(pts)).max()),
-        c_max=float(np.abs(problem.c_values(pts)).max()),
-        f_max=float(np.abs(problem.f_values(pts)).max()),
-        g_max=float(np.abs(problem.g_values(ypts, normals)).max()),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,18 @@ Bound formulas are evaluated in log space; reports carry both the float value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import loss as loss_mod
 from . import network as net
 from .network import NetworkArch, exp_or_inf
-from .pde import CoeffSupNorms, EllipticProblem, probe_sup_norms, sample_batch, sample_boundary, sample_interior
+from .pde import CoeffSupNorms, EllipticProblem, sample_batch
 
 __all__ = [
+    "SUP_NORM_POINTS",
+    "BIG_FACTOR",
     "BoundNotApplicableError",
     "FiniteVectorSet",
     "BoundReport",
@@ -321,30 +323,36 @@ def _probe_blocks(n_probes: int, arch: NetworkArch) -> list[range]:
     return [range(i, min(i + step, n_probes)) for i in range(0, n_probes, step)]
 
 
+# the class sups measure the problem data's sup norms on at least this many
+# interior and boundary points, and take their probes from the same sample
+SUP_NORM_POINTS = 2048
+
+
 def empirical_class_sups(
     arch: NetworkArch, problem: EllipticProblem, n_probes: int, seed
 ) -> list[BoundReport]:
     """Max of each family over random (theta_u, theta_v, x) probes vs B_1..B_6.
 
-    Weights are drawn entrywise uniform in [-B_theta, B_theta] (the class's
-    box), interior/boundary points uniform on the problem's domain.  The
+    One sample of max(``SUP_NORM_POINTS``, n_probes) interior and boundary
+    points, uniform on the problem's domain, gives the sup norms of a, b, c,
+    f and g that B_1..B_6 are built from, which each row's ``details``
+    carries; its first n_probes rows are the probes' points, so every
+    coefficient value a probe sees lies within those sup norms.  Weights are
+    drawn entrywise uniform in [-B_theta, B_theta] (the class's box).  The
     constants assume |rho|, |rho'| <= 1, so the activation must be tanh or
     logistic.
     """
     if not arch.activation.smooth:
         raise ValueError("class sups require a bounded smooth activation")
-    sups = probe_sup_norms(problem, max(2048, n_probes), seed=[seed, 0])
+    n_points = max(SUP_NORM_POINTS, n_probes)
+    sample = sample_batch(problem.domain, n_points, n_points, [seed, 0])
+    X, Y = sample.interior, sample.boundary
+    A, B, c, f = problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
+    g = problem.g_values(Y, sample.normals)
+    sups = CoeffSupNorms(*(float(np.abs(v).max()) for v in (A, B, c, f, g)))
     consts = class_constants(arch, arch.n_params(), sups, problem.alpha)
 
     rng = np.random.default_rng([seed, 1])
-    X = sample_interior(problem.domain, n_probes, [seed, 2])
-    Y, normals = sample_boundary(problem.domain, n_probes, [seed, 3])
-    A = problem.a_values(X)
-    B = problem.b_values(X)
-    c = problem.c_values(X)
-    f = problem.f_values(X)
-    g = problem.g_values(Y, normals)
-
     best = np.zeros(6)
     for idx in _probe_blocks(n_probes, arch):
         flats = np.array([(_random_flat(arch, rng), _random_flat(arch, rng)) for _ in idx])
@@ -363,19 +371,11 @@ def empirical_class_sups(
         )
         np.maximum(best, np.abs(vals).max(axis=1), out=best)
 
-    names = (
-        "class_sup_diffusion",
-        "class_sup_advection",
-        "class_sup_reaction",
-        "class_sup_source",
-        "class_sup_boundary_penalty",
-        "class_sup_boundary_data",
-    )
-    details = {"n_probes": n_probes, "arch_widths": arch.widths, "b_theta": arch.b_theta}
-    return [
-        _make_report(names[k], consts.ln_b[k], best[k], details)
-        for k in range(6)
-    ]
+    names = ("class_sup_diffusion", "class_sup_advection", "class_sup_reaction",
+             "class_sup_source", "class_sup_boundary_penalty", "class_sup_boundary_data")
+    details = {"n_probes": n_probes, "arch_widths": arch.widths, "b_theta": arch.b_theta,
+               "sup_norms": asdict(sups)}
+    return [_make_report(name, ln_b, best_k, details) for name, ln_b, best_k in zip(names, consts.ln_b, best)]
 
 
 def lipschitz_probe(arch: NetworkArch, n_probes: int, seed) -> list[BoundReport]:
@@ -415,7 +415,7 @@ def lipschitz_probe(arch: NetworkArch, n_probes: int, seed) -> list[BoundReport]
 
 
 # the reference batch of empirical_sta_error is this many times the sampled one
-_BIG_FACTOR = 100
+BIG_FACTOR = 100
 # signed-gradient ascent steps refining the best probe, each moving the weights
 # by this fraction of B_theta
 _ASCENT_STEPS = 3
@@ -428,7 +428,7 @@ def empirical_sta_error(
     """Adversarial estimate of sup_(u,v) |L_hat_N(u,v) - L_hat_big(u,v)| over
     u, v drawn from one class, against the statistical error bound.
 
-    Per trial: a fresh N-point batch is compared against a ``_BIG_FACTOR``
+    Per trial: a fresh N-point batch is compared against a ``BIG_FACTOR``
     times larger reference batch; random network probes (the first probe is
     the zero network) are refined by ``_ASCENT_STEPS`` signed-gradient ascent
     steps, staying inside the weight box.  Each batch's coefficients are evaluated once per trial.
@@ -447,7 +447,7 @@ def empirical_sta_error(
     for t in range(trials):
         batch = sample_batch(problem.domain, n_samples, n_samples, [seed, 2000 + t])
         big = sample_batch(
-            problem.domain, _BIG_FACTOR * n_samples, _BIG_FACTOR * n_samples, [seed, 3000 + t]
+            problem.domain, BIG_FACTOR * n_samples, BIG_FACTOR * n_samples, [seed, 3000 + t]
         )
         probe_rng = np.random.default_rng([seed, 1000 + t])
         small_cache, big_cache = loss_mod.GradientCache(), loss_mod.GradientCache()

@@ -1,6 +1,8 @@
 """End-to-end tests for the config-driven experiment runner."""
 
+import ast
 import copy
+import inspect
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weakgal
-from weakgal import cli, expr, network as net, oracle, theory, train as train_mod
+from weakgal import cli, expr, network as net, oracle, pde, theory, train as train_mod
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -443,6 +445,19 @@ class TestConfigValidation:
         proc = _run_under_address_limit(tmp_path, doc, limit)
         assert proc.returncode == 2, proc.stderr
         assert f"config error: {message}" in proc.stderr
+
+    def test_mid_size_dim_builds_in_little_memory(self):
+        # an identity `a` and a zero `b` hold one expression per distinct value;
+        # with one per entry, this build peaked at 287 MiB and took seconds
+        problem = {"dim": 1000, "domain": {"kind": "hypercube"}, "c": "1", "alpha": 1.0, "beta": 1.0, "f": "1"}
+        tracemalloc.start()
+        try:
+            built = cli._build_problem(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.dim == 1000
+        assert peak < 32 << 20
 
     def test_recipe_beyond_memory_exits_2_naming_its_widths(self, tmp_path, capsys):
         # epsilon 0.03 in 3D asks for about 1.4e9 weights
@@ -972,6 +987,94 @@ class TestTheoryCheck:
             assert lips and all(e["details"]["b_theta"] == 2.0 for e in lips)
             blobs.append((out / "theory.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    def test_class_sups_hold_where_few_points_hit_a_coefficient_peak(self, tmp_path):
+        # f is 1 but for a spike of height 1e6 and width about 1e-4 at x = 1/2;
+        # probed on another draw than its sup norm, it read as a violated bound
+        problem = {k: v for k, v in _PROBLEM.items() if k != "u_exact"}
+        problem["f"] = "1 + 1000000*exp(-100000000*(x1-0.5)^2)"
+        doc = {
+            "command": "theory-check", "problem": problem, "u_arch": {"widths": [1, 4, 1], "b_theta": 2.0},
+            "theory": {"probes": 1000, "rademacher_sets": 5, "sta_trials": 1, "sta_n": 16, "sta_probes": 2,
+                       "seed": 2},
+        }
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 0
+        assert json.loads((out / "manifest.json").read_text())["results"]["all_bounds_hold"] is True
+
+
+def _strict_json(path):
+    """The file at ``path`` parsed as strict JSON, in which NaN and Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every JSON file a run writes parses strictly: a non-finite float is null."""
+
+    # the tiny configs, whose bound lab has a zero b, and two more with
+    # non-finite bound numbers: a Neumann bound lab (alpha = 0), and one whose
+    # class constants overflow
+    CASES = {
+        **TINY,
+        "theory-check, neumann": dict(TINY["theory-check"], problem=dict(_PROBLEM, alpha=0.0, bc_kind="neumann")),
+        "theory-check, overflow": dict(TINY["theory-check"], u_arch={"widths": [1, 8, 8, 8, 1], "b_theta": 1e40}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_json_output_parses_strictly(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, self.CASES[name]), out_dir=str(out), quiet=True) == 0
+        docs = {path.name: _strict_json(path) for path in out.glob("*.json")}
+        assert "manifest.json" in docs
+        if not name.startswith("theory-check"):
+            return
+        rows = {row["lemma"]: row for row in docs["theory.json"]}
+        # a zero bound's log is -inf, and an overflowing bound is +inf
+        assert rows["class_sup_advection"]["ln_theoretical"] is None
+        assert (rows["class_sup_boundary_penalty"]["ln_theoretical"] is None) == name.endswith("neumann")
+        for row in rows.values():
+            overflows = row["ln_theoretical"] is not None and row["ln_theoretical"] > math.log(sys.float_info.max)
+            assert (row["theoretical"] is None) == overflows, row
+        assert any(row["theoretical"] is None for row in rows.values()) == name.endswith("overflow")
+
+    def test_non_finite_results_are_null(self, tmp_path, monkeypatch):
+        # a solve without u_exact has no H1 error, and these coercivity numbers overflowed
+        report = pde.CoercivityReport(lambda_min=math.nan, c_min=1.0, b_max=math.inf, condition=-math.inf, holds=False)
+        monkeypatch.setattr(train_mod, "check_coercivity", lambda problem: report)
+        problem = {k: v for k, v in _PROBLEM.items() if k != "u_exact"}
+        out = tmp_path / "out"
+        doc = dict(TINY["solve"], problem=dict(problem, f="1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 0
+        results = _strict_json(out / "manifest.json")["results"]
+        assert {key: results[key] for key in ("lambda_min", "c_min", "b_max", "condition", "final_h1_error")} == {
+            "lambda_min": None, "c_min": 1.0, "b_max": None, "condition": None, "final_h1_error": None,
+        }
+
+    def test_writer_nulls_non_finite_floats_at_any_depth(self, tmp_path):
+        path = tmp_path / "doc.json"
+        cli._write_json(str(path), {"a": math.inf, "b": [math.nan, 1.5, (-math.inf, 2)], "c": {"d": np.float64("inf")}})
+        assert _strict_json(path) == {"a": None, "b": [None, 1.5, [None, 2]], "c": {"d": None}}
+
+
+def test_sizes_come_from_the_constants_their_owners_use():
+    """The coercivity probes, the sup-norm sample, the reference batch's factor
+    and the penalty grid are each sized once, by the module that allocates
+    them; cli reads those constants and repeats no size."""
+    coercivity_default = inspect.signature(pde.check_coercivity).parameters["n_probes"].default
+    grid_default = inspect.signature(oracle.penalty_rate_study).parameters["n"].default
+    assert cli._COMMANDS["solve"].a_points == cli._COMMANDS["convergence-study"].a_points == coercivity_default
+    assert cli._COMMANDS["theory-check"].a_points == theory.SUP_NORM_POINTS
+    assert cli._COMMANDS["penalty-study"].options["grid_n"].default == grid_default
+    assert cli._SIZES["theory.sta_n"](3, 2, 5, 0) == [((3 * theory.BIG_FACTOR, 5), 2)]
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not literals & {coercivity_default, theory.SUP_NORM_POINTS, grid_default}
 
 
 class TestApproxProbe:

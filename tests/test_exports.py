@@ -1,8 +1,11 @@
 """Every name a weakgal module lists in ``__all__`` resolves, so a deletion
-that leaves its entry behind fails here, not at ``from weakgal.<m> import *``."""
+that leaves its entry behind fails here, not at ``from weakgal.<m> import *``;
+and no module reads another module's private names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,42 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"weakgal.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"weakgal.{name}.__all__ names what the module lacks: {missing}"
+
+
+def _private_reads(path: Path) -> list[str]:
+    """``module._name`` reads of another weakgal module in the file at ``path``:
+    attributes of a name bound by ``from . import module [as alias]``, and
+    ``from .module import _name``.  Dunder names are not private."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {}  # local name -> weakgal module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if _private(node.attr) and modules[node.value.id] != path.stem:
+                found.append(f"{modules[node.value.id]}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_another_modules_private_names(name):
+    """A module uses another's public names only, so each private name has
+    one owner that may change it freely.  Tests may still read private names."""
+    found = _private_reads(Path(weakgal.__file__).parent / f"{name}.py")
+    assert not found, f"weakgal.{name} reads private names: {found}"
+
+
+def test_private_read_scan_sees_both_forms(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("from . import theory as lab, pde\nfrom .network import _forward\nx = lab._BIG + pde._y + pde.ok\n")
+    assert _private_reads(path) == ["network._forward", "theory._BIG (line 3)", "pde._y (line 3)"]

@@ -1,6 +1,7 @@
 """Empirical loss values, gradients, and Monte Carlo H^1 estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -587,3 +588,80 @@ def test_loss_takes_networks_only():
         for call in (empirical_loss, loss_gradients):
             with pytest.raises(TypeError, match=f"{name} must be a network"):
                 call(u, v, prob, batch)
+
+
+# a small alphabet of coefficient expressions, written over x1 and the last
+# coordinate x{d}: constants, and ones that vary on the domain
+_CONSTANT = ("0", "1", "0.4", "-0.3")
+_VARYING = ("1 + x1^2", "cos(x{d})", "0.5*x1 - x{d}", "exp(-x1*x{d})")
+_ACTIVATIONS = ("tanh", "logistic", "relu3")
+
+
+@st.composite
+def _loss_routes(draw):
+    """A problem, a batch, two networks of their own architectures and an alpha
+    convention, over every route of the loss: 1D (stacked, summed boundary
+    seeds) and 2D/3D (two tapes), cubes and balls, each boundary kind."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        domain = pde.unit_hypercube(dim)
+    else:
+        radius = draw(st.sampled_from([0.2, 0.35, 0.5]))
+        domain = pde.ball([draw(st.floats(radius, 1.0 - radius)) for _ in range(dim)], radius)
+
+    def coefficient(varying=True):
+        text = draw(st.sampled_from(_CONSTANT + _VARYING if varying else _CONSTANT))
+        return parse(text.replace("{d}", str(dim)), dim)
+
+    if draw(st.booleans()):
+        a = identity_matrix(dim)
+    else:  # entries drawn one by one: a(x) need not be symmetric
+        a = tuple(
+            tuple(parse("1.5 + x1^2", dim) if i == j else coefficient() for j in range(dim))
+            for i in range(dim)
+        )
+    varying = draw(st.booleans())
+    b = tuple(coefficient(varying) for _ in range(dim))
+    bc_kind = draw(st.sampled_from(["robin", "neumann", "dirichlet"]))
+    alpha = 0.0 if bc_kind == "neumann" else draw(st.sampled_from([0.5, 1.0, 2.0]))
+    g = None if draw(st.booleans()) else coefficient(varying)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a non-symmetric a warns
+        problem = pde.EllipticProblem(
+            domain=domain, a=a, b=b, c=coefficient(varying), f=coefficient(varying), g=g,
+            alpha=alpha, beta=draw(st.sampled_from([0.1, 0.5, 1.0])), bc_kind=bc_kind,
+        )
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    batch = sample_batch(domain, n, m, draw(st.integers(0, 2**16)))
+
+    def network():
+        hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))  # depth 2-4
+        activation = net.activation_by_name(draw(st.sampled_from(_ACTIVATIONS)))
+        arch = NetworkArch(widths=(dim, *hidden, 1), activation=activation, b_theta=3.0)
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        return NetworkParams(arch, rng.uniform(-1.0, 1.0, arch.n_params()))
+
+    return problem, batch, network(), network(), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_loss_routes())
+def test_gradients_match_fd_on_every_loss_route(case):
+    """Both networks' ``loss_gradients`` are central differences of
+    ``empirical_loss`` in every weight, at ``test_gradients_match_fd_on_loss``'s
+    step and tolerance."""
+    problem, batch, u, v, half = case
+    gu, gv, value = loss_gradients(u, v, problem, batch, half)
+    assert value == empirical_loss(u, v, problem, batch, half)
+    h = 1e-5
+    for params, grad, is_u in ((u, gu, True), (v, gv, False)):
+        for i in range(params.flat.size):
+            moved = []
+            for step in (h, -h):
+                flat = params.flat.copy()
+                flat[i] += step
+                p = NetworkParams(params.arch, flat)
+                pu, pv = (p, v) if is_u else (u, p)
+                moved.append(empirical_loss(pu, pv, problem, batch, half).total)
+            fd = (moved[0] - moved[1]) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-4 * (1.0 + abs(fd)), ("u" if is_u else "v", i, grad[i], fd)

@@ -8,10 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from weakgal import expr, pde
+from weakgal import expr, network as net, pde, theory
 from weakgal.expr import parse
 from weakgal.pde import (
-    CoeffSupNorms,
     EllipticProblem,
     RobinTraceBoundary,
     ball,
@@ -20,7 +19,6 @@ from weakgal.pde import (
     constant_vector,
     identity_matrix,
     manufactured_problem,
-    probe_sup_norms,
     sample_batch,
     sample_boundary,
     sample_interior,
@@ -317,15 +315,17 @@ def test_coercivity_variable_diffusion():
 
 
 def test_probe_sup_norms():
+    # the sup norms the class sups measure, as each of their rows reports them
     prob = _poisson_mass_1d()
-    sups = probe_sup_norms(prob, n_probes=4000, seed=2)
-    assert isinstance(sups, CoeffSupNorms)
-    assert sups.a_max == 1.0
-    assert sups.b_max == 0.0
-    assert sups.c_max == 1.0
+    arch = net.NetworkArch((1, 3, 1), net.TANH, 1.0)
+    rows = theory.empirical_class_sups(arch, prob, n_probes=4000, seed=2)
+    sups = rows[0].details["sup_norms"]
+    assert sups["a_max"] == 1.0
+    assert sups["b_max"] == 0.0
+    assert sups["c_max"] == 1.0
     # f = (pi^2 + 1) sin(pi x) peaks near x = 1/2
-    assert sups.f_max == pytest.approx(math.pi**2 + 1.0, rel=1e-3)
-    assert sups.g_max > 0.0
+    assert sups["f_max"] == pytest.approx(math.pi**2 + 1.0, rel=1e-3)
+    assert sups["g_max"] > 0.0
 
 
 def test_constant_matrix_and_vector():

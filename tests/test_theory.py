@@ -262,6 +262,75 @@ def test_empirical_class_sups_hold():
         assert r.holds, (r.lemma, r.ratio)
 
 
+def _spike_problem():
+    """1D, a = 1, b = 0, c = 1, and f = 1 but for a spike of height 1e6 and
+    width about 1e-4 at x = 1/2, which a few of 2048 uniform points hit."""
+    return pde.EllipticProblem(
+        domain=unit_hypercube(1), a=identity_matrix(1), b=constant_vector(1, 0.0), c=parse("1", 1),
+        f=parse("1 + 1000000*exp(-100000000*(x1-0.5)^2)", 1), g=None, alpha=1.0, beta=1.0,
+    )
+
+
+def test_class_sups_hold_where_few_points_hit_a_coefficient_peak():
+    # with the sup norms taken on one draw and the probes on another, a
+    # probe point on the spike read as a violation at 18 of these 60 seeds
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    prob = _spike_problem()
+    violated = [
+        (seed, r.lemma, r.ratio)
+        for seed in range(60)
+        for r in empirical_class_sups(arch, prob, n_probes=1000, seed=seed)
+        if not r.holds
+    ]
+    assert violated == []
+
+
+@pytest.mark.parametrize("n_probes", [60, theory.SUP_NORM_POINTS + 40])
+def test_class_sups_probe_the_sample_their_sup_norms_come_from(monkeypatch, n_probes):
+    arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=1.7)
+    prob = _advective_problem(2)
+    samples, evaluated, probed = [], [], []
+    original_sample = theory.sample_batch
+
+    def sample(*args):
+        samples.append(original_sample(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(theory, "sample_batch", sample)
+    for name in ("a_values", "b_values", "c_values", "f_values", "g_values"):
+        def counted(self, *args, _name=name, _method=getattr(pde.EllipticProblem, name)):
+            evaluated.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(pde.EllipticProblem, name, counted)
+    original_forward = net.forward_dual_batch
+
+    def forward(params, points):
+        probed.append(points)
+        return original_forward(params, points)
+
+    monkeypatch.setattr(net, "forward_dual_batch", forward)
+    reports = empirical_class_sups(arch, prob, n_probes=n_probes, seed=3)
+
+    assert len(samples) == 1
+    assert sorted(evaluated) == ["a_values", "b_values", "c_values", "f_values", "g_values"]
+    sample = samples[0]
+    n_points = max(theory.SUP_NORM_POINTS, n_probes)
+    assert sample.interior.shape == sample.boundary.shape == (n_points, 2)
+    # u's and v's forwards of each block, at the sample's first n_probes rows in order
+    points = np.concatenate(probed[::2])
+    np.testing.assert_array_equal(points[:, 0], sample.interior[:n_probes])
+    np.testing.assert_array_equal(points[:, 1], sample.boundary[:n_probes])
+    for u_points, v_points in zip(probed[::2], probed[1::2]):
+        np.testing.assert_array_equal(u_points, v_points)
+    # the sup norms are over the whole sample, and every row reports them
+    sups = reports[0].details["sup_norms"]
+    assert sups["f_max"] == float(np.abs(prob.f_values(sample.interior)).max())
+    assert sups["b_max"] == 0.3
+    assert all(r.details["sup_norms"] == sups for r in reports)
+    assert not hasattr(pde, "probe_sup_norms")
+
+
 def test_empirical_sta_error_below_bound_and_deterministic():
     prob = _problem_2d()
     arch = NetworkArch(widths=(2, 3, 1), activation=TANH, b_theta=2.0)
@@ -322,10 +391,12 @@ def _reference_lipschitz_maxima(arch, n_probes, seed):
 
 
 def _reference_class_sup_maxima(arch, problem, n_probes, seed):
-    """empirical_class_sups' per-probe loop: one two-point forward per network."""
+    """empirical_class_sups' per-probe loop: one two-point forward per network,
+    at the first n_probes rows of the sample its sup norms come from."""
     rng = np.random.default_rng([seed, 1])
-    X = pde.sample_interior(problem.domain, n_probes, [seed, 2])
-    Y, normals = pde.sample_boundary(problem.domain, n_probes, [seed, 3])
+    n_points = max(theory.SUP_NORM_POINTS, n_probes)
+    sample = pde.sample_batch(problem.domain, n_points, n_points, [seed, 0])
+    X, Y, normals = sample.interior[:n_probes], sample.boundary[:n_probes], sample.normals[:n_probes]
     A, B = problem.a_values(X), problem.b_values(X)
     c, f, g = problem.c_values(X), problem.f_values(X), problem.g_values(Y, normals)
     best = np.zeros(6)
