@@ -10,7 +10,7 @@ The package has two halves that share one set of primitives:
   analysis rests on, each paired with an empirical probe.
 
 A script that calls the solver directly, not through ``cli.run``, should call
-``apply_process_policy()`` once first: it pins the heap thresholds and BLAS
+``apply_process_policy()`` once first: it pins the heap policy and BLAS
 thread count that the command line runs with.
 """
 

@@ -12,10 +12,10 @@ solve history is byte-reproducible given the same config and seed.
 points.  ``theory-check`` only calls the ``theory`` lab, through its module
 attributes, and writes the ``BoundReport``s it returns.  ``run`` calls
 ``apply_process_policy``, which once per process pins glibc's heap thresholds
-so large temporaries stay mapped, and OpenBLAS to one thread so results do not
-depend on its thread count; each manifest's ``resources`` block reports whether
-they took, the run's minor page faults, the process's peak RSS, and the
-interpreter, numpy, BLAS and cores.
+so large temporaries stay mapped, one heap for all threads, and OpenBLAS to one
+thread so results do not depend on its thread count; each manifest's
+``resources`` block reports whether they took, the run's minor page faults,
+the process's peak RSS, and the interpreter, numpy, BLAS and cores.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -124,8 +124,9 @@ def _utc_now() -> str:
 # heap policy and resource report
 
 # glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, set to the
-# values its dynamic rule reaches after a large free on 64-bit builds
-_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
+# values its dynamic rule reaches after a large free on 64-bit builds, and
+# M_ARENA_MAX, set to one heap for every thread
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20), (-8, 1))
 
 
 def _mallopt():
@@ -153,9 +154,9 @@ def _blas_setter():
 
 @functools.cache
 def apply_process_policy() -> tuple[bool, int | None]:
-    """Pin glibc's heap thresholds and OpenBLAS's thread count, once per process.
+    """Pin glibc's heap policy and OpenBLAS's thread count, once per process.
 
-    Returns whether both heap thresholds took, and the BLAS thread count set
+    Returns whether all three heap settings took, and the BLAS thread count set
     (None where no setter is found); later calls return the same and set
     nothing.  ``run`` calls it; a script that calls the library directly
     (``train.minimax_train``, say) should call it first.  Importing weakgal
@@ -166,6 +167,11 @@ def apply_process_policy() -> tuple[bool, int | None]:
     above its trim threshold to the system, so every evaluation on a large
     point set page-faults its arrays in afresh.  With the thresholds pinned
     at 32 and 64 MiB those arrays reuse heap memory the process keeps.
+    A heap then keeps the most it ever held, so threads started after this
+    call share the main one: with an arena per thread, a sweep worker that
+    started while an earlier thread was still exiting got a new arena, and
+    peak RSS rose by about 8 MB at random runs.  Threads allocate while they
+    hold the GIL, so they seldom wait on the heap's lock.
 
     OpenBLAS splits a large product among its threads at row offsets that
     depend on the size, so results would change bits with the thread count.

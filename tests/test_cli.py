@@ -1191,6 +1191,32 @@ class TestResources:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_info is glibc's")
+    def test_threads_started_after_the_policy_share_one_heap(self):
+        # a heap per thread keeps what its thread freed, and how many heaps a
+        # process ends with depends on when its threads exited
+        code = """if True:
+            import ctypes, re, tempfile, threading
+            import numpy as np, weakgal
+            assert weakgal.apply_process_policy()[0]
+            for _ in range(3):
+                threads = [threading.Thread(target=lambda: [np.ones(50000) for _ in range(20)]) for _ in range(4)]
+                for t in threads: t.start()
+                for t in threads: t.join()
+            libc = ctypes.CDLL(None)
+            libc.fopen.restype, libc.fopen.argtypes = ctypes.c_void_p, (ctypes.c_char_p, ctypes.c_char_p)
+            libc.malloc_info.argtypes, libc.fclose.argtypes = (ctypes.c_int, ctypes.c_void_p), (ctypes.c_void_p,)
+            with tempfile.NamedTemporaryFile("r") as out:
+                fh = libc.fopen(out.name.encode(), b"w")
+                libc.malloc_info(0, fh)
+                libc.fclose(fh)
+                print(len(re.findall('<heap nr=', out.read())))
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                              capture_output=True, text=True)
+        assert done.stdout.split() == ["1"]
+
     def test_blas_threads_without_a_setter_is_a_no_op(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_blas_setter", lambda: None)
         assert self.run_tiny(tmp_path)["blas_threads"] is None
