@@ -347,8 +347,10 @@ def _build_problem(cfg, path: str = "problem", memory: int | None = None) -> pde
     )
 
 
-def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) -> net.NetworkArch:
-    """``b_theta`` is the command's bound, used when ``cfg`` gives none."""
+def _build_arch(cfg, problem: pde.EllipticProblem, path: str,
+                b_theta: float) -> tuple[net.NetworkArch, net.RecipeResult | None]:
+    """The architecture, and the recipe that sized it if ``cfg`` names one.
+    ``b_theta`` is the command's bound, used when ``cfg`` gives none."""
     _require_keys(cfg, path, (), ("widths", "activation", "b_theta", "recipe"))
     name = _as_str(cfg.get("activation", "tanh"), f"{path}.activation")
     try:
@@ -361,14 +363,15 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
         rcfg = cfg["recipe"]
         optional = {"c_user": _as_number, "max_b_theta": _as_number, "max_weights": _as_int}
         _require_keys(rcfg, f"{path}.recipe", ("epsilon", "mu"), tuple(optional))
-        return net.arch_recipe(
+        recipe = net.arch_recipe(
             epsilon=_as_number(rcfg["epsilon"], f"{path}.recipe.epsilon"),
             d=problem.dim,
             mu=_as_number(rcfg["mu"], f"{path}.recipe.mu"),
             beta=problem.beta,
             activation=activation,
             **{key: read(rcfg[key], f"{path}.recipe.{key}") for key, read in optional.items() if key in rcfg},
-        ).arch
+        )
+        return recipe.arch, recipe
     if "widths" not in cfg:
         raise ConfigError(f"{path}.widths: required without a recipe")
     arch = net.NetworkArch(
@@ -378,7 +381,19 @@ def _build_arch(cfg, problem: pde.EllipticProblem, path: str, b_theta: float) ->
     )
     if arch.widths[0] != problem.dim:
         raise ConfigError(f"{path}.widths[0]: must equal problem dim {problem.dim}")
-    return arch
+    return arch, None
+
+
+def _network_doc(arch: net.NetworkArch, recipe: net.RecipeResult | None) -> dict:
+    """What the manifest records of a network a run built."""
+    return {
+        "widths": arch.widths, "activation": arch.activation.name, "b_theta": arch.b_theta,
+        "n_params": arch.n_params(),
+        "recipe": None if recipe is None else {
+            "weight_budget": recipe.weight_budget, "requested_b_theta": recipe.requested_b_theta,
+            "b_theta_capped": recipe.b_theta_capped,
+        },
+    }
 
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
@@ -668,16 +683,17 @@ def _check_sizes(built: dict, spec: _Command, memory: int | None) -> None:
                     raise ConfigError(f"{path}{suffix}: a {shape} float64 array{more} needs {need} bytes,{over}")
 
 
-def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
+def _build_sections(cfg: dict, command: str, seed_override: int | None) -> tuple[dict, dict]:
     """The problem and each section ``command`` reads, built once, then
-    checked against the memory this process may hold (``_check_sizes``).
+    checked against the memory this process may hold (``_check_sizes``), and
+    the manifest's record of each network built (``_network_doc``).
 
     The constructors check their own ranges and shapes; their ValueError (or
     OverflowError) becomes a ConfigError naming the section, but an EvalError
     deriving a manufactured problem stays a numerical failure.  Only
     ``problem.dim`` is bounded before its section is built, since building
     the problem allocates dim^2 expressions."""
-    spec, memory, built = _COMMANDS[command], _memory_bytes(), {}
+    spec, memory, built, networks = _COMMANDS[command], _memory_bytes(), {}, {}
     for section in ("problem",) + spec.sections:
         try:
             if section == "problem":
@@ -685,7 +701,8 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
             elif section in ("u_arch", "v_arch"):
                 hidden, b_theta = spec.arch
                 default = {"widths": [problem.dim, *hidden, 1]}
-                built[section] = _build_arch(cfg.get(section, default), problem, section, b_theta)
+                built[section], recipe = _build_arch(cfg.get(section, default), problem, section, b_theta)
+                networks[section] = _network_doc(built[section], recipe)
             elif section == "train":
                 built[section] = _build_train_config(cfg.get(section, {}), seed_override, command)
             elif section == "write_checkpoints":
@@ -705,7 +722,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> dict:
     if spec.needs_1d and problem.domain.kind != "hypercube":
         raise ConfigError(f"problem.domain: {command} solves on the unit interval, got a {problem.domain.kind}")
     _check_sizes(built, spec, memory)
-    return built
+    return built, networks
 
 
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None,
@@ -746,7 +763,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             raise ConfigError(f"cannot create output directory {target!r}: {err.strerror or err}") from err
         started = _utc_now()
         t0 = time.perf_counter()
-        sections = _build_sections(cfg, command, seed_override)
+        sections, networks = _build_sections(cfg, command, seed_override)
         extras = _COMMANDS[command].run(target, quiet, cfg_hash, **sections)
         manifest = {
             "command": command,
@@ -758,6 +775,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             "finished_utc": _utc_now(),
             "runtime_seconds": time.perf_counter() - t0,
             "resources": _resources(usage, heap_policy, blas_threads),
+            "networks": networks,
             "results": extras,
         }
         _write_json(os.path.join(target, "manifest.json"), manifest)

@@ -45,8 +45,6 @@ __all__ = [
     "mul",
     "div",
     "neg",
-    "power",
-    "func",
 ]
 
 
@@ -160,21 +158,6 @@ def neg(arg: Node) -> Node:
     if isinstance(arg, Const):
         return Const(-arg.value)
     return Unary("neg", arg)
-
-
-def power(base: Node, exponent: int) -> Node:
-    if exponent != int(exponent):
-        raise ExprError(f"power exponent must be an integer, got {exponent!r}")
-    exponent = int(exponent)
-    if exponent == 1:
-        return base
-    return Pow(base, exponent)
-
-
-def func(name: str, arg: Node) -> Node:
-    if name not in _FUNCTIONS:
-        raise ExprError(f"unknown function {name!r}")
-    return Unary(name, arg)
 
 
 @dataclass(frozen=True)
@@ -382,9 +365,9 @@ def _diff_node(node: Node, i: int) -> Node:
         if node.op == "neg":
             return neg(da)
         if node.op == "sin":
-            return mul(func("cos", node.arg), da)
+            return mul(Unary("cos", node.arg), da)
         if node.op == "cos":
-            return neg(mul(func("sin", node.arg), da))
+            return neg(mul(Unary("sin", node.arg), da))
         if node.op == "exp":
             return mul(Unary("exp", node.arg), da)
         if node.op == "tanh":
@@ -409,7 +392,8 @@ def _diff_node(node: Node, i: int) -> Node:
         db = _diff_node(node.base, i)
         if node.exponent == 0:
             return Const(0.0)
-        return mul(mul(Const(float(node.exponent)), power(node.base, node.exponent - 1)), db)
+        lower = node.base if node.exponent == 2 else Pow(node.base, node.exponent - 1)
+        return mul(mul(Const(float(node.exponent)), lower), db)
     raise TypeError(f"not an expression node: {node!r}")
 
 

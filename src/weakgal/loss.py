@@ -56,7 +56,8 @@ class NonFiniteLossError(ArithmeticError):
     """A NaN/Inf appeared while assembling the objective."""
 
     def __init__(self, component: str, sample_index: int):
-        super().__init__(f"non-finite value in {component} term at sample {sample_index}")
+        at = "" if sample_index == -1 else f" at sample {sample_index}"
+        super().__init__(f"non-finite value in {component} term{at}")
         self.component = component
         self.sample_index = sample_index
 
@@ -122,11 +123,10 @@ class _BatchTerms:
         if X.shape[1] == 1:
             distinct, self.index = np.unique(Y[:, 0], return_inverse=True)
             self.stacked = np.concatenate([X, distinct[:, None]])
-        self.A, self.B, self.c, self.f = coeffs = (
+        # expr's trap makes these finite; a callable g computes outside it
+        self.A, self.B, self.c, self.f = (
             problem.a_values(X), problem.b_values(X), problem.c_values(X), problem.f_values(X)
         )
-        for name, arr in zip("abcf", coeffs):
-            _check_finite(arr, f"interior coefficient {name}")
         self.g = problem.g_values(Y, batch.normals)
         _check_finite(self.g, "boundary g")
         self.alpha = 0.5 * problem.alpha if boundary_alpha_half else problem.alpha

@@ -41,7 +41,6 @@ __all__ = [
     "activation_by_name",
     "NetworkArch",
     "NetworkParams",
-    "DualEval",
     "Tape",
     "NetworkBounds",
     "RecipeResult",
@@ -50,9 +49,7 @@ __all__ = [
     "zeros_like_arch",
     "forward_tape",
     "backprop_tape",
-    "forward_dual",
     "forward_dual_batch",
-    "backprop_params_batch",
     "clip_weights",
     "scale_output_layer",
     "network_bounds",
@@ -60,7 +57,6 @@ __all__ = [
     "arch_recipe",
     "save_checkpoint",
     "load_checkpoint",
-    "params_to_flat",
     "flat_to_params",
 ]
 
@@ -83,8 +79,7 @@ class ActivationKind:
     activations need not keep z, and a reverse sweep computes rho' once.
     ``b_rho``..``l_rho_prime`` are the conventional values used by the bound
     formulas (tanh and logistic both satisfy the <= 1 normalization, so all
-    four are stored as 1.0).  ``smooth`` gates the Lipschitz lab: bounds
-    assuming a bounded activation make no sense for relu-type activations.
+    four are stored as 1.0).
     """
 
     name: str
@@ -95,10 +90,14 @@ class ActivationKind:
     l_rho: float
     b_rho_prime: float
     l_rho_prime: float
-    smooth: bool = True
 
     def __repr__(self):
         return f"ActivationKind({self.name!r})"
+
+    @property
+    def smooth(self) -> bool:
+        """All four constants are finite, as the bound lab assumes (not so for relu)."""
+        return all(math.isfinite(c) for c in (self.b_rho, self.l_rho, self.b_rho_prime, self.l_rho_prime))
 
 
 def _logistic(z):
@@ -183,7 +182,6 @@ def _relu_k(k: int) -> ActivationKind:
         l_rho=math.inf if k > 1 else 1.0,
         b_rho_prime=math.inf if k > 1 else 1.0,
         l_rho_prime=math.inf,
-        smooth=False,
     )
 
 
@@ -285,17 +283,6 @@ def _layer_views(arch: NetworkArch, flat: np.ndarray) -> tuple[tuple[np.ndarray,
         layers.append((A, flat[..., pos : pos + n_out]))
         pos += n_out
     return tuple(layers)
-
-
-@dataclass(frozen=True)
-class DualEval:
-    value: float
-    grad: np.ndarray  # shape (dim,)
-
-
-def params_to_flat(params: NetworkParams) -> np.ndarray:
-    """The weights' read-only buffer, (P,) or (S, P)."""
-    return params.flat
 
 
 def flat_to_params(arch: NetworkArch, flat: np.ndarray) -> NetworkParams:
@@ -554,28 +541,6 @@ def forward_dual_batch(params: NetworkParams, points: np.ndarray) -> tuple[np.nd
     return tape.values, tape.grads
 
 
-def forward_dual(params: NetworkParams, x) -> DualEval:
-    """Value and gradient at a single point."""
-    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    values, grads = forward_dual_batch(params, X)
-    return DualEval(float(values[0]), grads[0])
-
-
-def backprop_params_batch(
-    params: NetworkParams,
-    points: np.ndarray,
-    seed_values: np.ndarray,
-    seed_grads: np.ndarray | None,
-) -> np.ndarray:
-    """Gradient in the weights of sum_k [w_k f(x_k) + s_k . grad f(x_k)].
-
-    A forward_tape followed by backprop_tape; ``seed_grads=None`` takes the
-    value-only path.  Returns a flat vector in the ``NetworkParams.flat`` layout.
-    """
-    tape = forward_tape(params, points, grads=seed_grads is not None)
-    return backprop_tape(tape, seed_values, seed_grads)
-
-
 def clip_weights(params: NetworkParams) -> NetworkParams:
     """Entrywise clip to the architecture's box [-B_theta, B_theta]; idempotent."""
     bound = params.arch.b_theta
@@ -665,7 +630,7 @@ class WeightMoveBound:
             raise ValueError("WeightMoveBound takes a single anchor network, not a stack")
         act = anchor.arch.activation
         self.anchor = anchor
-        self.finite = all(math.isfinite(c) for c in (act.b_rho, act.l_rho, act.b_rho_prime, act.l_rho_prime))
+        self.finite = act.smooth
         self.norms = [float(np.linalg.norm(A, 2)) for A, _ in anchor.layers]
         self.inputs = [x_radius] + [act.b_rho * math.sqrt(w) for w in anchor.arch.hidden_widths]
         self.jacobians = [1.0]
@@ -831,3 +796,24 @@ def load_checkpoint(path: str) -> NetworkParams:
         A[...] = np.reshape(np.asarray(layer["A"], dtype=np.float64), A.shape)
         b[...] = np.reshape(np.asarray(layer["b"], dtype=np.float64), b.shape)
     return NetworkParams(arch, flat)
+
+
+# ---------------------------------------------------------------------------
+# names only the benchmark under bench/ reads: its tracer wraps all three and
+# its gradient check calls params_to_flat.  No program code calls them, and
+# ROADMAP item 1 deletes them with the benchmark's retarget.
+
+
+def params_to_flat(params: NetworkParams) -> np.ndarray:
+    return params.flat
+
+
+def forward_dual(params: NetworkParams, x) -> tuple[float, np.ndarray]:
+    """(value, gradient) at a single point."""
+    values, grads = forward_dual_batch(params, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    return float(values[0]), grads[0]
+
+
+def backprop_params_batch(params: NetworkParams, points, seed_values, seed_grads) -> np.ndarray:
+    tape = forward_tape(params, points, grads=seed_grads is not None)
+    return backprop_tape(tape, seed_values, seed_grads)

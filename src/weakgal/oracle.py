@@ -102,30 +102,27 @@ def _eval1(ast: ExprAst, x: np.ndarray) -> np.ndarray:
     return expr_mod.evaluate_many(ast, x[:, None])
 
 
-def fd_solve_1d(problem: EllipticProblem, n: int, bc_kind: str | None = None) -> Grid1D:
+def fd_solve_1d(problem: EllipticProblem, n: int) -> Grid1D:
     """Second-order conservative scheme for the 1d problem on [0,1].
 
     -(a u')' + b u' + c u = f with either the problem's Robin data
-    (alpha u + beta a u' nu = g at both ends, nu = -/+ 1) or zero Dirichlet
-    data when ``bc_kind`` is "dirichlet".  An overflow or invalid operation
-    while building or solving the system (a beta so small that the ghost rows
-    blow up) is a SolveError.
+    (alpha u + beta a u' nu = g at both ends, nu = -/+ 1) or, when its
+    ``bc_kind`` is "dirichlet", zero Dirichlet data.  An overflow or invalid
+    operation while building or solving the system (a beta so small that the
+    ghost rows blow up) is a SolveError.
     """
     if problem.domain != unit_hypercube(1):
         raise ValueError(f"fd_solve_1d solves on the unit interval, not on {problem.domain}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    kind = bc_kind or problem.bc_kind
-    if kind not in ("dirichlet", "robin", "neumann"):
-        raise ValueError(f"unknown bc_kind {kind!r}")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return Grid1D(n=n, values=_fd_values_1d(problem, n, kind))
+            return Grid1D(n=n, values=_fd_values_1d(problem, n))
     except FloatingPointError as err:
         raise SolveError(f"finite-difference system: {err}") from err
 
 
-def _fd_values_1d(problem: EllipticProblem, n: int, kind: str) -> np.ndarray:
+def _fd_values_1d(problem: EllipticProblem, n: int) -> np.ndarray:
     h = 1.0 / n
     nodes = np.linspace(0.0, 1.0, n + 1)
     half = np.linspace(-0.5 * h, 1.0 + 0.5 * h, n + 2)  # staggered flux points
@@ -143,7 +140,7 @@ def _fd_values_1d(problem: EllipticProblem, n: int, kind: str) -> np.ndarray:
     diag = (a_minus + a_plus) / h**2 + c_nodes
     upper = -a_plus / h**2 + b_nodes / (2 * h)
 
-    if kind == "dirichlet":
+    if problem.bc_kind == "dirichlet":
         values = np.zeros(n + 1)
         values[1:-1] = _solve_tridiag(lower[1:n], diag[1:n], upper[1:n], f_nodes[1:n])
         return values
@@ -229,11 +226,11 @@ def penalty_rate_study(problem: EllipticProblem, betas, n: int = PENALTY_GRID_N)
         raise ValueError("need at least two beta values")
     if len(set(betas)) < len(betas):  # a repeat re-runs a solve; two equal betas leave no slope to fit
         raise ValueError(f"beta values must be distinct, got {betas}")
-    u_dir = fd_solve_1d(problem, n, bc_kind="dirichlet")
+    u_dir = fd_solve_1d(dataclasses.replace(problem, bc_kind="dirichlet"), n)
     errors = []
     for beta in betas:
-        penalized = dataclasses.replace(problem, beta=beta, bc_kind="dirichlet")
-        error = grid_h1_error(fd_solve_1d(penalized, n, bc_kind="robin"), u_dir)
+        penalized = dataclasses.replace(problem, beta=beta, bc_kind="robin", alpha=1.0, g=None)
+        error = grid_h1_error(fd_solve_1d(penalized, n), u_dir)
         if not (math.isfinite(error) and error > 0.0):
             raise SolveError(f"penalty error {error!r} at beta = {beta!r} is not finite and positive")
         errors.append(error)

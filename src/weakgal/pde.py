@@ -156,12 +156,19 @@ class EmpiricalBatch:
 
     A batch built by hand serves as well as a drawn one; in 1D the loss finds
     the distinct boundary points itself and evaluates each network once per
-    batch.
+    batch.  The constructor marks the three arrays read-only, since a loss
+    cache recognises a batch by identity.
     """
 
     interior: np.ndarray
     boundary: np.ndarray
     normals: np.ndarray
+
+    def __post_init__(self):
+        for name in ("interior", "boundary", "normals"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def sample_batch(domain: Domain, n: int, m: int, seed) -> EmpiricalBatch:
@@ -216,7 +223,7 @@ class RobinTraceBoundary:
 # problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticProblem:
     """Coefficients as expression trees plus Robin data (alpha, beta, g).
 
@@ -224,6 +231,8 @@ class EllipticProblem:
     ``(points, normals)`` such as ``RobinTraceBoundary``.  A dirichlet problem
     is imposed by penalty: the constructor sets alpha = 1 and g = None, so
     ``beta`` is the penalty strength, and ``dataclasses.replace`` keeps it so.
+    A problem is immutable, since a loss cache recognises it by identity;
+    ``dataclasses.replace`` makes a changed copy.
     """
 
     domain: Domain
@@ -239,8 +248,8 @@ class EllipticProblem:
 
     def __post_init__(self):
         d = self.domain.dim
-        self.a = tuple(tuple(row) for row in self.a)
-        self.b = tuple(self.b)
+        object.__setattr__(self, "a", tuple(tuple(row) for row in self.a))
+        object.__setattr__(self, "b", tuple(self.b))
         if len(self.a) != d or any(len(row) != d for row in self.a):
             raise ValueError(f"a must be {d}x{d}")
         if len(self.b) != d:
@@ -250,7 +259,8 @@ class EllipticProblem:
         if self.bc_kind not in ("robin", "neumann", "dirichlet"):
             raise ValueError(f"unknown bc_kind {self.bc_kind!r}")
         if self.bc_kind == "dirichlet":
-            self.alpha, self.g = 1.0, None
+            object.__setattr__(self, "alpha", 1.0)
+            object.__setattr__(self, "g", None)
         if self.bc_kind == "neumann" and self.alpha != 0.0:
             raise ValueError("neumann requires alpha = 0")
 

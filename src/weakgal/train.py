@@ -61,10 +61,8 @@ class TrainingAborted(ArithmeticError):
     """Non-finite objective or gradient during training."""
 
     def __init__(self, step: int, component: str, sample_index: int):
-        super().__init__(
-            f"training aborted at outer step {step}: non-finite {component}"
-            f" (sample {sample_index})"
-        )
+        sample = "" if sample_index == -1 else f" (sample {sample_index})"
+        super().__init__(f"training aborted at outer step {step}: non-finite {component}{sample}")
         self.step = step
         self.component = component
         self.sample_index = sample_index

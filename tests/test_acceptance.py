@@ -100,8 +100,8 @@ def test_criterion_1_gradient_correctness():
         X = rng.uniform(0.1, 0.9, size=(4, arch.dim))
         w = rng.normal(size=4)
         s = rng.normal(size=(4, arch.dim))
-        g = net.backprop_params_batch(p, X, w, s)
-        flat0 = net.params_to_flat(p)
+        g = net.backprop_tape(net.forward_tape(p, X), w, s)
+        flat0 = p.flat
 
         def functional(flat):
             vals, grads = net.forward_dual_batch(net.flat_to_params(arch, flat), X)
@@ -140,7 +140,7 @@ def test_criterion_1_gradient_correctness():
             (u, arch_u, gu, v, True),
             (v, arch_v, gv, u, False),
         ):
-            flat0 = net.params_to_flat(params)
+            flat0 = params.flat
             for i in rng.choice(flat0.size, size=min(6, flat0.size), replace=False):
                 fp, fm = flat0.copy(), flat0.copy()
                 fp[i] += h

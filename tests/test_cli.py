@@ -617,8 +617,8 @@ class TestSolve:
         manifest = json.loads((out_b / "manifest.json").read_text())
         assert manifest["seed_override"] == 99
         assert manifest["results"]["seeds"]["train"] == 99
-        ua = net.params_to_flat(net.load_checkpoint(str(out_a / "u.json")))
-        ub = net.params_to_flat(net.load_checkpoint(str(out_b / "u.json")))
+        ua = net.load_checkpoint(str(out_a / "u.json")).flat
+        ub = net.load_checkpoint(str(out_b / "u.json")).flat
         assert not np.array_equal(ua, ub)
 
     def test_numerical_blowup_exits_3(self, tmp_path, capsys):
@@ -655,6 +655,26 @@ class TestSolve:
             code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
         assert code == 3
         assert "grad_v norm" in capsys.readouterr().err
+
+    def test_abort_names_no_sample_when_there_is_none(self, tmp_path, capsys):
+        # a penalised-Dirichlet beta of 1e-300 overflows grad_v's norm, which
+        # belongs to no sample
+        doc = copy.deepcopy(TINY["solve"])
+        doc["problem"].update(bc_kind="dirichlet", beta=1e-300)
+        doc["train"] = dict(_TINY_TRAIN, outer_steps=3)
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: training aborted at outer step 0: non-finite grad_v norm\n", err
+
+    def test_overflowing_boundary_data_exits_3(self, tmp_path, capsys):
+        # beta = 1e308 overflows the Robin trace g = alpha u + beta u' nu at
+        # x = 0 and 1: the loss's check of g, which computes outside expr's trap
+        doc = copy.deepcopy(TINY["solve"])
+        doc["problem"]["beta"] = 1e308
+        with np.errstate(over="ignore"):
+            code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
+        assert code == 3
+        assert "non-finite boundary g (sample 0)" in capsys.readouterr().err
 
     def test_main_argv_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, solve_config())
@@ -1012,6 +1032,36 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+class TestManifestNetworks:
+    def manifest(self, tmp_path, doc):
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True) == 0
+        return json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+    def test_a_capped_recipe_says_so(self, tmp_path):
+        # epsilon 0.5, mu 0.5 in 1D asks for B_theta = 0.5^-17 = 131072, over the cap of 2
+        recipe = {"epsilon": 0.5, "mu": 0.5, "max_b_theta": 2.0}
+        networks = self.manifest(tmp_path, dict(TINY["solve"], u_arch={"recipe": recipe}))["networks"]
+        assert networks["u_arch"] == {
+            "widths": [1, 1], "activation": "tanh", "b_theta": 2.0, "n_params": 2,
+            "recipe": {"weight_budget": 4, "requested_b_theta": 131072.0, "b_theta_capped": True},
+        }
+        assert networks["v_arch"]["recipe"] is None
+        u = net.load_checkpoint(str(tmp_path / "out" / "u.json"))
+        assert (list(u.arch.widths), u.arch.b_theta) == (networks["u_arch"]["widths"], 2.0)
+
+    def test_a_convergence_study_names_both_networks(self, tmp_path):
+        manifest = self.manifest(tmp_path, TINY["convergence-study"])
+        assert "networks" not in manifest["results"]
+        for key in ("u_arch", "v_arch"):
+            assert manifest["networks"][key] == {
+                "widths": [1, 3, 1], "activation": "tanh", "b_theta": 10.0, "n_params": 10, "recipe": None,
+            }
+
+    def test_commands_record_only_the_networks_they_build(self, tmp_path):
+        assert self.manifest(tmp_path, TINY["penalty-study"])["networks"] == {}
+        assert list(self.manifest(tmp_path, TINY["theory-check"])["networks"]) == ["u_arch"]
+
+
 class TestStrictJson:
     """Every JSON file a run writes parses strictly: a non-finite float is null."""
 
@@ -1094,6 +1144,17 @@ class TestApproxProbe:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["h1_distance"] == min(float(r[1]) for r in rows)
         assert net.load_checkpoint(str(out / "fit.json")).arch.widths == (1, 8, 1)
+
+    def test_fit_gradient_overflow_names_no_sample(self, tmp_path, capsys):
+        # a target of 1e200 sin(pi x) overflows the fit gradient's norm, which
+        # belongs to no sample
+        doc = copy.deepcopy(TINY["approx-probe"])
+        doc["problem"]["u_exact"] = "1e200*sin(pi*x1)"
+        with np.errstate(over="ignore"):  # the held-out distance squares 1e200
+            code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: training aborted at outer step 0: non-finite fit gradient norm\n", err
 
     def test_fits_and_scores_over_the_problems_domain(self, tmp_path):
         # u* = 1/(x1 - 0.2) has H1 norm 6.58 over the ball; it is singular at

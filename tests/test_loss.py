@@ -1,5 +1,6 @@
 """Empirical loss values, gradients, and Monte Carlo H^1 estimates."""
 
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from weakgal.loss import (
     h1_error,
     loss_gradients,
 )
-from weakgal.network import LOGISTIC, NetworkArch, NetworkParams, TANH, flat_to_params, init, params_to_flat
+from weakgal.network import LOGISTIC, NetworkArch, NetworkParams, TANH, flat_to_params, init
 from weakgal.pde import (
     EmpiricalBatch,
     constant_vector,
@@ -115,7 +116,7 @@ def test_loss_is_linear_in_v():
     batch = sample_batch(prob.domain, 32, 32, 9)
 
     def value_with_v_scale(s):
-        flat = params_to_flat(init(arch, 4)).copy()
+        flat = init(arch, 4).flat.copy()
         flat[-6:] *= s  # the output layer: A (1, 5) and b (1,)
         return empirical_loss(u, NetworkParams(arch, flat), prob, batch).total
 
@@ -141,7 +142,7 @@ def test_gradients_match_fd_on_loss():
         v = init(arch, 200 + trial)
         gu, gv, lv = loss_gradients(u, v, prob, batch, False, need_u=True, need_v=True)
         assert lv.total == empirical_loss(u, v, prob, batch).total
-        fu, fv = params_to_flat(u), params_to_flat(v)
+        fu, fv = u.flat, v.flat
         idx = rng.choice(fu.size, size=10, replace=False)
         for i in idx:
             up = fu.copy(); up[i] += h
@@ -170,7 +171,7 @@ def test_gradients_with_alpha_half_match_fd():
     batch = sample_batch(prob.domain, 8, 8, 3)
     gu, gv, _ = loss_gradients(u, v, prob, batch, True, need_u=True, need_v=True)
     h = 1e-6
-    fu = params_to_flat(u)
+    fu = u.flat
     i = 3
     up = fu.copy(); up[i] += h
     um = fu.copy(); um[i] -= h
@@ -422,6 +423,47 @@ def test_merged_1d_gradients_match_fd(name):
             lp, lm = (value(pp, other), value(pm, other)) if is_u else (value(other, pp), value(other, pm))
             fd = (lp - lm) / (2 * h)
             assert abs(grad[i] - fd) <= 1e-4 * (1.0 + abs(fd))
+
+
+def test_cache_keys_cannot_change_under_the_cache():
+    """The cache recognises a problem and a batch by identity, so neither may
+    change in place: a shared cache would go on reading the old coefficients
+    or points.  A changed copy is another object and gets a fresh reading."""
+    prob = manufactured_problem(
+        parse("sin(pi*x1)", 1), identity_matrix(1), constant_vector(1, 0.0),
+        parse("1", 1), 1.0, 1.0, unit_hypercube(1), "robin",
+    )
+    batch = sample_batch(prob.domain, 32, 32, 0)
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    u, v = init(arch, 1), init(arch, 2)
+    cache = loss.GradientCache()
+    before = empirical_loss(u, v, prob, batch, cache=cache)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.c = parse("5", 1)
+    for name in ("interior", "boundary", "normals"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(batch, name)[:] = 0.5
+    assert empirical_loss(u, v, prob, batch, cache=cache) == before
+    changed = dataclasses.replace(prob, c=parse("5", 1))
+    moved = EmpiricalBatch(np.full_like(batch.interior, 0.5), batch.boundary, batch.normals)
+    for p, b in ((changed, batch), (prob, moved)):
+        fresh = empirical_loss(u, v, p, b)
+        assert fresh != before
+        assert empirical_loss(u, v, p, b, cache=cache) == fresh
+
+
+def test_overflowing_robin_trace_is_caught():
+    """A callable g (``RobinTraceBoundary``) computes outside expr's trap, so
+    the loss checks its values: beta = 1e308 overflows beta u' nu at x = 0."""
+    prob = manufactured_problem(
+        parse("sin(pi*x1)", 1), identity_matrix(1), constant_vector(1, 0.0),
+        parse("1", 1), 1.0, 1e308, unit_hypercube(1), "robin",
+    )
+    batch = _endpoint_batch([0.5])
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError) as err:
+        loss_gradients(init(arch, 1), init(arch, 2), prob, batch)
+    assert (err.value.component, err.value.sample_index) == ("boundary g", 0)
 
 
 def _blows_up_at_one(dim) -> NetworkParams:

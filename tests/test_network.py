@@ -19,15 +19,14 @@ from weakgal.network import (
     RecipeError,
     activation_by_name,
     arch_recipe,
-    backprop_params_batch,
+    backprop_tape,
     clip_weights,
     flat_to_params,
-    forward_dual,
     forward_dual_batch,
+    forward_tape,
     init,
     load_checkpoint,
     network_bounds,
-    params_to_flat,
     save_checkpoint,
     WeightMoveBound,
 )
@@ -58,7 +57,7 @@ def test_flat_round_trip():
     rng = np.random.default_rng(0)
     arch = _rand_arch(rng, dim=2)
     p = init(arch, 1)
-    flat = params_to_flat(p)
+    flat = p.flat
     assert flat.shape == (arch.n_params(),)
     q = flat_to_params(arch, flat)
     for (A1, b1), (A2, b2) in zip(p.layers, q.layers):
@@ -70,10 +69,10 @@ def test_init_respects_weight_box_and_is_deterministic():
     arch = NetworkArch(widths=(3, 6, 6, 1), activation=TANH, b_theta=1.0)
     p1 = init(arch, 42)
     p2 = init(arch, 42)
-    np.testing.assert_array_equal(params_to_flat(p1), params_to_flat(p2))
-    assert np.abs(params_to_flat(p1)).max() <= 1.0
+    np.testing.assert_array_equal(p1.flat, p2.flat)
+    assert np.abs(p1.flat).max() <= 1.0
     p3 = init(arch, 43)
-    assert not np.array_equal(params_to_flat(p1), params_to_flat(p3))
+    assert not np.array_equal(p1.flat, p3.flat)
 
 
 def _uniform_params(arch, seed, s):
@@ -87,11 +86,11 @@ def test_params_are_read_only():
     x = np.arange(arch.n_params(), dtype=np.float64)
     p = flat_to_params(arch, x)
     with pytest.raises(ValueError, match="read-only"):
-        params_to_flat(p)[0] = 7.0
+        p.flat[0] = 7.0
     with pytest.raises(ValueError, match="read-only"):
         p.layers[0][0][0] = 7.0
     x[:] = -1.0  # the params hold their own copy
-    np.testing.assert_array_equal(params_to_flat(p), np.arange(arch.n_params()))
+    np.testing.assert_array_equal(p.flat, np.arange(arch.n_params()))
     # the layers are views of the flat vector, in A-then-b order per layer
     (A1, b1), (A2, b2) = p.layers
     np.testing.assert_array_equal(A1, [[0, 1], [2, 3], [4, 5]])
@@ -107,15 +106,6 @@ def test_depth_one_network_is_affine():
     vals, grads = forward_dual_batch(p, np.array([[1.0, 1.0], [0.0, 0.0]]))
     np.testing.assert_allclose(vals, [1.5, 0.5])
     np.testing.assert_allclose(grads, [[2.0, -1.0], [2.0, -1.0]])
-
-
-def test_forward_dual_single_point_wrapper():
-    arch = NetworkArch(widths=(2, 4, 1), activation=TANH, b_theta=3.0)
-    p = init(arch, 5)
-    ev = forward_dual(p, [0.3, 0.7])
-    vals, grads = forward_dual_batch(p, np.array([[0.3, 0.7]]))
-    assert ev.value == vals[0]
-    np.testing.assert_array_equal(ev.grad, grads[0])
 
 
 @pytest.mark.parametrize("activation", [TANH, LOGISTIC])
@@ -148,14 +138,14 @@ def test_parameter_backprop_matches_fd(activation):
         X = rng.uniform(0.1, 0.9, size=(n, arch.dim))
         w = rng.normal(size=n)
         s = rng.normal(size=(n, arch.dim))
-        g = backprop_params_batch(p, X, w, s)
+        g = backprop_tape(forward_tape(p, X), w, s)
 
         def functional(flat):
             q = flat_to_params(arch, flat)
             vals, grads = forward_dual_batch(q, X)
             return float(np.sum(w * vals) + np.sum(s * grads))
 
-        flat0 = params_to_flat(p)
+        flat0 = p.flat
         idx = rng.choice(flat0.size, size=min(12, flat0.size), replace=False)
         for i in idx:
             fp = flat0.copy()
@@ -172,8 +162,8 @@ def test_backprop_value_only_seed():
     p = init(arch, 9)
     X = rng.uniform(size=(5, 2))
     w = rng.normal(size=5)
-    g_none = backprop_params_batch(p, X, w, None)
-    g_zero = backprop_params_batch(p, X, w, np.zeros((5, 2)))
+    g_none = backprop_tape(forward_tape(p, X, grads=False), w)
+    g_zero = backprop_tape(forward_tape(p, X), w, np.zeros((5, 2)))
     np.testing.assert_array_equal(g_none, g_zero)
 
 
@@ -184,8 +174,8 @@ def test_backprop_is_linear_in_seeds():
     X = rng.uniform(size=(6, 1))
     w1, w2 = rng.normal(size=6), rng.normal(size=6)
     s1, s2 = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
-    lhs = backprop_params_batch(p, X, 2.0 * w1 + w2, 2.0 * s1 + s2)
-    rhs = 2.0 * backprop_params_batch(p, X, w1, s1) + backprop_params_batch(p, X, w2, s2)
+    lhs = backprop_tape(forward_tape(p, X), 2.0 * w1 + w2, 2.0 * s1 + s2)
+    rhs = 2.0 * backprop_tape(forward_tape(p, X), w1, s1) + backprop_tape(forward_tape(p, X), w2, s2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -199,15 +189,15 @@ def test_clip_weights():
     assert q.layers[1][1][0] == 2.0
     # idempotence
     q2 = clip_weights(q)
-    np.testing.assert_array_equal(params_to_flat(q), params_to_flat(q2))
+    np.testing.assert_array_equal(q.flat, q2.flat)
 
 
 def test_scale_output_layer_scales_only_the_last_layer():
     arch = NetworkArch(widths=(2, 3, 4, 1), activation=TANH, b_theta=2.0)
     p = flat_to_params(arch, np.random.default_rng(3).normal(size=arch.n_params()))
-    before = params_to_flat(p).copy()
+    before = p.flat.copy()
     q = net.scale_output_layer(p, 0.375)
-    np.testing.assert_array_equal(params_to_flat(p), before)
+    np.testing.assert_array_equal(p.flat, before)
     for k, ((A, b), (qA, qb)) in enumerate(zip(p.layers, q.layers)):
         factor = 0.375 if k == arch.depth - 1 else 1.0
         np.testing.assert_array_equal(qA, A * factor)
@@ -265,7 +255,7 @@ def test_weight_move_bound_covers_the_h1_estimate(activation, hidden, d, weight_
     arch = NetworkArch(widths=(d, *hidden, 1), activation=activation, b_theta=10.0)
     anchor = _uniform_params(arch, seed, weight_scale)
     rng = np.random.default_rng(seed)
-    flat_a = params_to_flat(anchor)
+    flat_a = anchor.flat
     moved = flat_to_params(arch, flat_a + 10.0**log_move * rng.standard_normal(flat_a.shape))
     X = rng.uniform(-1.0, 1.0, size=(64, d))
     b_val, b_grad = WeightMoveBound(anchor, float(np.max(np.linalg.norm(X, axis=1))))(moved)
@@ -444,7 +434,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert q.arch.widths == arch.widths
     assert q.arch.activation.name == "logistic"
     assert q.arch.b_theta == 4.0
-    np.testing.assert_array_equal(params_to_flat(p), params_to_flat(q))
+    np.testing.assert_array_equal(p.flat, q.flat)
     X = np.random.default_rng(0).uniform(size=(4, 2))
     np.testing.assert_array_equal(forward_dual_batch(p, X)[0], forward_dual_batch(q, X)[0])
     # a layer more or fewer than the widths imply is rejected, as is a stack
@@ -517,7 +507,6 @@ def test_taped_sweep_matches_reference(activation, dim, hidden):
     assert value_tape.grads is None
     np.testing.assert_array_equal(value_tape.values, tape.values)
     np.testing.assert_allclose(net.backprop_tape(value_tape, w), ref_value_only, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(backprop_params_batch(p, X, w, s), net.backprop_tape(tape, w, s))
 
 
 def test_tape_misuse_is_rejected():

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakgal import expr, network as net, pde, theory
 from weakgal.expr import parse
@@ -336,3 +337,41 @@ def test_constant_matrix_and_vector():
     assert m[1][1](X)[0] == 2.0
     v = constant_vector(3, 1.5)
     assert all(v[i](np.zeros((1, 3)))[0] == 1.5 for i in range(3))
+
+
+# expressions that overflow, divide by zero or make 0/0 somewhere on [0, 1],
+# and harmless ones to combine them with
+_HAZARDS = ("exp(800*x1)", "1/(x1-0.5)", "x1^-3", "(x1-x1)/(x1-x1)", "1e308*10")
+_TAME = ("1", "x1", "sin(pi*x1)", "1e308", "-x1^2")
+
+
+@st.composite
+def _coefficient(draw):
+    parts = [draw(st.sampled_from(_HAZARDS + _TAME)) for _ in range(2)]
+    op = draw(st.sampled_from(["+", "-", "*", "/"]))
+    return draw(st.sampled_from([parts[0], f"({parts[0]}) {op} ({parts[1]})", f"exp({parts[0]})"]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    texts=st.lists(_coefficient(), min_size=4, max_size=4),
+    # exact singular rows (x1 = 0 and x1 = 0.5) beside arbitrary ones
+    rows=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_coefficient_values_are_finite_or_raise(dim, texts, rows):
+    """Every ``a``, ``b``, ``c`` and ``f`` value comes from an expression
+    evaluated under ``expr``'s floating-point trap, so it is finite or the call
+    raises ``EvalError``; the loss relies on this and does not check them."""
+    a, b, c, f = (parse(text, dim) for text in texts)
+    prob = EllipticProblem(
+        domain=unit_hypercube(dim), a=[[a] * dim] * dim, b=[b] * dim, c=c, f=f,
+        g=None, alpha=1.0, beta=1.0,
+    )
+    points = np.array([[x] * dim for x in rows])
+    for values in (prob.a_values, prob.b_values, prob.c_values, prob.f_values):
+        try:
+            out = values(points)
+        except expr.EvalError:
+            continue
+        assert np.isfinite(out).all(), (values.__name__, texts)

@@ -29,7 +29,7 @@ def small_arch(b_theta=10.0, widths=(1, 6, 1)):
 
 
 def flat(params):
-    return net.params_to_flat(params)
+    return params.flat
 
 
 class TestConfigValidation:
@@ -490,6 +490,15 @@ class TestMinimaxTrain:
         assert exc.value.step >= 0
         assert exc.value.component
         assert "non-finite" in str(exc.value)
+
+    def test_abort_messages_name_a_sample_only_when_there_is_one(self):
+        # a gradient norm or the total has no sample: its index is -1
+        assert str(train.TrainingAborted(4, "fit gradient norm", -1)) == (
+            "training aborted at outer step 4: non-finite fit gradient norm"
+        )
+        assert str(train.TrainingAborted(4, "boundary g", 0)).endswith("non-finite boundary g (sample 0)")
+        assert str(loss_mod.NonFiniteLossError("total", -1)) == "non-finite value in total term"
+        assert str(loss_mod.NonFiniteLossError("interior u", 3)) == "non-finite value in interior u term at sample 3"
 
 
 class TestApproxErrorProbe:
