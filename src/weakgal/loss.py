@@ -23,7 +23,8 @@ boundary seeds summed per distinct point.
 
 Sums use numpy's pairwise float64 accumulation, so values are reproducible
 bit-for-bit for a fixed batch.  Any non-finite intermediate raises
-``NonFiniteLossError`` with the offending component and sample index.
+``NonFiniteLossError`` with the offending component and, for a per-sample
+term, the sample index.
 """
 
 from __future__ import annotations
@@ -217,7 +218,8 @@ def _backprop(ev: _Eval, seeds, terms: _BatchTerms, component: str) -> np.ndarra
         w = np.concatenate([seeds[0], np.bincount(terms.index, seeds[2], minlength=k)])
         s = np.concatenate([seeds[1], np.zeros((k, terms.X.shape[1]))])
         grad = net.backprop_tape(ev.tapes[0], w, s)
-    _check_finite(grad[None, :], component)
+    if not np.isfinite(grad).all():
+        raise NonFiniteLossError(component, -1)
     return grad
 
 
@@ -317,14 +319,18 @@ class H1Reference:
         return self.distance_of(*as_evaluator(u, self.points.shape[1])(self.points))
 
     def distance_of(self, du: np.ndarray, dg: np.ndarray) -> H1Estimate:
-        """``distance`` of a function with these values and gradients at the points."""
-        if self.ref is not None:
-            du, dg = du - self.ref[0], dg - self.ref[1]
-        du_sq = du**2
-        dg_sq = np.einsum("ni,ni->n", dg, dg)
-        l2_sq = float(np.mean(self.volume * du_sq))
-        semi_sq = float(np.mean(self.volume * dg_sq))
-        h1_sq = self.volume * float(np.mean(du_sq + dg_sq))
+        """``distance`` of a function with these values and gradients at the
+        points; a non-finite estimate raises ``NonFiniteLossError``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.ref is not None:
+                du, dg = du - self.ref[0], dg - self.ref[1]
+            du_sq = du**2
+            dg_sq = np.einsum("ni,ni->n", dg, dg)
+            l2_sq = float(np.mean(self.volume * du_sq))
+            semi_sq = float(np.mean(self.volume * dg_sq))
+            h1_sq = self.volume * float(np.mean(du_sq + dg_sq))
+        if not (math.isfinite(l2_sq) and math.isfinite(semi_sq) and math.isfinite(h1_sq)):
+            raise NonFiniteLossError("H1 estimate", -1)
         return H1Estimate(
             l2_part=math.sqrt(max(l2_sq, 0.0)),
             seminorm_part=math.sqrt(max(semi_sq, 0.0)),

@@ -14,12 +14,7 @@ both are implemented directly:
 * ``backprop_tape`` - gradient with respect to the weights of
   w * f(x) + s . grad_x f(x), i.e. reverse mode over that tape.
 
-The module also computes the class-capacity quantities attached to an
-architecture (value/gradient Lipschitz constants in the weights, gradient sup
-bound) and the recipe mapping a target accuracy to an architecture.  Those
-products of widths and powers of B_theta overflow float64 quickly, so they are
-accumulated in log space; callers get both the (possibly +inf) value and its
-natural log.
+The module also holds the recipe mapping a target accuracy to an architecture.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ __all__ = [
     "NetworkArch",
     "NetworkParams",
     "Tape",
-    "NetworkBounds",
     "RecipeResult",
     "RecipeError",
     "init",
@@ -52,23 +46,11 @@ __all__ = [
     "forward_dual_batch",
     "clip_weights",
     "scale_output_layer",
-    "network_bounds",
-    "WeightMoveBound",
     "arch_recipe",
     "save_checkpoint",
     "load_checkpoint",
     "flat_to_params",
 ]
-
-_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
-
-
-def exp_or_inf(ln_value: float) -> float:
-    """exp(ln_value), returning +inf instead of overflowing."""
-    if ln_value > _LN_FLOAT_MAX:
-        return math.inf
-    return math.exp(ln_value)
-
 
 @dataclass(frozen=True)
 class ActivationKind:
@@ -553,117 +535,6 @@ def scale_output_layer(params: NetworkParams, factor: float) -> NetworkParams:
     for part in _layer_views(params.arch, flat)[-1]:
         part *= factor
     return NetworkParams(params.arch, flat)
-
-
-# ---------------------------------------------------------------------------
-# capacity quantities
-
-
-@dataclass(frozen=True)
-class NetworkBounds:
-    """Weight-Lipschitz and gradient-sup constants for a network class.
-
-    l_value bounds |f(x; theta) - f(x; theta~)| / ||theta - theta~||_2,
-    b_grad bounds sup |partial_p f|, and l_grad does for the spatial gradient
-    what l_value does for the value.  Values may be +inf; logs are exact.
-    """
-
-    l_value: float
-    b_grad: float
-    l_grad: float
-    ln_l_value: float
-    ln_b_grad: float
-    ln_l_grad: float
-
-
-def network_bounds(arch: NetworkArch, n_nonzero: int) -> NetworkBounds:
-    if n_nonzero < 1:
-        raise ValueError("n_nonzero must be >= 1")
-    depth = arch.depth
-    ln_btheta = math.log(arch.b_theta)
-    ln_prod_hidden = sum(math.log(wd) for wd in arch.hidden_widths)
-    ln_n = math.log(n_nonzero)
-    ln_bp = math.log(arch.activation.b_rho_prime) if arch.activation.b_rho_prime > 0 else -math.inf
-
-    ln_l_value = 0.5 * ln_n + (depth - 1) * ln_btheta + ln_prod_hidden
-    ln_b_grad = ln_prod_hidden + depth * ln_btheta + (depth - 1) * ln_bp
-    ln_l_grad = 0.5 * ln_n + math.log(depth + 1) + 2 * depth * ln_btheta + 2 * ln_prod_hidden
-    return NetworkBounds(
-        l_value=exp_or_inf(ln_l_value),
-        b_grad=exp_or_inf(ln_b_grad),
-        l_grad=exp_or_inf(ln_l_grad),
-        ln_l_value=ln_l_value,
-        ln_b_grad=ln_b_grad,
-        ln_l_grad=ln_l_grad,
-    )
-
-
-class WeightMoveBound:
-    """Upper bounds on how far a network moves from an anchor, without a forward.
-
-    ``WeightMoveBound(anchor, x_radius)(params)`` returns ``(B_val, B_grad)``
-    with sup |f - f_a| <= B_val and sup ||grad f - grad f_a||_2 <= B_grad over
-    ||x|| <= x_radius, where f_a has the ``anchor`` weights and f the ``params``
-    of the same architecture.  A layer recursion in the spirit of spectrally
-    normalized perturbation bounds (Bartlett, Foster & Telgarsky,
-    arXiv:1706.08498), with dA = A - A_a, db = b - b_a, the pre-activation move
-    Z_k and its largest entry z_k, the hidden-state move delta_k and the
-    Jacobian move eps_k of layer k:
-
-        Z_k     <= ||A_k|| delta_{k-1} + ||dA_k|| H_{k-1} + ||db_k||
-        z_k     <= max_i (||A_k[i]|| delta_{k-1} + ||dA_k[i]|| H_{k-1} + |db_k[i]|)
-        delta_k <= l_rho Z_k
-        eps_k   <= l_rho' z_k ||A_k|| G_{k-1} + b_rho' (||A_k|| eps_{k-1} + ||dA_k|| G_a,k-1)
-
-    ||.|| is the spectral norm and ||A[i]|| a row's 2-norm.  H bounds the
-    anchor's layer inputs (x_radius, then b_rho sqrt(n_k)); G and G_a bound the
-    two networks' Jacobians (1, then b_rho' ||A_k|| G_{k-1}).  The affine output
-    layer closes the recursion as Z_D and ||A_D|| eps_{D-1} + ||dA_D|| G_a,D-1.
-    The anchor's spectral norms are computed once; a call bounds ||dA|| by its
-    Frobenius norm and ||A|| by ||A_a|| + ||dA||_F, so it costs a few vector
-    norms per layer.  Any infinite activation constant (the relu family) gives
-    (inf, inf).
-    """
-
-    def __init__(self, anchor: NetworkParams, x_radius: float):
-        if anchor.ensemble:
-            raise ValueError("WeightMoveBound takes a single anchor network, not a stack")
-        act = anchor.arch.activation
-        self.anchor = anchor
-        self.finite = act.smooth
-        self.norms = [float(np.linalg.norm(A, 2)) for A, _ in anchor.layers]
-        self.inputs = [x_radius] + [act.b_rho * math.sqrt(w) for w in anchor.arch.hidden_widths]
-        self.jacobians = [1.0]
-        for a_a in self.norms[:-1]:
-            self.jacobians.append(act.b_rho_prime * a_a * self.jacobians[-1])
-
-    def __call__(self, params: NetworkParams) -> tuple[float, float]:
-        if params.arch.widths != self.anchor.arch.widths or params.ensemble:
-            raise ValueError("WeightMoveBound compares single networks of the anchor's architecture")
-        if not self.finite:
-            return math.inf, math.inf
-        act = params.arch.activation
-        delta = eps = 0.0  # moves of the layer input and of its Jacobian in x
-        g = 1.0  # bound on the current network's Jacobian
-        # the norms np.linalg.norm takes, without its wrapper: a row's is
-        # sqrt(add.reduce(x * x)), a vector's sqrt(x.dot(x))
-        moves = _layer_views(params.arch, params.flat - self.anchor.flat)
-        layers = zip(params.layers, moves, self.norms, self.inputs, self.jacobians)
-        for (A, _), (dA, db), a_a, h_a, g_a in layers:
-            rows = np.sqrt(np.add.reduce(dA * dA, axis=1))
-            d_a = math.sqrt(rows.dot(rows))
-            a = a_a + d_a
-            z = a * delta + d_a * h_a + math.sqrt(db.dot(db))
-            grad_move = a * eps + d_a * g_a
-            reach = np.sqrt(np.add.reduce(A * A, axis=1))
-            reach *= delta
-            reach += rows * h_a
-            reach += np.abs(db)
-            z_max = float(reach.max())
-            eps = act.l_rho_prime * z_max * a * g + act.b_rho_prime * grad_move
-            delta = act.l_rho * z
-            g *= act.b_rho_prime * a
-        return z, grad_move
 
 
 class RecipeError(ValueError):

@@ -5,8 +5,8 @@ Everything here is one of a matched pair:
 
 * an exact or theoretical quantity (exact Rademacher average by sign
   enumeration, Massart's finite-class bound, the ball covering number, the
-  chaining bound at resolution 1/sqrt(N), the per-family sup/Lipschitz
-  constants, the end-to-end statistical error bound), and
+  chaining bound at resolution 1/sqrt(N), the network's and the per-family
+  sup/Lipschitz constants, the end-to-end statistical error bound), and
 * an empirical adversary (random and gradient-refined probes) whose job is to
   get as close to the bound as it can.  A probe exceeding its bound means a
   formula or an implementation is wrong; tests assert zero violations.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import network as net
-from .network import NetworkArch, exp_or_inf
+from .network import NetworkArch
 from .pde import CoeffSupNorms, EllipticProblem, sample_batch
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "massart_bound",
     "covering_bound_ball",
     "chaining_bound",
+    "NetworkBounds",
+    "network_bounds",
     "ClassConstants",
     "class_constants",
     "statistical_error_bound",
@@ -49,6 +51,16 @@ __all__ = [
     "massart_sweep",
     "empirical_sta_error",
 ]
+
+
+_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _exp_or_inf(ln_value: float) -> float:
+    """exp(ln_value), returning +inf instead of overflowing."""
+    if ln_value > _LN_FLOAT_MAX:
+        return math.inf
+    return math.exp(ln_value)
 
 
 class BoundNotApplicableError(ValueError):
@@ -93,9 +105,9 @@ class BoundReport:
 
 
 def _make_report(lemma: str, ln_theoretical: float, empirical: float, details: dict) -> BoundReport:
-    theoretical = exp_or_inf(ln_theoretical)
+    theoretical = _exp_or_inf(ln_theoretical)
     if empirical > 0.0 and math.isfinite(ln_theoretical):
-        ratio = exp_or_inf(math.log(empirical) - ln_theoretical)
+        ratio = _exp_or_inf(math.log(empirical) - ln_theoretical)
     elif empirical > 0.0:
         ratio = 0.0 if ln_theoretical == math.inf else math.inf
     else:
@@ -178,7 +190,7 @@ def covering_bound_ball(b: float, d: int, eps: float) -> float:
     if b <= 0 or eps <= 0 or d < 1:
         raise ValueError("need b > 0, eps > 0, d >= 1")
     ln_val = d * (math.log(2.0) + math.log(b) + 0.5 * math.log(d) - math.log(eps))
-    return exp_or_inf(ln_val)
+    return _exp_or_inf(ln_val)
 
 
 def chaining_bound(b_i: float, l_i: float, n_weights: int, b_theta: float, n_samples: int) -> float:
@@ -203,11 +215,50 @@ def chaining_bound(b_i: float, l_i: float, n_weights: int, b_theta: float, n_sam
     if ln_arg <= 0.0:
         raise BoundNotApplicableError("bound vacuous: covering log factor is <= 1")
     term = math.log(6.0) + 0.5 * math.log(n_weights) + math.log(b_i) - 0.5 * math.log(n_samples)
-    return 4.0 / math.sqrt(n_samples) + exp_or_inf(term) * math.sqrt(ln_arg)
+    return 4.0 / math.sqrt(n_samples) + _exp_or_inf(term) * math.sqrt(ln_arg)
 
 
 # ---------------------------------------------------------------------------
-# per-family class constants
+# network and per-family class constants
+
+
+@dataclass(frozen=True)
+class NetworkBounds:
+    """Weight-Lipschitz and gradient-sup constants for a network class.
+
+    l_value bounds |f(x; theta) - f(x; theta~)| / ||theta - theta~||_2,
+    b_grad bounds sup |partial_p f|, and l_grad does for the spatial gradient
+    what l_value does for the value.  Values may be +inf; logs are exact.
+    """
+
+    l_value: float
+    b_grad: float
+    l_grad: float
+    ln_l_value: float
+    ln_b_grad: float
+    ln_l_grad: float
+
+
+def network_bounds(arch: NetworkArch, n_nonzero: int) -> NetworkBounds:
+    if n_nonzero < 1:
+        raise ValueError("n_nonzero must be >= 1")
+    depth = arch.depth
+    ln_btheta = math.log(arch.b_theta)
+    ln_prod_hidden = sum(math.log(wd) for wd in arch.hidden_widths)
+    ln_n = math.log(n_nonzero)
+    ln_bp = math.log(arch.activation.b_rho_prime) if arch.activation.b_rho_prime > 0 else -math.inf
+
+    ln_l_value = 0.5 * ln_n + (depth - 1) * ln_btheta + ln_prod_hidden
+    ln_b_grad = ln_prod_hidden + depth * ln_btheta + (depth - 1) * ln_bp
+    ln_l_grad = 0.5 * ln_n + math.log(depth + 1) + 2 * depth * ln_btheta + 2 * ln_prod_hidden
+    return NetworkBounds(
+        l_value=_exp_or_inf(ln_l_value),
+        b_grad=_exp_or_inf(ln_b_grad),
+        l_grad=_exp_or_inf(ln_l_grad),
+        ln_l_value=ln_l_value,
+        ln_b_grad=ln_b_grad,
+        ln_l_grad=ln_l_grad,
+    )
 
 
 @dataclass(frozen=True)
@@ -266,8 +317,8 @@ def class_constants(
         _ln(sups.g_max) + 0.5 * ln_n + (depth - 1) * ln_bt + ln_prod,
     )
     return ClassConstants(
-        b=tuple(exp_or_inf(v) for v in ln_b),
-        l=tuple(exp_or_inf(v) for v in ln_l),
+        b=tuple(_exp_or_inf(v) for v in ln_b),
+        l=tuple(_exp_or_inf(v) for v in ln_l),
         ln_b=ln_b,
         ln_l=ln_l,
     )
@@ -298,7 +349,7 @@ def statistical_error_bound(
         + (3.5 * depth + 0.5) * math.log(arch.b_theta)
         - 0.25 * math.log(n_samples)
     )
-    return exp_or_inf(ln_val), ln_val
+    return _exp_or_inf(ln_val), ln_val
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +438,7 @@ def lipschitz_probe(arch: NetworkArch, n_probes: int, seed) -> list[BoundReport]
     """
     if not arch.activation.smooth:
         raise ValueError("Lipschitz probing requires a bounded smooth activation")
-    bounds = net.network_bounds(arch, arch.n_params())
+    bounds = network_bounds(arch, arch.n_params())
     rng = np.random.default_rng(seed)
     best = np.zeros(3)  # value ratio, gradient sup, gradient ratio
     for idx in _probe_blocks(n_probes, arch):

@@ -6,13 +6,8 @@ same sampled batch; batches are redrawn every ``resample_every`` outer steps
 from deterministic child seeds.  After every update the weights are clipped
 entrywise to the architecture's box, and after each trial-network update its
 estimated H^1 norm (on a fixed quadrature set) is softly projected back to
-``h1_ball_radius`` by rescaling the final affine layer.  The estimate's
-quadrature forward runs on the first step, after any step where the
-projection fired, at history rows before the averaging window (which report
-it), and whenever a bound on how far the weights moved since the last
-estimate (``network.WeightMoveBound``) cannot prove the iterate is still
-inside the ball.  A skipped step is one the exact projection would have left
-unchanged, so skipping changes no result.
+``h1_ball_radius`` by rescaling the final affine layer; the projection skips
+its quadrature forward where it provably cannot fire (``_Projector``).
 
 Plain alternating descent-ascent cycles in its last iterate, so the returned
 trial network is the uniform (Polyak-Ruppert) average of the trial iterates
@@ -234,6 +229,70 @@ class _Optimizer:
         self.t = 0
 
 
+class _MoveBound:
+    """Upper bounds on how far a network moves from an anchor, without a forward.
+
+    ``_MoveBound(anchor, x_radius)(params)`` returns ``(B_val, B_grad)`` with
+    sup |f - f_a| <= B_val and sup ||grad f - grad f_a||_2 <= B_grad over
+    ||x|| <= x_radius, where f_a has the ``anchor`` weights and f the ``params``
+    of the same architecture, each a single network.  A layer recursion in the
+    spirit of spectrally normalized perturbation bounds (Bartlett, Foster &
+    Telgarsky, arXiv:1706.08498), with dA = A - A_a, db = b - b_a, the
+    pre-activation move Z_k and its largest entry z_k, the hidden-state move
+    delta_k and the Jacobian move eps_k of layer k:
+
+        Z_k     <= ||A_k|| delta_{k-1} + ||dA_k|| H_{k-1} + ||db_k||
+        z_k     <= max_i (||A_k[i]|| delta_{k-1} + ||dA_k[i]|| H_{k-1} + |db_k[i]|)
+        delta_k <= l_rho Z_k
+        eps_k   <= l_rho' z_k ||A_k|| G_{k-1} + b_rho' (||A_k|| eps_{k-1} + ||dA_k|| G_a,k-1)
+
+    ||.|| is the spectral norm and ||A[i]|| a row's 2-norm.  H bounds the
+    anchor's layer inputs (x_radius, then b_rho sqrt(n_k)); G and G_a bound the
+    two networks' Jacobians (1, then b_rho' ||A_k|| G_{k-1}).  The affine output
+    layer closes the recursion as Z_D and ||A_D|| eps_{D-1} + ||dA_D|| G_a,D-1.
+    The anchor's spectral norms are computed once; a call bounds ||dA|| by its
+    Frobenius norm and ||A|| by ||A_a|| + ||dA||_F, so it costs a few vector
+    norms per layer.  Any infinite activation constant (the relu family) gives
+    (inf, inf).
+    """
+
+    def __init__(self, anchor: NetworkParams, x_radius: float):
+        act = anchor.arch.activation
+        self.anchor = anchor
+        self.finite = act.smooth
+        self.norms = [float(np.linalg.norm(A, 2)) for A, _ in anchor.layers]
+        self.inputs = [x_radius] + [act.b_rho * math.sqrt(w) for w in anchor.arch.hidden_widths]
+        self.jacobians = [1.0]
+        for a_a in self.norms[:-1]:
+            self.jacobians.append(act.b_rho_prime * a_a * self.jacobians[-1])
+
+    def __call__(self, params: NetworkParams) -> tuple[float, float]:
+        if not self.finite:
+            return math.inf, math.inf
+        act = params.arch.activation
+        delta = eps = 0.0  # moves of the layer input and of its Jacobian in x
+        g = 1.0  # bound on the current network's Jacobian
+        # the norms np.linalg.norm takes, without its wrapper: a row's is
+        # sqrt(add.reduce(x * x)), a vector's sqrt(x.dot(x))
+        moves = NetworkParams(params.arch, params.flat - self.anchor.flat).layers
+        layers = zip(params.layers, moves, self.norms, self.inputs, self.jacobians)
+        for (A, _), (dA, db), a_a, h_a, g_a in layers:
+            rows = np.sqrt(np.add.reduce(dA * dA, axis=1))
+            d_a = math.sqrt(rows.dot(rows))
+            a = a_a + d_a
+            z = a * delta + d_a * h_a + math.sqrt(db.dot(db))
+            grad_move = a * eps + d_a * g_a
+            reach = np.sqrt(np.add.reduce(A * A, axis=1))
+            reach *= delta
+            reach += rows * h_a
+            reach += np.abs(db)
+            z_max = float(reach.max())
+            eps = act.l_rho_prime * z_max * a * g + act.b_rho_prime * grad_move
+            delta = act.l_rho * z
+            g *= act.b_rho_prime * a
+        return z, grad_move
+
+
 # relative slack below the radius that a proved bound must leave, covering the
 # float rounding of the exact estimates it is compared with
 _SKIP_MARGIN = 1e-9
@@ -243,18 +302,20 @@ class _Projector:
     """The soft H^1 projection of trial iterates, which skips the quadrature
     forward when it cannot fire.
 
-    The anchor is the last iterate whose exact estimate ``h1_a`` did not fire.
-    The estimate is an RMS over the quadrature points, so for any iterate
+    The forward runs on the first call, after any call where the projection
+    fired, and whenever the caller needs the estimate.  Otherwise the anchor is
+    the last iterate whose exact estimate ``h1_a`` did not fire.  The estimate
+    is an RMS over the quadrature points, so for any iterate
     ``h1 <= h1_a + sqrt(volume) * hypot(B_val, B_grad)`` with the bounds of
-    ``network.WeightMoveBound`` over the points' radius.  When that sum is
-    below the radius the exact projection would return the iterate unchanged,
-    so skipping it changes nothing downstream.
+    ``_MoveBound`` over the points' radius.  When that sum is below the radius
+    the exact projection would return the iterate unchanged, so skipping it
+    changes no result.
     """
 
     def __init__(self, zero: loss_mod.H1Reference, radius: float):
         self.zero, self.radius = zero, radius
         self.x_radius = float(np.max(np.linalg.norm(zero.points, axis=1)))
-        self.anchor: tuple[net.WeightMoveBound, float] | None = None
+        self.anchor: tuple[_MoveBound, float] | None = None
         self.exact = self.skipped = self.fired = 0
 
     def iterate(self, params: NetworkParams, need_h1: bool):
@@ -264,7 +325,7 @@ class _Projector:
             self.skipped += 1
             return params, math.nan, None
         out, h1, ev = self.exact_project(params)
-        self.anchor = (net.WeightMoveBound(params, self.x_radius), h1) if out is params else None
+        self.anchor = (_MoveBound(params, self.x_radius), h1) if out is params else None
         return out, h1, ev
 
     def exact_project(self, params: NetworkParams) -> tuple[NetworkParams, float, tuple[np.ndarray, np.ndarray] | None]:
@@ -370,35 +431,36 @@ def minimax_train(
             u, grad_u_norm = opt_u.update(u, gu, -1.0)
             # a history row before the averaging window reports the iterate's h1
             u, h1_u, ev_u = projector.iterate(u, need_h1=is_row and step < avg_start)
+
+            if step >= avg_start:
+                u_avg += (u.flat - u_avg) / (step - avg_start + 1)
+
+            if is_row:
+                u_out, h1_out, ev_out = u, h1_u, ev_u
+                if step >= avg_start:
+                    u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg))
+                    u_out, h1_out, ev_out = projector.exact_project(u_out)
+                h1_error = math.nan
+                if ref is not None:  # u_out needs its own forward only if the projection rescaled it
+                    h1_error = (ref.distance(u_out) if ev_out is None else ref.distance_of(*ev_out)).h1
+                row = HistoryRow(
+                    step=step + 1,
+                    loss_total=last_loss.total,
+                    loss_interior=last_loss.interior,
+                    loss_boundary=last_loss.boundary,
+                    h1_u=h1_out,
+                    h1_v=zero.distance(v).h1,
+                    h1_error=h1_error,
+                    grad_u_norm=grad_u_norm,
+                    grad_v_norm=grad_v_norm,
+                    seconds=time.perf_counter() - t0,
+                )
+                history.append(row)
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
 
-        if step >= avg_start:
-            u_avg += (u.flat - u_avg) / (step - avg_start + 1)
-
-        if is_row:
-            u_out, h1_out, ev_out = u, h1_u, ev_u
-            if step >= avg_start:
-                u_out = net.clip_weights(net.flat_to_params(u_arch, u_avg))
-                u_out, h1_out, ev_out = projector.exact_project(u_out)
-            h1_error = math.nan
-            if ref is not None:  # u_out needs its own forward only if the projection rescaled it
-                h1_error = (ref.distance(u_out) if ev_out is None else ref.distance_of(*ev_out)).h1
-            row = HistoryRow(
-                step=step + 1,
-                loss_total=last_loss.total,
-                loss_interior=last_loss.interior,
-                loss_boundary=last_loss.boundary,
-                h1_u=h1_out,
-                h1_v=zero.distance(v).h1,
-                h1_error=h1_error,
-                grad_u_norm=grad_u_norm,
-                grad_v_norm=grad_v_norm,
-                seconds=time.perf_counter() - t0,
-            )
-            history.append(row)
-            if on_eval is not None:
-                on_eval(step + 1, u_out, v, row)
+        if is_row and on_eval is not None:
+            on_eval(step + 1, u_out, v, row)
 
     return TrainResult(
         u=u_out, v=v, history=history, coercivity=report,
@@ -467,12 +529,12 @@ def approx_error_probe(
         g = net.backprop_tape(tape, seed_val, seed_grad)
         try:  # a non-finite entry makes the norm non-finite too
             params, _ = opt.update(params, g, -1.0)
+            if (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1:
+                dist = held_out.distance(params).h1
+                history.append((step + 1, dist))
+                if dist < best:
+                    best = dist
+                    best_params = params
         except NonFiniteLossError as err:
             raise TrainingAborted(step, err.component, err.sample_index) from err
-        if (step + 1) % config.eval_every == 0 or step == config.outer_steps - 1:
-            dist = held_out.distance(params).h1
-            history.append((step + 1, dist))
-            if dist < best:
-                best = dist
-                best_params = params
     return ProbeResult(h1_distance=best, params=best_params, history=history)

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -666,6 +667,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: training aborted at outer step 0: non-finite grad_v norm\n", err
 
+    def test_non_finite_h1_estimate_exits_3(self, tmp_path, capsys):
+        # a step of ~1e155 in a box of 1e200 overflows the squares of the
+        # projection's H1 estimate, which used to scale u by radius / inf = 0
+        doc = copy.deepcopy(TINY["solve"])
+        doc["u_arch"] = {"widths": [1, 8, 8, 1], "b_theta": 1e200}
+        doc["v_arch"] = {"widths": [1, 8, 8, 1], "b_theta": 2.0}
+        doc["train"] = {
+            "n_interior": 32, "m_boundary": 32, "outer_steps": 3, "inner_steps": 1, "optimizer": "sgd",
+            "lr_u": 1e155, "lr_v": 1e-3, "eval_every": 1, "h1_ball_radius": 2.0, "seed": 0,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: training aborted at outer step 0: non-finite H1 estimate\n", err
+
     def test_overflowing_boundary_data_exits_3(self, tmp_path, capsys):
         # beta = 1e308 overflows the Robin trace g = alpha u + beta u' nu at
         # x = 0 and 1: the loss's check of g, which computes outside expr's trap
@@ -1127,6 +1145,16 @@ def test_sizes_come_from_the_constants_their_owners_use():
     assert not literals & {coercivity_default, theory.SUP_NORM_POINTS, grid_default}
 
 
+def test_every_size_key_is_a_real_size_key():
+    """``_check_sizes`` reads a key it cannot find as no value, so a key that
+    names no config key (a renamed option or TrainConfig field) would drop its
+    memory bound without a word."""
+    real = {"problem.dim"} | {f"train.{f.name}" for f in dataclasses.fields(train_mod.TrainConfig)}
+    real |= {f"{section}.{option}" for spec in cli._COMMANDS.values()
+             for section in ("sweep", "theory") if section in spec.sections for option in spec.options}
+    assert set(cli._SIZES) <= real, sorted(set(cli._SIZES) - real)
+
+
 class TestApproxProbe:
     def test_fit_history_written(self, tmp_path):
         doc = {
@@ -1145,16 +1173,17 @@ class TestApproxProbe:
         assert manifest["results"]["h1_distance"] == min(float(r[1]) for r in rows)
         assert net.load_checkpoint(str(out / "fit.json")).arch.widths == (1, 8, 1)
 
-    def test_fit_gradient_overflow_names_no_sample(self, tmp_path, capsys):
-        # a target of 1e200 sin(pi x) overflows the fit gradient's norm, which
-        # belongs to no sample
+    def test_overflowing_target_names_no_sample(self, tmp_path, capsys):
+        # a target of 1e200 sin(pi x) overflows the squares of the held-out H1
+        # estimate, which belongs to no sample, and warns of nothing
         doc = copy.deepcopy(TINY["approx-probe"])
         doc["problem"]["u_exact"] = "1e200*sin(pi*x1)"
-        with np.errstate(over="ignore"):  # the held-out distance squares 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = cli.run(write_config(tmp_path, doc), out_dir=str(tmp_path / "out"), quiet=True)
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "numerical failure: training aborted at outer step 0: non-finite fit gradient norm\n", err
+        assert err == "numerical failure: non-finite value in H1 estimate term\n", err
 
     def test_fits_and_scores_over_the_problems_domain(self, tmp_path):
         # u* = 1/(x1 - 0.2) has H1 norm 6.58 over the ball; it is singular at

@@ -62,3 +62,44 @@ def test_private_read_scan_sees_both_forms(tmp_path):
     path = tmp_path / "cli.py"
     path.write_text("from . import theory as lab, pde\nfrom .network import _forward\nx = lab._BIG + pde._y + pde.ok\n")
     assert _private_reads(path) == ["network._forward", "theory._BIG (line 3)", "pde._y (line 3)"]
+
+
+# each module's layer: a module imports only modules of lower layers, so
+# ``expr`` and ``network`` stay leaves that no bound or training code enters
+LAYERS = {"expr": 0, "network": 0, "pde": 1, "loss": 2, "oracle": 2, "theory": 3, "train": 3, "cli": 4}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The weakgal modules the file at ``path`` imports, relatively or by the
+    package's name, anywhere in the file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("weakgal."))
+        elif isinstance(node, ast.ImportFrom):
+            module = f"weakgal.{node.module}" if node.level == 1 and node.module else node.module
+            if node.level == 1 and node.module is None or module == "weakgal":
+                found.update(alias.name for alias in node.names)
+            elif module and module.startswith("weakgal."):
+                found.add(module.split(".")[1])
+    return found & set(LAYERS)
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(LAYERS)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_go_down_the_layers(name):
+    found = {m for m in _package_imports(Path(weakgal.__file__).parent / f"{name}.py") if LAYERS[m] >= LAYERS[name]}
+    assert not found, f"weakgal.{name} (layer {LAYERS[name]}) imports modules of its layer or above: {sorted(found)}"
+
+
+def test_package_import_scan_sees_every_form(tmp_path):
+    path = tmp_path / "network.py"
+    path.write_text(
+        "from . import __version__, expr as e\nfrom .pde import Domain\nimport weakgal.loss\n"
+        "from weakgal import oracle\nfrom weakgal.theory import network_bounds\n"
+        "def f():\n    from .train import TrainConfig\n"
+    )
+    assert _package_imports(path) == {"expr", "pde", "loss", "oracle", "theory", "train"}

@@ -466,6 +466,39 @@ def test_overflowing_robin_trace_is_caught():
     assert (err.value.component, err.value.sample_index) == ("boundary g", 0)
 
 
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_non_finite_weight_gradient_names_no_sample(monkeypatch, name):
+    """A weight gradient's entries belong to no sample, so its error names none."""
+    original = net.backprop_tape
+
+    def poisoned(*args):
+        grad = original(*args)
+        grad[-1] = math.inf
+        return grad
+
+    monkeypatch.setattr(net, "backprop_tape", poisoned)
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    with pytest.raises(NonFiniteLossError) as err:
+        loss_gradients(init(arch, 1), init(arch, 2), _neumann_problem(), _endpoint_batch([0.25, 0.5]),
+                       need_u=name == "u", need_v=name == "v")
+    assert (err.value.component, err.value.sample_index) == (f"grad_{name}", -1)
+    assert str(err.value) == f"non-finite value in grad_{name} term"
+
+
+def test_non_finite_h1_estimate_raises_without_a_warning():
+    # 1e200 squared overflows; the estimate raises instead of reading inf
+    points = np.array([[0.25], [0.5], [0.75]])
+    huge = H1Reference(parse("1e200*sin(pi*x1)", 1), points, 1.0)
+    arch = NetworkArch(widths=(1, 4, 1), activation=TANH, b_theta=2.0)
+    for call in (lambda: huge.distance(init(arch, 0)),
+                 lambda: H1Reference(None, points, 1.0).distance_of(np.full(3, np.nan), np.zeros((3, 1)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLossError) as err:
+                call()
+        assert (err.value.component, err.value.sample_index) == ("H1 estimate", -1)
+
+
 def _blows_up_at_one(dim) -> NetworkParams:
     """A relu^2 network that is 0 where x1 <= 0.999 and overflows to inf at x1 = 1."""
     arch = NetworkArch(widths=(dim, 1, 1), activation=net.activation_by_name("relu2"), b_theta=1.0)

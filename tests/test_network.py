@@ -1,14 +1,12 @@
-"""Network evaluation, AD, bounds, recipe, and checkpoint tests."""
+"""Network evaluation, AD, recipe, and checkpoint tests."""
 
 import json
-import math
 import os
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from weakgal import network as net
 from weakgal.network import (
@@ -26,9 +24,7 @@ from weakgal.network import (
     forward_tape,
     init,
     load_checkpoint,
-    network_bounds,
     save_checkpoint,
-    WeightMoveBound,
 )
 
 
@@ -213,112 +209,6 @@ def test_count_nonzero():
     a1 = NetworkArch(widths=(1, 1), activation=TANH, b_theta=2.0)
     q = NetworkParams(a1, np.array([2.0, 1.0]))
     assert np.count_nonzero(q.flat) == 2
-
-
-def test_network_bounds_worked_values():
-    arch = NetworkArch(widths=(1, 3, 1), activation=TANH, b_theta=2.0)
-    nb = network_bounds(arch, 10)
-    assert nb.l_value == pytest.approx(math.sqrt(10) * 2 * 3, rel=1e-12)
-    assert nb.b_grad == pytest.approx(3 * 2**2, rel=1e-12)
-    assert nb.l_grad == pytest.approx(math.sqrt(10) * 3 * 2**4 * 9, rel=1e-12)
-
-
-def test_network_bounds_monotone_in_b_theta():
-    for bt1, bt2 in [(1.0, 2.0), (2.0, 5.0), (5.0, 50.0)]:
-        a1 = NetworkArch(widths=(2, 4, 4, 1), activation=TANH, b_theta=bt1)
-        a2 = NetworkArch(widths=(2, 4, 4, 1), activation=TANH, b_theta=bt2)
-        n1, n2 = network_bounds(a1, 29), network_bounds(a2, 29)
-        assert n1.l_value <= n2.l_value
-        assert n1.b_grad <= n2.b_grad
-        assert n1.l_grad <= n2.l_grad
-
-
-def test_network_bounds_overflow_reports_inf():
-    arch = NetworkArch(widths=(1, 8, 8, 8, 8, 1), activation=TANH, b_theta=1e80)
-    nb = network_bounds(arch, 1000)
-    assert math.isinf(nb.l_grad)
-    assert math.isfinite(nb.ln_l_grad)
-
-
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(
-    activation=st.sampled_from([TANH, LOGISTIC]),
-    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),  # depth 2-4
-    d=st.integers(1, 3),
-    weight_scale=st.floats(0.1, 3.0),
-    log_move=st.floats(-6.0, 0.0),
-    seed=st.integers(0, 2**16),
-)
-def test_weight_move_bound_covers_the_h1_estimate(activation, hidden, d, weight_scale, log_move, seed):
-    """sup |f - f_a| and sup |grad f - grad f_a| stay under the bound at sampled
-    points, so the RMS H^1 estimate moves by at most sqrt(volume) * hypot(B)."""
-    arch = NetworkArch(widths=(d, *hidden, 1), activation=activation, b_theta=10.0)
-    anchor = _uniform_params(arch, seed, weight_scale)
-    rng = np.random.default_rng(seed)
-    flat_a = anchor.flat
-    moved = flat_to_params(arch, flat_a + 10.0**log_move * rng.standard_normal(flat_a.shape))
-    X = rng.uniform(-1.0, 1.0, size=(64, d))
-    b_val, b_grad = WeightMoveBound(anchor, float(np.max(np.linalg.norm(X, axis=1))))(moved)
-
-    (va, ga), (vm, gm) = forward_dual_batch(anchor, X), forward_dual_batch(moved, X)
-    assert np.max(np.abs(vm - va)) <= b_val
-    assert np.max(np.linalg.norm(gm - ga, axis=1)) <= b_grad
-
-    def h1(vals, grads):  # the trainer's estimate on a unit-volume domain
-        return math.sqrt(np.mean(vals**2 + np.sum(grads**2, axis=1)))
-
-    assert h1(vm, gm) <= h1(va, ga) + math.hypot(b_val, b_grad)
-
-
-def _reference_move_bound(bound, params):
-    """``WeightMoveBound.__call__`` as plain per-layer code with np.linalg.norm."""
-    act = params.arch.activation
-    delta = eps = 0.0
-    g = 1.0
-    layers = zip(bound.anchor.layers, params.layers, bound.norms, bound.inputs, bound.jacobians)
-    for (A_a, b_a), (A, b), a_a, h_a, g_a in layers:
-        dA, db = A - A_a, b - b_a
-        rows = np.linalg.norm(dA, axis=1)
-        d_a = float(np.linalg.norm(rows))
-        a = a_a + d_a
-        z = a * delta + d_a * h_a + float(np.linalg.norm(db))
-        grad_move = a * eps + d_a * g_a
-        z_max = float(np.max(np.linalg.norm(A, axis=1) * delta + rows * h_a + np.abs(db)))
-        eps = act.l_rho_prime * z_max * a * g + act.b_rho_prime * grad_move
-        delta = act.l_rho * z
-        g *= act.b_rho_prime * a
-    return z, grad_move
-
-
-def test_weight_move_bound_keeps_the_bits_of_np_linalg_norm():
-    rng = np.random.default_rng(21)
-    hidden_choices = [(), (1,), (6,), (5, 1, 3), (7, 6), (4, 1), (20, 20)]
-    for case in range(240):
-        d = int(rng.integers(1, 4))
-        hidden = hidden_choices[case % len(hidden_choices)]
-        activation = (TANH, LOGISTIC)[case % 2]
-        arch = NetworkArch(widths=(d,) + hidden + (1,), activation=activation, b_theta=10.0)
-        anchor_flat = rng.uniform(-3.0, 3.0, arch.n_params())
-        anchor_flat[::7] = -0.0
-        move = 10.0 ** rng.uniform(-9.0, 0.0) * rng.standard_normal(arch.n_params())
-        moved_flat = anchor_flat + move
-        moved_flat[::5] = anchor_flat[::5]  # entries that do not move, -0.0 among them
-        moved_flat[3::11] = -0.0
-        bound = WeightMoveBound(NetworkParams(arch, anchor_flat), float(rng.uniform(0.5, 2.0)))
-        for params in (flat_to_params(arch, moved_flat), flat_to_params(arch, anchor_flat)):
-            got, want = bound(params), _reference_move_bound(bound, params)
-            assert got == want, (case, got, want)
-            assert all(type(x) is float for x in got)
-
-
-def test_weight_move_bound_is_zero_without_a_move_and_inf_for_relu():
-    arch = NetworkArch(widths=(2, 5, 4, 1), activation=TANH, b_theta=2.0)
-    p = init(arch, 3)
-    assert WeightMoveBound(p, 1.5)(flat_to_params(arch, p.flat)) == (0.0, 0.0)
-    for name in ("relu", "relu2"):
-        relu = NetworkArch(widths=(2, 5, 4, 1), activation=activation_by_name(name), b_theta=2.0)
-        q = init(relu, 3)
-        assert WeightMoveBound(q, 1.5)(q) == (math.inf, math.inf)
 
 
 def test_activation_metadata():

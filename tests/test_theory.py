@@ -28,6 +28,7 @@ from weakgal.theory import (
     lipschitz_probe,
     massart_bound,
     massart_sweep,
+    network_bounds,
     statistical_error_bound,
 )
 
@@ -157,6 +158,31 @@ def test_chaining_bound_not_applicable_when_resolution_too_coarse():
 def test_chaining_bound_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         chaining_bound(0.0, 1.0, 10, 2.0, 100)
+
+
+def test_network_bounds_worked_values():
+    arch = NetworkArch(widths=(1, 3, 1), activation=TANH, b_theta=2.0)
+    nb = network_bounds(arch, 10)
+    assert nb.l_value == pytest.approx(math.sqrt(10) * 2 * 3, rel=1e-12)
+    assert nb.b_grad == pytest.approx(3 * 2**2, rel=1e-12)
+    assert nb.l_grad == pytest.approx(math.sqrt(10) * 3 * 2**4 * 9, rel=1e-12)
+
+
+def test_network_bounds_monotone_in_b_theta():
+    for bt1, bt2 in [(1.0, 2.0), (2.0, 5.0), (5.0, 50.0)]:
+        a1 = NetworkArch(widths=(2, 4, 4, 1), activation=TANH, b_theta=bt1)
+        a2 = NetworkArch(widths=(2, 4, 4, 1), activation=TANH, b_theta=bt2)
+        n1, n2 = network_bounds(a1, 29), network_bounds(a2, 29)
+        assert n1.l_value <= n2.l_value
+        assert n1.b_grad <= n2.b_grad
+        assert n1.l_grad <= n2.l_grad
+
+
+def test_network_bounds_overflow_reports_inf():
+    arch = NetworkArch(widths=(1, 8, 8, 8, 8, 1), activation=TANH, b_theta=1e80)
+    nb = network_bounds(arch, 1000)
+    assert math.isinf(nb.l_grad)
+    assert math.isfinite(nb.ln_l_grad)
 
 
 def test_class_constants_worked_examples():
