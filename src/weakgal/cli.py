@@ -17,7 +17,11 @@ thread so results do not depend on its thread count; each manifest's
 ``resources`` block reports whether they took, the run's minor page faults,
 the process's peak RSS, and the interpreter, numpy, BLAS and cores.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure.  A run computes
+under ``np.errstate(all="ignore")``, so no floating-point warning reaches
+stderr: a non-finite value exits 3 through the check that finds it (the
+traps of ``expr`` and ``oracle``, which nest inside and still raise, and the
+scans of the loss, the optimizer and the H1 estimate).
 """
 
 from __future__ import annotations
@@ -248,6 +252,12 @@ def _as_int(value, path: str, minimum=None) -> int:
     return value
 
 
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string, got {value!r}")
@@ -396,19 +406,25 @@ def _network_doc(arch: net.NetworkArch, recipe: net.RecipeResult | None) -> dict
     }
 
 
-_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(train_mod.TrainConfig))
+# each TrainConfig field's reader, by its type; annotations are strings under postponed evaluation
+_READERS = {"int": _as_int, "float": _as_number, "bool": _as_bool, "str": _as_str}
+_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(train_mod.TrainConfig)}
+_TRAIN_FIELDS = tuple(_TRAIN_TYPES)
 
 
 def _build_train_config(cfg, seed_override: int | None, command: str) -> train_mod.TrainConfig:
-    """A ``TrainConfig`` from the fields that ``command`` reads; a field it
-    does not read is a config error, since setting it would change nothing."""
+    """A ``TrainConfig`` from the fields that ``command`` reads, each read by
+    the reader of its type; a field it does not read is a config error, since
+    setting it would change nothing."""
     _require_keys(cfg, "train", (), _TRAIN_FIELDS)
-    for key in cfg:
+    kwargs = dict(cfg)
+    for key, value in cfg.items():
         if key not in _COMMANDS[command].train_fields:
             raise ConfigError(f"train.{key}: {command} does not read it")
-    kwargs = dict(cfg)
-    if "h1_ball_radius" in kwargs and kwargs["h1_ball_radius"] == "inf":
-        kwargs["h1_ball_radius"] = math.inf
+        if key == "h1_ball_radius" and value in ("inf", math.inf):  # disables the projection
+            kwargs[key] = math.inf
+        else:
+            _READERS[_TRAIN_TYPES[key]](value, f"train.{key}")
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return train_mod.TrainConfig(**kwargs)
@@ -501,8 +517,9 @@ def _cmd_convergence_study(out_dir, quiet, cfg_hash, problem, u_arch, v_arch, tr
     def run_point(job):
         n, s = job
         tcfg = dataclasses.replace(train, n_interior=n, m_boundary=n, seed=s)
-        result = train_mod.minimax_train(problem, u_arch, v_arch, tcfg, u_ref=None)
-        return exact.distance(result.u).h1
+        with np.errstate(all="ignore"):  # a pool thread does not inherit run's
+            result = train_mod.minimax_train(problem, u_arch, v_arch, tcfg, u_ref=None)
+            return exact.distance(result.u).h1
 
     # the largest trainings start first, so the pool does not end on one of
     # them; errors, and the first failure, are read back in job order
@@ -706,9 +723,7 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> tuple
             elif section == "train":
                 built[section] = _build_train_config(cfg.get(section, {}), seed_override, command)
             elif section == "write_checkpoints":
-                built[section] = cfg.get(section, False)
-                if not isinstance(built[section], bool):
-                    raise ConfigError(f"config.{section}: expected true or false, got {built[section]!r}")
+                built[section] = _as_bool(cfg.get(section, False), f"config.{section}")
             else:
                 built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override)
         except (ConfigError, expr_mod.EvalError):
@@ -763,8 +778,9 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
             raise ConfigError(f"cannot create output directory {target!r}: {err.strerror or err}") from err
         started = _utc_now()
         t0 = time.perf_counter()
-        sections, networks = _build_sections(cfg, command, seed_override)
-        extras = _COMMANDS[command].run(target, quiet, cfg_hash, **sections)
+        with np.errstate(all="ignore"):
+            sections, networks = _build_sections(cfg, command, seed_override)
+            extras = _COMMANDS[command].run(target, quiet, cfg_hash, **sections)
         manifest = {
             "command": command,
             "config_hash": cfg_hash,
@@ -800,7 +816,3 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     return run(args.config, out_dir=args.out, seed_override=args.seed_override, quiet=args.quiet)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -188,11 +188,6 @@ class ExprAst:
             return evaluate_many(self, x)
         return float(evaluate_many(self, x.reshape(1, -1))[0])
 
-    def __str__(self) -> str:
-        """Text that reparses to the same values.  Python's unparser places the
-        parentheses and spaces each binary operator, ``^`` too: ``x1 ^ 2``."""
-        return pyast.unparse(_to_python(self.root)).replace("**", "^")
-
 
 def _max_var_index(node: Node) -> int:
     if isinstance(node, Const):
@@ -395,27 +390,3 @@ def _diff_node(node: Node, i: int) -> Node:
         lower = node.base if node.exponent == 2 else Pow(node.base, node.exponent - 1)
         return mul(mul(Const(float(node.exponent)), lower), db)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-_BINARY_NAMES = {name: op for op, name in _BINARY_OPS.items()}
-
-
-def _to_python(node: Node) -> pyast.expr:
-    if isinstance(node, Const) and math.copysign(1.0, node.value) < 0:
-        return pyast.UnaryOp(pyast.USub(), _to_python(Const(-node.value)))  # wrapped where needed
-    if isinstance(node, Const):
-        return pyast.Constant(node.value)  # a float prints as its repr, which round-trips
-    if isinstance(node, Var):
-        return pyast.Name(f"x{node.index}")
-    if isinstance(node, Unary) and node.op == "neg":
-        return pyast.UnaryOp(pyast.USub(), _to_python(node.arg))
-    if isinstance(node, Unary):
-        return pyast.Call(pyast.Name(node.op), [_to_python(node.arg)], [])
-    if isinstance(node, Binary) and node.op in _BINARY_NAMES:
-        return pyast.BinOp(_to_python(node.left), _BINARY_NAMES[node.op](), _to_python(node.right))
-    if isinstance(node, Pow):
-        return pyast.BinOp(_to_python(node.base), pyast.Pow(), _to_python(Const(node.exponent)))
-    raise ExprError(f"cannot print {node!r}")

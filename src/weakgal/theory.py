@@ -63,6 +63,11 @@ def _exp_or_inf(ln_value: float) -> float:
     return math.exp(ln_value)
 
 
+def _ln(x: float) -> float:
+    """log(x), and -inf for x <= 0."""
+    return math.log(x) if x > 0 else -math.inf
+
+
 class BoundNotApplicableError(ValueError):
     """A bound's precondition fails at the requested configuration."""
 
@@ -174,7 +179,7 @@ def massart_sweep(n_sets: int, seed) -> BoundReport:
     return BoundReport(
         lemma="rademacher_massart",
         theoretical=bound,
-        ln_theoretical=math.log(bound) if bound > 0 else -math.inf,
+        ln_theoretical=_ln(bound),
         empirical=exact,
         ratio=ratio,
         details={"sets": n_sets, "violations": violations},
@@ -185,12 +190,21 @@ def massart_sweep(n_sets: int, seed) -> BoundReport:
 # covering and chaining
 
 
+def _ln_cover(ln_radius: tuple[float, ...], d: int, ln_inv_eps: float) -> float:
+    """log(2 R sqrt(d) / eps), the log per dimension of the covering number of
+    a radius-R sup-ball in R^d at resolution eps, from the logs of R's
+    factors, added in their order, and log(1/eps)."""
+    ln = math.log(2.0)
+    for term in ln_radius:
+        ln += term
+    return ln + 0.5 * math.log(d) + ln_inv_eps
+
+
 def covering_bound_ball(b: float, d: int, eps: float) -> float:
     """Covering-number bound (2 B sqrt(d) / eps)^d for a radius-B sup-ball in R^d."""
     if b <= 0 or eps <= 0 or d < 1:
         raise ValueError("need b > 0, eps > 0, d >= 1")
-    ln_val = d * (math.log(2.0) + math.log(b) + 0.5 * math.log(d) - math.log(eps))
-    return _exp_or_inf(ln_val)
+    return _exp_or_inf(d * _ln_cover((math.log(b),), d, -math.log(eps)))
 
 
 def chaining_bound(b_i: float, l_i: float, n_weights: int, b_theta: float, n_samples: int) -> float:
@@ -198,8 +212,10 @@ def chaining_bound(b_i: float, l_i: float, n_weights: int, b_theta: float, n_sam
 
         4/sqrt(N) + (6 sqrt(n) B_i / sqrt(N)) sqrt(log(2 L_i B_theta sqrt(n) sqrt(N)))
 
-    with n the weight count.  Raises BoundNotApplicableError when the
-    resolution is not below B_i/2 or the log factor is vacuous.
+    with n the weight count.  The log is the covering log per dimension of the
+    radius-B_theta weight box at resolution 1/(L_i sqrt(N)), the same as that
+    of a radius-L_i B_theta box at 1/sqrt(N).  Raises BoundNotApplicableError
+    when the resolution is not below B_i/2 or the log factor is vacuous.
     """
     if b_i <= 0 or l_i <= 0 or n_weights < 1 or b_theta <= 0 or n_samples < 1:
         raise ValueError("all chaining inputs must be positive")
@@ -208,10 +224,7 @@ def chaining_bound(b_i: float, l_i: float, n_weights: int, b_theta: float, n_sam
         raise BoundNotApplicableError(
             f"bound not applicable at this N: resolution {delta:.3g} >= B_i/2 = {b_i / 2:.3g}"
         )
-    ln_arg = (
-        math.log(2.0) + math.log(l_i) + math.log(b_theta)
-        + 0.5 * math.log(n_weights) + 0.5 * math.log(n_samples)
-    )
+    ln_arg = _ln_cover((math.log(l_i), math.log(b_theta)), n_weights, 0.5 * math.log(n_samples))
     if ln_arg <= 0.0:
         raise BoundNotApplicableError("bound vacuous: covering log factor is <= 1")
     term = math.log(6.0) + 0.5 * math.log(n_weights) + math.log(b_i) - 0.5 * math.log(n_samples)
@@ -246,7 +259,7 @@ def network_bounds(arch: NetworkArch, n_nonzero: int) -> NetworkBounds:
     ln_btheta = math.log(arch.b_theta)
     ln_prod_hidden = sum(math.log(wd) for wd in arch.hidden_widths)
     ln_n = math.log(n_nonzero)
-    ln_bp = math.log(arch.activation.b_rho_prime) if arch.activation.b_rho_prime > 0 else -math.inf
+    ln_bp = _ln(arch.activation.b_rho_prime)
 
     ln_l_value = 0.5 * ln_n + (depth - 1) * ln_btheta + ln_prod_hidden
     ln_b_grad = ln_prod_hidden + depth * ln_btheta + (depth - 1) * ln_bp
@@ -275,10 +288,6 @@ class ClassConstants:
     l: tuple[float, ...]
     ln_b: tuple[float, ...]
     ln_l: tuple[float, ...]
-
-
-def _ln(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
 
 
 def class_constants(

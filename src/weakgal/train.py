@@ -22,10 +22,9 @@ and history (wall-clock ``seconds`` excepted).
 from __future__ import annotations
 
 import math
-import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,20 +84,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for fld in fields(self):  # annotations are strings under postponed evaluation
-            value = getattr(self, fld.name)
-            if fld.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{fld.name} must be an integer, got {value!r}")
-            if fld.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{fld.name} must be true or false, got {value!r}")
-            if fld.type == "float":
-                if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                    raise ValueError(f"{fld.name} must be a number, got {value!r}")
-                # h1_ball_radius = inf disables the projection; an int beyond the
-                # float range would overflow where it meets an array
-                finite = abs(value) <= sys.float_info.max
-                if not (finite or fld.name == "h1_ball_radius" and value == math.inf):
-                    raise ValueError(f"{fld.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_interior < 1 or self.m_boundary < 1:

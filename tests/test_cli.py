@@ -89,12 +89,12 @@ def _bytes_per_weight():
 
 
 def _run_under_address_limit(tmp_path, doc, limit):
-    """``python -m weakgal.cli`` on ``doc`` in a child process whose address
+    """``python -m weakgal`` on ``doc`` in a child process whose address
     space (``ulimit -v``) is ``limit`` bytes."""
     import resource
 
     return subprocess.run(
-        [sys.executable, "-m", "weakgal.cli", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "weakgal", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True, text=True,
         timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
@@ -183,13 +183,29 @@ class TestConfigValidation:
         assert cli.run(cfg, out_dir=str(tmp_path / "out")) == 2
         assert "train" in capsys.readouterr().err
 
-    def test_float_for_integer_train_field_exits_2(self, tmp_path, capsys):
-        for key, value in (("outer_steps", 1.5), ("n_interior", 8.0)):
+    @pytest.mark.parametrize("key, value, want", [
+        ("outer_steps", 1.5, "expected an integer, got 1.5"),
+        ("n_interior", 8.0, "expected an integer, got 8.0"),
+        ("eval_every", "10", "expected an integer, got '10'"),
+        ("seed", True, "expected an integer, got True"),
+        ("boundary_alpha_half", "false", "expected true or false, got 'false'"),
+        ("boundary_alpha_half", 1, "expected true or false, got 1"),
+    ])
+    def test_mistyped_train_field_exits_2_naming_it(self, tmp_path, capsys, key, value, want):
+        doc = solve_config()
+        doc["train"][key] = value
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
+        assert capsys.readouterr().err == f"config error: train.{key}: {want}\n"
+        assert not (out / "history.csv").exists()
+
+    def test_every_train_field_is_read_by_a_reader_of_its_type(self, tmp_path, capsys):
+        for field in dataclasses.fields(train_mod.TrainConfig):
             doc = solve_config()
-            doc["train"][key] = value
-            out = tmp_path / key
-            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2
-            assert key in capsys.readouterr().err
+            doc["train"][field.name] = [1]
+            out = tmp_path / field.name
+            assert cli.run(write_config(tmp_path, doc), out_dir=str(out), quiet=True) == 2, field.name
+            assert capsys.readouterr().err.startswith(f"config error: train.{field.name}: expected "), field.name
             assert not (out / "history.csv").exists()
 
     def test_non_bool_write_checkpoints_exits_2(self, tmp_path, capsys):
@@ -1206,6 +1222,68 @@ class TestApproxProbe:
         cfg = write_config(tmp_path, doc)
         assert cli.run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 2
         assert "u_exact" in capsys.readouterr().err
+
+
+# configs whose networks overflow: each printed numpy's RuntimeWarnings before
+# it exited 3, and under ``python -W error`` ended in a traceback with exit 1
+_OVERFLOWING = {
+    "numerical failure: training aborted at outer step 1: non-finite fit gradient norm": {
+        "command": "approx-probe", "problem": _PROBLEM, "u_arch": {"widths": [1, 3, 1], "b_theta": 1e200},
+        "train": {"optimizer": "sgd", "lr_u": 1e180, "n_interior": 4, "outer_steps": 2, "h1_quad_points": 8},
+    },
+    "numerical failure: non-finite value in interior integrand term at sample 0": {
+        "command": "theory-check", "problem": dict(_PROBLEM, dim=2, u_exact="sin(pi*x1)*sin(pi*x2)"),
+        "u_arch": {"widths": [2, 8, 8, 1], "b_theta": 1e200},
+        "theory": {"probes": 20, "rademacher_sets": 3, "sta_trials": 1, "sta_n": 16, "sta_probes": 2},
+    },
+    # on a pool of two threads
+    "numerical failure: training aborted at outer step 1: non-finite interior u (sample 0)": {
+        "command": "convergence-study", "problem": _PROBLEM,
+        "u_arch": {"widths": [1, 3, 1], "b_theta": 1e200, "activation": "relu2"},
+        "v_arch": {"widths": [1, 3, 1], "b_theta": 2},
+        "train": {"optimizer": "sgd", "lr_u": 1e180, "lr_v": 1e-3, "outer_steps": 2, "inner_steps": 1,
+                  "eval_every": 2, "h1_quad_points": 8, "h1_ball_radius": "inf"},
+        "sweep": {"n_values": [4, 8], "seeds": [0], "eval_quad": 16},
+    },
+}
+
+# run under ``-W error``: ``cli.main`` on each config path, with what it
+# wrote to stderr; a warning that escapes ends the loop in a traceback
+_MAIN_LOOP = """
+import contextlib, io, json, sys
+from weakgal import cli
+results = []
+for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([path, "--out", out, "--quiet"])
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_under_w_error(args):
+    """``python -W error`` on ``args`` in a child process, on a pool of two threads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), WG_THREADS="2")
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+class TestNoWarningLeavesARun:
+    def test_module_entry_point_runs_silently(self, tmp_path):
+        proc = _run_under_w_error(["-m", "weakgal", write_config(tmp_path, TINY["solve"]),
+                                   "--out", str(tmp_path / "out"), "--quiet"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_every_command_and_every_overflow_exits_without_a_warning(self, tmp_path):
+        docs = [(doc, 0, "") for command, doc in TINY.items() if command != "solve"]
+        docs += [(doc, 3, line + "\n") for line, doc in _OVERFLOWING.items()]
+        args = []
+        for i, (doc, _, _) in enumerate(docs):
+            args += [write_config(tmp_path, doc, f"config{i}.json"), str(tmp_path / f"out{i}")]
+        proc = _run_under_w_error(["-c", _MAIN_LOOP, *args])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [[code, err] for _, code, err in docs]
 
 
 class TestResources:

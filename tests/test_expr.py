@@ -112,15 +112,6 @@ def test_too_deep_a_tree_is_an_expr_error_at_each_step():
         evaluate_many(tree, np.array([[0.5]]))
 
 
-def test_printed_powers_are_spaced_and_parenthesized_by_python_rules():
-    cases = (("x1^2", "x1 ^ 2"), ("x1^-2", "x1 ^ (-2)"), ("(x1^2)^3", "(x1 ^ 2) ^ 3"),
-             ("(-x1)^2", "(-x1) ^ 2"), ("-x1^2", "-x1 ^ 2"), ("2 - (3 - x1)", "2.0 - (3.0 - x1)"))
-    for text, printed in cases:
-        assert str(parse(text, 1)) == printed
-        assert parse(printed, 1).root == parse(text, 1).root
-    assert str(ExprAst(Pow(Const(-2.0), 2), 1)) == "(-2.0) ^ 2"
-
-
 def test_batch_evaluation_shape():
     e = parse("x1*x2", 2)
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -253,44 +244,10 @@ def test_diff_matches_finite_differences_property():
                 assert abs(got - fd) <= 1e-6 * (1.0 + abs(fd)), (text, i, p)
 
 
-def test_to_string_round_trip_property():
-    rng = np.random.default_rng(7)
-    pool = [
-        "x1", "x2", "pi", "1.5", "-0.25", "sin(x1)", "cos(x2)", "exp(x1)",
-        "tanh(x2)", "x1^2", "x2^-1",
-    ]
-    ops = [" + ", " - ", " * ", " / "]
-    pts = rng.uniform(0.2, 0.8, size=(20, 2))
-    for _ in range(60):
-        k = int(rng.integers(2, 5))
-        text = pool[int(rng.integers(len(pool)))]
-        for _ in range(k):
-            text = f"({text}){ops[int(rng.integers(4))]}({pool[int(rng.integers(len(pool)))]})"
-        e = parse(text, 2)
-        e2 = parse(str(e), 2)
-        np.testing.assert_allclose(
-            evaluate_many(e, pts), evaluate_many(e2, pts), rtol=1e-15, atol=0
-        )
-
-
-def test_repr_round_trip_of_constants():
-    e = parse("0.1 + 0.2", 1)
-    e2 = parse(str(e), 1)
-    assert e((0.0,)) == e2((0.0,))
-
-
-def test_nested_diff_then_string_round_trip():
-    e = parse("sin(pi*x1) * exp(-x2)", 2)
-    d12 = diff(diff(e, 1), 2)
-    pts = np.array([[0.3, 0.5]])
-    again = parse(str(d12), 2)
-    np.testing.assert_allclose(evaluate_many(d12, pts), evaluate_many(again, pts), rtol=0)
-
-
 def test_constant_folding_neutral_elements():
     # smart constructors drop additive/multiplicative identities
     e = diff(parse("x1 + 0*x2", 2), 1)
-    assert str(e) == "1.0"
+    assert e.root == Const(1.0)
 
 
 def _scanning_eval(node, pts):
@@ -364,11 +321,5 @@ def test_trapped_evaluation_matches_scanning_walk(ast, pts):
     """Both raise EvalError or both return the same bits, on a tree and on its
     derivative (whose folded constants can overflow to infinity)."""
     for tree in (ast, diff(ast, 1)):
-        assert _outcome(evaluate_many, tree, pts) == _outcome(_reference_many, tree, pts), str(tree)
+        assert _outcome(evaluate_many, tree, pts) == _outcome(_reference_many, tree, pts), tree
 
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_TREES, _POINTS)
-def test_printed_tree_reparses_to_the_same_values(ast, pts):
-    again = parse(str(ast), 2)
-    assert _outcome(evaluate_many, again, pts) == _outcome(evaluate_many, ast, pts), str(ast)

@@ -137,6 +137,14 @@ def test_chaining_bound_high_precision_cross_check():
         assert abs(got - float(want)) <= 1e-12 * float(want)
 
 
+def test_chaining_log_is_the_covering_log_at_resolution_one_over_l_sqrt_n():
+    b_i, l_i, n, b_theta, n_samples = 12.0, 1366.0, 10, 2.0, 10000
+    cover = covering_bound_ball(b_theta, n, 1.0 / (l_i * math.sqrt(n_samples)))
+    scale = 6.0 * math.sqrt(n) * b_i / math.sqrt(n_samples)
+    want = 4.0 / math.sqrt(n_samples) + scale * math.sqrt(math.log(cover) / n)
+    assert chaining_bound(b_i, l_i, n, b_theta, n_samples) == pytest.approx(want, rel=1e-12)
+
+
 def test_chaining_bound_linear_in_b_i():
     base = chaining_bound(3.0, 100.0, 20, 2.0, 4096)
     doubled = chaining_bound(6.0, 100.0, 20, 2.0, 4096)

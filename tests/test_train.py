@@ -50,12 +50,12 @@ class TestConfigValidation:
             {"h1_quad_points": 1},
             {"h1_ball_radius": 0.0},
             {"h1_ball_radius": -2.0},
-            {"outer_steps": 1.5},
-            {"n_interior": 8.0},
-            {"eval_every": "10"},
-            {"seed": True},
-            {"boundary_alpha_half": "false"},
-            {"boundary_alpha_half": 1},
+            {"h1_ball_radius": math.nan},
+            {"seed": -1},
+            {"adam_beta1": 1.0},
+            {"adam_beta2": -0.1},
+            {"adam_eps": 0.0},
+            {"grad_clip_norm": -1.0},
         ],
     )
     def test_rejects_bad_fields(self, kw):
