@@ -17,11 +17,12 @@ thread so results do not depend on its thread count; each manifest's
 ``resources`` block reports whether they took, the run's minor page faults,
 the process's peak RSS, and the interpreter, numpy, BLAS and cores.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.  A run computes
-under ``np.errstate(all="ignore")``, so no floating-point warning reaches
-stderr: a non-finite value exits 3 through the check that finds it (the
-traps of ``expr`` and ``oracle``, which nest inside and still raise, and the
-scans of the loss, the optimizer and the H1 estimate).
+Exit codes: 0 success, 2 config error (a ``ConfigError``), 3 numerical
+failure (any ``ArithmeticError``).  A run computes under
+``np.errstate(all="ignore")``, so no floating-point warning reaches stderr: a
+non-finite value exits 3 through the check that finds it (the traps of
+``expr`` and ``oracle``, which nest inside and still raise, and the scans of
+the loss, the optimizer and the H1 estimate).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from . import pde
 __all__ = ["ConfigError", "apply_process_policy", "run", "main"]
 
 
-class ConfigError(ValueError):
-    """Malformed experiment config; message names the offending key path."""
+class ConfigError(Exception):
+    """Malformed experiment config (exit 2); message names the offending key path."""
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,6 @@ def _build_problem(cfg, path: str = "problem", memory: int | None = None) -> pde
         u_exact = expr(cfg["u_exact"], f"{path}.u_exact")
         try:
             return pde.manufactured_problem(u_exact, a, b, c, alpha, beta, domain, bc_kind)
-        except expr_mod.EvalError:
-            raise
         except expr_mod.ExprError as err:  # a derivative tree nests too deeply
             raise ConfigError(f"{path}.u_exact: deriving f and g: {err}") from err
     if "f" not in cfg:
@@ -726,8 +725,6 @@ def _build_sections(cfg: dict, command: str, seed_override: int | None) -> tuple
                 built[section] = _as_bool(cfg.get(section, False), f"config.{section}")
             else:
                 built[section] = _build_options(cfg.get(section, {}), section, spec.options, seed_override)
-        except (ConfigError, expr_mod.EvalError):
-            raise
         except (ValueError, OverflowError) as err:
             raise ConfigError(f"{section}: {err}") from err
     if spec.needs_u_exact and problem.u_exact is None:
@@ -799,8 +796,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (train_mod.TrainingAborted, loss_mod.NonFiniteLossError, oracle.SolveError,
-            theory_mod.BoundNotApplicableError, expr_mod.EvalError) as err:
+    except ArithmeticError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 
@@ -816,3 +812,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     return run(args.config, out_dir=args.out, seed_override=args.seed_override, quiet=args.quiet)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,7 +49,7 @@ __all__ = [
 
 
 class ExprError(ValueError):
-    """Base class for expression failures."""
+    """Base class for malformed expressions; a failed evaluation is an ``EvalError``."""
 
 
 class ParseError(ExprError):
@@ -60,8 +60,8 @@ class ParseError(ExprError):
         self.offset = offset
 
 
-class EvalError(ExprError):
-    """Raised when evaluation produces a non-finite value or divides by zero."""
+class EvalError(ArithmeticError):
+    """Evaluation produced a non-finite value or divided by zero: a numerical failure."""
 
 
 @dataclass(frozen=True)

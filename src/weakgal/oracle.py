@@ -147,8 +147,9 @@ def _fd_values_1d(problem: EllipticProblem, n: int) -> np.ndarray:
 
     alpha, beta = problem.alpha, problem.beta
     g_ends = problem.g_values(np.array([[0.0], [1.0]]), np.array([[-1.0], [1.0]]))
-    a0 = float(_eval1(problem.a[0][0], np.array([0.0]))[0])
-    a1 = float(_eval1(problem.a[0][0], np.array([1.0]))[0])
+    # numpy scalars, so that beta * a0 underflowing to 0 divides under the trap
+    a0 = _eval1(problem.a[0][0], np.array([0.0]))[0]
+    a1 = _eval1(problem.a[0][0], np.array([1.0]))[0]
     if a0 == 0.0 or a1 == 0.0:
         raise SolveError("diffusion coefficient vanishes at the boundary")
     q0 = 2.0 * h / (beta * a0)

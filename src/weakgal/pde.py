@@ -70,6 +70,13 @@ class Domain:
             for ci in self.center:
                 if ci - self.radius < 0.0 or ci + self.radius > 1.0:
                     raise ValueError("ball must lie inside [0,1]^d")
+            try:
+                in_range = 0.0 < self.volume < math.inf and 0.0 < self.surface < math.inf
+            except OverflowError:  # math.gamma, or pi ** (d / 2), beyond the float range
+                in_range = False
+            if not in_range:
+                raise ValueError(f"a ball of radius {self.radius} in dim {self.dim} has a volume"
+                                 " or surface outside the positive float range")
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
@@ -413,7 +420,8 @@ def manufactured_problem(
     for i in range(d):
         for j in range(d):
             flux = expr.mul(a[i][j].root, du[i].root)
-            f_node = expr.sub(f_node, expr.diff(ExprAst(flux, d), j + 1).root)
+            if not isinstance(flux, expr.Const):  # a constant's derivative, 0, would fold away
+                f_node = expr.sub(f_node, expr.diff(ExprAst(flux, d), j + 1).root)
     for i in range(d):
         f_node = expr.add(f_node, expr.mul(b[i].root, du[i].root))
     f_node = expr.add(f_node, expr.mul(c.root, u_exact.root))

@@ -68,7 +68,7 @@ def _ln(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
-class BoundNotApplicableError(ValueError):
+class BoundNotApplicableError(ArithmeticError):
     """A bound's precondition fails at the requested configuration."""
 
 

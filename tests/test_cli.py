@@ -1247,6 +1247,25 @@ _OVERFLOWING = {
     },
 }
 
+# valid configs that ended in a traceback with exit 1: a beta * a(0) that
+# underflows to 0 in the finite-difference oracle's ghost rows, and a ball
+# whose volume formula overflows
+_TRACEBACKS = [
+    (3, "numerical failure: finite-difference system: divide by zero encountered in scalar divide", {
+        "command": "penalty-study",
+        "problem": {"dim": 1, "domain": {"kind": "hypercube"}, "a": [["0.5"]], "c": "1", "alpha": 1.0,
+                    "beta": 1.0, "f": "1"},
+        "sweep": {"betas": [5e-324, 0.1], "grid_n": 16},
+    }),
+    (2, "config error: problem: a ball of radius 0.5 in dim 400 has a volume or surface outside the positive"
+        " float range", {
+        "command": "approx-probe",
+        "problem": dict(_PROBLEM, dim=400, domain={"kind": "ball", "center": [0.5] * 400, "radius": 0.5},
+                        u_exact="x1"),
+        "train": {"n_interior": 8, "outer_steps": 1, "h1_quad_points": 8},
+    }),
+]
+
 # run under ``-W error``: ``cli.main`` on each config path, with what it
 # wrote to stderr; a warning that escapes ends the loop in a traceback
 _MAIN_LOOP = """
@@ -1278,12 +1297,36 @@ class TestNoWarningLeavesARun:
     def test_every_command_and_every_overflow_exits_without_a_warning(self, tmp_path):
         docs = [(doc, 0, "") for command, doc in TINY.items() if command != "solve"]
         docs += [(doc, 3, line + "\n") for line, doc in _OVERFLOWING.items()]
+        docs += [(doc, code, line + "\n") for code, line, doc in _TRACEBACKS]
         args = []
         for i, (doc, _, _) in enumerate(docs):
             args += [write_config(tmp_path, doc, f"config{i}.json"), str(tmp_path / f"out{i}")]
         proc = _run_under_w_error(["-c", _MAIN_LOOP, *args])
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout) == [[code, err] for _, code, err in docs]
+
+
+def test_cli_module_runs_a_config(tmp_path):
+    # runpy warns that weakgal.cli was imported before it ran; the run is the same
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakgal.cli", write_config(tmp_path, TINY["solve"]),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"),
+                                   OverflowError("math range error"), FloatingPointError("overflow")])
+def test_any_arithmetic_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    spec = cli._COMMANDS["penalty-study"]
+    monkeypatch.setitem(cli._COMMANDS, "penalty-study", dataclasses.replace(spec, run=failing))
+    assert cli.run(write_config(tmp_path, TINY["penalty-study"]), out_dir=str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
 
 
 class TestResources:

@@ -65,6 +65,17 @@ def test_private_read_scan_sees_both_forms(tmp_path):
     assert _private_reads(path) == ["network._forward", "theory._BIG (line 3)", "pde._y (line 3)"]
 
 
+def test_exit_codes_come_from_two_exception_families():
+    """``cli.run`` exits 2 on a ``ConfigError`` and 3 on any ``ArithmeticError``,
+    so every numerical failure class must be one, and a config error none."""
+    from weakgal import cli, expr, loss, oracle, theory, train
+
+    failures = (expr.EvalError, loss.NonFiniteLossError, oracle.SolveError, theory.BoundNotApplicableError,
+                train.TrainingAborted)
+    assert all(issubclass(cls, ArithmeticError) for cls in failures)
+    assert not issubclass(cli.ConfigError, (ValueError, ArithmeticError))
+
+
 # each module's layer: a module imports only modules of lower layers, so
 # ``expr`` and ``network`` stay leaves that no bound or training code enters
 LAYERS = {"expr": 0, "network": 0, "pde": 1, "loss": 2, "oracle": 2, "theory": 3, "train": 3, "cli": 4}

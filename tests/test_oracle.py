@@ -166,6 +166,14 @@ def test_tiny_beta_ghost_rows_raise():
         fd_solve_1d(prob, 16)
 
 
+def test_beta_times_a_underflowing_to_zero_raises():
+    # beta and a(0) are both positive, but their product rounds to 0, so the
+    # ghost rows' 2h / (beta a) divides by zero
+    prob = _problem_1d("sin(pi*x1)", "robin", beta=5e-324, a=((parse("0.5", 1),),))
+    with pytest.raises(SolveError, match="^finite-difference system: divide by zero encountered in scalar divide$"):
+        fd_solve_1d(prob, 16)
+
+
 @pytest.mark.parametrize("betas", [(1e-300, 1e-310), (1e-300, 1e-250)])
 def test_penalty_study_rejects_unresolvable_beta(betas):
     # the study must not fit a slope through NaN or log(0)

@@ -54,6 +54,16 @@ def test_ball_measures():
         ball([0.5], 0.0)
 
 
+def test_a_ball_whose_volume_leaves_the_float_range_is_rejected():
+    # at radius 0.5 the volume is subnormal up to dim 339, underflows to 0 at
+    # dims 340 and 341, and math.gamma overflows from dim 342 on
+    b = ball([0.5] * 339, 0.5)
+    assert b.volume == math.pi ** 169.5 * 0.5**339 / math.gamma(170.5) > 0.0
+    for dim in (340, 341, 342, 400):
+        with pytest.raises(ValueError, match=rf"^a ball of radius 0.5 in dim {dim} has a volume or surface outside"):
+            ball([0.5] * dim, 0.5)
+
+
 def test_interior_samples_strictly_inside():
     for seed in range(5):
         dom = unit_hypercube(3)
@@ -205,6 +215,53 @@ def test_manufactured_source_satisfies_pde():
         return out
 
     np.testing.assert_allclose(prob.f_values(X), op(X), rtol=1e-6, atol=1e-6)
+
+
+def _f_differentiating_every_flux(u, a, b, c):
+    """f as assembled before constant fluxes were skipped: every flux
+    a_ij d_i u differentiated, constant or not."""
+    d = u.dim
+    du = [expr.diff(u, i + 1) for i in range(d)]
+    f = expr.const(0.0)
+    for i in range(d):
+        for j in range(d):
+            flux = expr.mul(a[i][j].root, du[i].root)
+            f = expr.sub(f, expr.diff(expr.ExprAst(flux, d), j + 1).root)
+    for i in range(d):
+        f = expr.add(f, expr.mul(b[i].root, du[i].root))
+    return expr.add(f, expr.mul(c.root, u.root))
+
+
+# a cubic touching every coordinate of dim 30
+_U30 = " + ".join(f"x{k}^2*x{k % 30 + 1}" for k in range(1, 31))
+
+
+@pytest.mark.parametrize("u_text, a", [
+    ("sin(pi*x1)", identity_matrix(1)),
+    ("x1", constant_matrix(1, 2.0)),  # a constant flux that is not 0
+    ("sin(pi*x1)*exp(x2)", ((parse("1 + x1^2", 2), parse("0.1", 2)), (parse("0.1", 2), parse("2 + x2", 2)))),
+    ("sin(pi*x1)*x2^2 + x3", identity_matrix(3)),
+    ("x1*x2 + x1^2", constant_matrix(2, 2.0, 0.5)),
+    (_U30, identity_matrix(30)),
+])
+def test_manufactured_source_is_the_tree_of_every_flux_differentiated(u_text, a):
+    dim = len(a)
+    u, b, c = parse(u_text, dim), constant_vector(dim, 0.0), parse("1 + x1", dim)
+    prob = manufactured_problem(u, a, b, c, 1.0, 1.0, unit_hypercube(dim))
+    assert prob.f.root == _f_differentiating_every_flux(u, a, b, c)
+
+
+def test_manufactured_problem_differentiates_only_fluxes_that_vary(monkeypatch):
+    # d derivatives of u, and one per diagonal flux of the identity: the
+    # d^2 - d zero fluxes are not differentiated
+    calls = []
+    diff = expr.diff
+    monkeypatch.setattr(expr, "diff", lambda ast, i: calls.append(i) or diff(ast, i))
+    manufactured_problem(
+        parse(_U30, 30), identity_matrix(30), constant_vector(30, 0.0), parse("1", 30),
+        1.0, 1.0, unit_hypercube(30),
+    )
+    assert len(calls) <= 60
 
 
 def test_manufactured_robin_data_vanishes_at_solution():
